@@ -129,32 +129,26 @@ def solved_index() -> int:
     return 0  # identity permutation, zero twists
 
 
-def _index_map(table, chunk: int = 600_000) -> np.ndarray:
-    """Materialize a move as a permutation of all state indices."""
-    n = NUM_CUBE_STATES
-    out = np.empty(n, dtype=np.int32)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        perm, ori = decode(np.arange(lo, hi, dtype=np.int64))
-        out[lo:hi] = encode(*apply_move(perm, ori, table)).astype(np.int32)
-    return out
+def _index_map(table) -> np.ndarray:
+    """Materialize a move as a permutation of all state indices.
+
+    The permutation and twist coordinates move independently, so the map is
+    the outer sum of a 5040-entry permutation table and a 729-entry twist
+    table, each built by decode -> apply_move -> encode on its coordinate.
+    """
+    perm_tab = encode(*apply_move(*decode(np.arange(5040) * 729), table)) // 729
+    twist_tab = encode(*apply_move(*decode(np.arange(729)), table)) % 729
+    return (perm_tab.astype(np.int32)[:, None] * 729
+            + twist_tab.astype(np.int32)).ravel()
 
 
 def build_pocket_cube(k_max: int = 11, with_scramble: bool = True):
     """Returns (mdp, scramble p, info).  The scramble walk uses the 9-move
     set {F,R,U} x {90,180,270} with no two consecutive turns of the same
     face, K uniform on 1..k_max, conditioned on not being solved."""
-    tables = move_tables()
-    agent = {}
-    for f in ("F", "R", "U"):
-        agent[f] = _index_map(tables[f + "1"])
-    raw = {f + "1": agent[f] for f in ("F", "R", "U")}
-    for f in ("F", "R", "U"):
-        raw[f + "2"] = agent[f][agent[f]]
-        raw[f + "3"] = agent[f][raw[f + "2"]]
-
+    raw = {label: _index_map(tab) for label, tab in move_tables().items()}
     n = NUM_CUBE_STATES
-    succ = np.stack([agent["F"], agent["R"], agent["U"]], axis=1)
+    succ = np.stack([raw["F1"], raw["R1"], raw["U1"]], axis=1)
     goal = solved_index()
     succ[goal] = n
     mdp = TabularDsmdp(successor=succ, goal=goal,

@@ -3,7 +3,9 @@
 A tabular MDP here is a dense successor table over states 0..n-1 with a single
 goal state and an implicit absorbing dead pseudo-state.  The dead state is
 *not* part of the state array; internally it is addressed as index
-``num_states`` so that padded gather operations need no masking.
+``num_states``.  Sums over successors go through ``transition_matrix``,
+which drops dead entries; walks that may sit in the dead state gather from
+``successor_padded``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 UNSOLVABLE = -1
 DEAD_SENTINEL_U32 = 2**32 - 1
@@ -211,6 +214,21 @@ class SolutionLengthTable:
         if np.any(self.d[sup] == UNSOLVABLE):
             raise MdpError("support contains an unsolvable state")
         return float(np.dot(p.probs[sup], self.d[sup]))
+
+
+def transition_matrix(successor: np.ndarray) -> csr_matrix:
+    """Sparse operator of a successor table whose dead index is its row count.
+
+    P[s, t] counts the actions taking s to t; dead entries are dropped, so the
+    all-dead goal row is empty.  Entries keep action order and duplicates, so
+    ``P @ x`` adds x over each state's live successors in action order.
+    """
+    n = successor.shape[0]
+    live = successor != n
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(live.sum(axis=1), out=indptr[1:])
+    indices = successor[live]
+    return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
 class ReverseGraph:

@@ -17,7 +17,7 @@ import numpy as np
 from ..mdp import (BudgetExceededError, StateDistribution, TabularDsmdp,
                    check_invertible_transitions,
                    check_solution_separable_bruteforce,
-                   shortest_solution_lengths)
+                   shortest_solution_lengths, transition_matrix)
 from ..skills import GOAL_PASS_DEAD, AugmentedMdp, behavior_variety
 from .difficulty import (p_exploration_difficulty, p_learning_difficulty,
                          per_length_counts, solution_density)
@@ -335,21 +335,20 @@ def expansion_length_q(augmented: AugmentedMdp, l_max: int) -> np.ndarray:
     if not all(z.kind == "macro" for z in augmented.skills):
         raise ValueError("expansion-length DP requires a macro augmentation")
     mdp = augmented.mdp
-    n, m = mdp.num_states, mdp.num_actions
-    w = [1] * augmented.base.num_actions + [len(z.macro) for z in augmented.skills]
-    succ = mdp.successor_padded()
-    G = np.zeros((l_max + 1, n + 1))
+    w = np.array([1] * augmented.base.num_actions
+                 + [len(z.macro) for z in augmented.skills])
+    # one operator per distinct expansion length k: G[l] gets P_k @ G[l - k]
+    ops = [(int(k), transition_matrix(mdp.successor[:, w == k]))
+           for k in np.unique(w)]
+    G = np.zeros((l_max + 1, mdp.num_states))
     G[0, mdp.goal] = 1.0
-    inv = 1.0 / m
+    inv = 1.0 / mdp.num_actions
     for l in range(1, l_max + 1):
-        acc = np.zeros(n + 1)
-        for a in range(m):
-            if l - w[a] >= 0:
-                acc[:n] += G[l - w[a], succ[:n, a]]
-        G[l] = inv * acc
-        G[l, mdp.goal] = 0.0
-        G[l, n] = 0.0
-    return G[:, :n].T  # [n, l_max + 1]
+        for k, P in ops:
+            if k <= l:
+                G[l] += P @ G[l - k]
+        G[l] *= inv
+    return G.T  # [n, l_max + 1]
 
 
 def _check_kl_corrected_gap(rep, mdp0, augmented, p, d0, separable, is_macro,

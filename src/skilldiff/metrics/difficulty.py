@@ -8,7 +8,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ..mdp import (BudgetExceededError, MdpError, SolutionLengthTable,
-                   StateDistribution, TabularDsmdp, shortest_solution_lengths)
+                   StateDistribution, TabularDsmdp, shortest_solution_lengths,
+                   transition_matrix)
 from .solver import QTable, solve_q
 
 
@@ -108,18 +109,14 @@ def per_length_counts(mdp: TabularDsmdp, l_max: int,
     n, m = mdp.num_states, mdp.num_actions
     if 8 * n * (l_max + 1) > memory_budget:
         raise BudgetExceededError("per-length count table exceeds memory budget")
-    succ = mdp.successor_padded()
-    counts = np.zeros((n, l_max + 1))
-    cur = np.zeros(n + 1)
-    cur[mdp.goal] = 1.0
-    counts[mdp.goal, 0] = 1.0
+    # row l = P @ row l-1; the goal row of P is empty, so a solution reaches
+    # the goal only at its last step
+    P = transition_matrix(mdp.successor)
+    counts = np.zeros((l_max + 1, n))
+    counts[0, mdp.goal] = 1.0
     for l in range(1, l_max + 1):
-        nxt = cur[succ[:, 0]].copy()
-        for a in range(1, m):
-            nxt += cur[succ[:, a]]
-        nxt[n] = 0.0
-        counts[:, l] = nxt[:n]
-        cur = nxt
+        counts[l] = P @ counts[l - 1]
+    counts = counts.T
     saturated = bool(np.any(counts > _SATURATION))
     return PerLengthSolutionCounts(counts=counts, l_max=l_max,
                                    num_actions=m, saturated=saturated)

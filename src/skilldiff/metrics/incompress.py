@@ -77,7 +77,9 @@ def _ic_sup(H: float, Ed: float, a_eff: float):
     return interior, eps
 
 
-def _ic_with_mode(H, Ed, a_eff, mode, epsilon, base: ICValue) -> ICValue:
+def _ic_with_mode(H, Ed, a_eff, mode, epsilon,
+                  asg: AssignmentResult | None = None) -> ICValue:
+    """A new ICValue for entropy H; ``asg`` supplies method and cap_hit."""
     if a_eff <= 1.0:
         raise DegenerateDenominatorError("need |A| > 1 (effective)")
     if Ed <= 0.0:
@@ -85,19 +87,17 @@ def _ic_with_mode(H, Ed, a_eff, mode, epsilon, base: ICValue) -> ICValue:
     if mode == "fixed_epsilon":
         if epsilon is None:
             raise ValueError("fixed_epsilon mode needs an epsilon")
-        v, clamped = _ic_fixed(H, Ed, a_eff, epsilon)
-        base.value, base.epsilon, base.clamped = v, epsilon, clamped
+        value, clamped = _ic_fixed(H, Ed, a_eff, epsilon)
     elif mode == "sup":
-        v, eps = _ic_sup(H, Ed, a_eff)
-        base.value, base.epsilon = max(v, 0.0), eps
-        base.clamped = v < 0.0
+        v, epsilon = _ic_sup(H, Ed, a_eff)
+        value, clamped = max(v, 0.0), v < 0.0
     elif mode == "boundary":
-        base.value, base.epsilon = 1.0 / Ed, None
+        value, epsilon, clamped = 1.0 / Ed, None, False
     else:
         raise ValueError(f"unknown IC mode {mode!r}")
-    base.mode = mode
-    base.entropy_term = H
-    return base
+    return ICValue(value, mode, epsilon, clamped,
+                   method=asg.method if asg else None, entropy_term=H,
+                   cap_hit=asg.cap_hit if asg else False)
 
 
 def ic_unmerged(mdp: TabularDsmdp, p: StateDistribution, mode: str = "sup",
@@ -107,9 +107,8 @@ def ic_unmerged(mdp: TabularDsmdp, p: StateDistribution, mode: str = "sup",
         raise DegenerateDenominatorError("unmerged IC needs |A| > 1")
     if d is None:
         d = shortest_solution_lengths(mdp)
-    Ed = d.expected(p)
-    return _ic_with_mode(p.entropy(), Ed, float(mdp.num_actions),
-                         mode, epsilon, ICValue(0.0, mode))
+    return _ic_with_mode(p.entropy(), d.expected(p), float(mdp.num_actions),
+                         mode, epsilon)
 
 
 # -- canonical-solution entropy machinery ---------------------------------
@@ -170,12 +169,9 @@ def max_entropy_assignment(probs: np.ndarray, candidates: list[list],
         # all states keep distinct solutions: H is exactly H[p]
         h = float(-np.dot(probs, np.log(probs)))
         return AssignmentResult(h, "matching_exact", cap_hit)
-    sizes = np.prod([len(c) for c in candidates], dtype=np.float64)
-    if n <= exhaustive_support and sizes <= exhaustive_budget:
-        best = -1.0
-        for choice in itertools.product(*[range(len(c)) for c in candidates]):
-            h = _merged_entropy(probs, candidates, choice, kidx, len(keys))
-            best = max(best, h)
+    best = _exhaustive_entropy(probs, candidates, max, exhaustive_support,
+                               exhaustive_budget)
+    if best is not None:
         return AssignmentResult(best, "exhaustive_exact", cap_hit)
     # greedy: heaviest states first, prefer the least-loaded solution
     order = np.argsort(-probs, kind="stable")
@@ -192,19 +188,13 @@ def min_entropy_assignment(probs: np.ndarray, candidates: list[list],
                            exhaustive_budget: int = 200_000,
                            cap_hit: bool = False) -> AssignmentResult:
     """Merge-maximizing choice: minimizes the canonical-solution entropy."""
-    keys = sorted({k for cand in candidates for k in cand})
-    kidx = {k: i for i, k in enumerate(keys)}
-    n = len(candidates)
-    sizes = np.prod([len(c) for c in candidates], dtype=np.float64)
-    if n <= exhaustive_support and sizes <= exhaustive_budget:
-        best = np.inf
-        for choice in itertools.product(*[range(len(c)) for c in candidates]):
-            h = _merged_entropy(probs, candidates, choice, kidx, len(keys))
-            best = min(best, h)
-        return AssignmentResult(float(best), "exhaustive_exact", cap_hit)
+    best = _exhaustive_entropy(probs, candidates, min, exhaustive_support,
+                               exhaustive_budget)
+    if best is not None:
+        return AssignmentResult(best, "exhaustive_exact", cap_hit)
     # greedy set-cover flavor: repeatedly take the solution shared by the
     # largest unassigned mass
-    remaining = set(range(n))
+    remaining = set(range(len(candidates)))
     mass_groups = []
     while remaining:
         coverage: dict = {}
@@ -217,6 +207,20 @@ def min_entropy_assignment(probs: np.ndarray, candidates: list[list],
         remaining -= set(grabbed)
     h = _entropy_of(mass_groups)
     return AssignmentResult(h, "greedy_upper_bound", cap_hit)
+
+
+def _exhaustive_entropy(probs, candidates, pick, exhaustive_support,
+                        exhaustive_budget) -> float | None:
+    """pick (max or min) of the merged entropy over every choice of one
+    candidate per state; None when the search exceeds its limits."""
+    sizes = np.prod([len(c) for c in candidates], dtype=np.float64)
+    if len(candidates) > exhaustive_support or sizes > exhaustive_budget:
+        return None
+    keys = sorted({k for cand in candidates for k in cand})
+    kidx = {k: i for i, k in enumerate(keys)}
+    choices = itertools.product(*[range(len(c)) for c in candidates])
+    return float(pick(_merged_entropy(probs, candidates, c, kidx, len(keys))
+                      for c in choices))
 
 
 def _merged_entropy(probs, candidates, choice, kidx, nkeys):
@@ -262,11 +266,8 @@ def ic_merged(mdp0: TabularDsmdp, augmented: AugmentedMdp,
         d0 = shortest_solution_lengths(mdp0)
     asg = merged_solution_entropy(augmented, p, sol_cap=sol_cap,
                                   exhaustive_support=exhaustive_support)
-    out = _ic_with_mode(asg.entropy, d0.expected(p), float(mdp0.num_actions),
-                        mode, epsilon, ICValue(0.0, mode))
-    out.method = asg.method
-    out.cap_hit = asg.cap_hit
-    return out
+    return _ic_with_mode(asg.entropy, d0.expected(p), float(mdp0.num_actions),
+                         mode, epsilon, asg)
 
 
 def ic_expressive(mdp: TabularDsmdp, p: StateDistribution, expressivity: float,
@@ -296,9 +297,6 @@ def ic_expressive(mdp: TabularDsmdp, p: StateDistribution, expressivity: float,
         asg = min_entropy_assignment(p.probs[sup],
                                      [cands[int(s)] for s in sup],
                                      exhaustive_support, cap_hit=cap_hit)
-    out = _ic_with_mode(asg.entropy, d.expected(p),
-                        float(mdp.num_actions) * float(expressivity),
-                        mode, epsilon, ICValue(0.0, mode))
-    out.method = asg.method
-    out.cap_hit = asg.cap_hit
-    return out
+    return _ic_with_mode(asg.entropy, d.expected(p),
+                         float(mdp.num_actions) * float(expressivity),
+                         mode, epsilon, asg)

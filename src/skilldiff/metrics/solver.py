@@ -6,9 +6,10 @@ minimal fixed point of
 
     q(s) = ((1 - delta)/|A|) * sum_a q(T(s, a)),   q(goal) = 1, q(dead) = 0,
 
-computed by damped-free Jacobi iteration from zero.  For delta > 0 the map
-is a (1-delta)-contraction; for delta = 0 the monotone iteration converges
-to the hitting probability of the uniform random policy.
+computed by damped-free Jacobi iteration from zero, one ``transition_matrix``
+product per sweep (dead successors have no entry, so they add 0).  For
+delta > 0 the map is a (1-delta)-contraction; for delta = 0 the monotone
+iteration converges to the hitting probability of the uniform random policy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mdp import TabularDsmdp
+from ..mdp import TabularDsmdp, transition_matrix
 
 
 class NotConvergedError(Exception):
@@ -36,29 +37,21 @@ class QTable:
     residual: float
     iterations: int
 
-    def padded(self) -> np.ndarray:
-        return np.concatenate([self.q, [0.0]])
-
 
 def solve_q(mdp: TabularDsmdp, delta: float, tol: float = 1e-12,
             max_iter: int = 50_000) -> QTable:
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must be in [0, 1)")
-    n, m = mdp.num_states, mdp.num_actions
-    succ = mdp.successor_padded()
-    coef = (1.0 - delta) / m
-    q = np.zeros(n + 1)
+    P = transition_matrix(mdp.successor)
+    coef = (1.0 - delta) / mdp.num_actions
+    q = np.zeros(mdp.num_states)
     q[mdp.goal] = 1.0
     residual = np.inf
     for it in range(1, max_iter + 1):
-        new = q[succ[:, 0]].copy()
-        for a in range(1, m):
-            new += q[succ[:, a]]
-        new *= coef
+        new = coef * (P @ q)
         new[mdp.goal] = 1.0
-        new[n] = 0.0
         residual = float(np.max(np.abs(new - q)))
         q = new
         if residual <= tol:
-            return QTable(q=q[:n], delta=delta, residual=residual, iterations=it)
+            return QTable(q=q, delta=delta, residual=residual, iterations=it)
     raise NotConvergedError(max_iter, residual, tol)

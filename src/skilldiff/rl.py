@@ -143,19 +143,20 @@ class _Env:
         return int(self.succ[s, a])
 
 
-def _ground_truth(env: _Env, gamma: float):
-    d = shortest_solution_lengths(env.mdp)
-    v_star = np.zeros(env.n)
+def _ground_truth(mdp: TabularDsmdp, gamma: float):
+    """(v*, q*) of the run and the planner: gamma^(d-1) per state and gamma^d
+    per successor where solvable, else 0; v*(goal) = 1, q*(goal, .) = 0."""
+    d = shortest_solution_lengths(mdp)
+    v_star = np.zeros(mdp.num_states)
     solv = d.solvable
     v_star[solv] = gamma ** (d.d[solv] - 1.0)
-    v_star[env.goal] = 1.0  # unused (no p mass) but keeps the table total
-    dpad = d.padded()
-    q_star = np.zeros((env.n, env.m))
-    t = env.succ[:env.n]
-    reach = dpad[t] >= 0
-    q_star[reach] = gamma ** (dpad[t][reach].astype(float))
-    q_star[env.goal] = 0.0
-    return d, v_star, q_star
+    v_star[mdp.goal] = 1.0
+    dt = d.padded()[mdp.successor]
+    q_star = np.zeros(dt.shape)
+    reach = dt >= 0
+    q_star[reach] = gamma ** (dt[reach].astype(float))
+    q_star[mdp.goal] = 0.0
+    return v_star, q_star
 
 
 def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
@@ -164,7 +165,7 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
     children = np.random.SeedSequence(cfg.seed).spawn(2)
     rng = np.random.default_rng(children[0])
     eval_rng_seed = children[1]
-    d, v_star, q_star = _ground_truth(e, cfg.gamma)
+    v_star, q_star = _ground_truth(e.mdp, cfg.gamma)
     sup = p.support
     psup = p.probs[sup]
     cumsup = np.cumsum(psup)
@@ -354,13 +355,10 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
     Returns the sweep counts at which each stopping criterion was first met.
     """
     n, m = mdp.num_states, mdp.num_actions
-    succ = mdp.successor_padded()[:n]
+    succ = mdp.successor
     if variant not in ("state", "q"):
         raise ValueError("variant must be 'state' or 'q'")
-    d = shortest_solution_lengths(mdp)
-    v_star = np.zeros(n)
-    v_star[d.solvable] = gamma ** (d.d[d.solvable] - 1.0)
-    v_star[mdp.goal] = 1.0
+    v_star, _ = _ground_truth(mdp, gamma)
     sup = p.support if p is not None else None
 
     v = np.zeros(n + 1)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from skilldiff.envs.cube import (NUM_CUBE_STATES, apply_move, decode, encode,
-                                 move_tables, solved_index)
+from skilldiff.envs.cube import (NUM_CUBE_STATES, _index_map, apply_move,
+                                 decode, encode, move_tables, solved_index)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,17 @@ def test_encode_decode_roundtrip():
     perm, ori = decode(idx)
     assert np.array_equal(encode(perm, ori), idx)
     assert np.all(ori.sum(axis=1) % 3 == 0)
+
+
+def test_index_maps_match_decode_apply_encode(tables):
+    # the coordinate-table index maps agree with moving decoded states
+    rng = np.random.default_rng(5)
+    idx = rng.integers(0, NUM_CUBE_STATES, size=20_000)
+    for name, tab in tables.items():
+        full = _index_map(tab)
+        assert full.dtype == np.int32 and len(full) == NUM_CUBE_STATES
+        assert np.array_equal(full[idx],
+                              encode(*apply_move(*decode(idx), tab))), name
 
 
 def test_solved_state_is_index_zero():

@@ -102,7 +102,8 @@ def test_perm_rank_roundtrip():
     rng = np.random.default_rng(7)
     perms = np.stack([rng.permutation(7) for _ in range(500)]).astype(np.int8)
     ranks = perm_rank(perms)
-    assert len(np.unique(ranks)) == 500 or True  # collisions possible, fine
+    # equal permutations share a rank and distinct ones never do
+    assert len(np.unique(ranks)) == len(np.unique(perms, axis=0))
     back = perm_unrank(ranks, 7)
     assert np.array_equal(back, perms)
 
@@ -129,14 +130,22 @@ def test_scramble_goal_conditioning():
 
 
 def test_scramble_no_consecutive_same_group():
-    # two moves in the same group: the walk must alternate with the other
     m0 = np.array([1, 2, 3, 3], dtype=np.int32)
     m1 = np.array([2, 3, 3, 3], dtype=np.int32)
+    # different groups: step 1 from the goal takes either move (1/2 each);
+    # step 2 must switch groups, so 1 -> 3 and 2 -> 3 (ignoring the groups
+    # would give [0, .25, .375, .375])
     res = scramble_distribution(
         4, 0, [ScrambleMove(successor=m0, group=0),
                ScrambleMove(successor=m1, group=1)], 2)
-    # step 1 from goal: both legal (1/2 each); step 2 must switch groups
     assert np.allclose(res.step_marginal_sums, 1.0)
+    assert np.allclose(res.distribution.probs, [0.0, 0.25, 0.25, 0.5])
+    # same group: no move is legal after step 1, so the mass stays put
+    res = scramble_distribution(
+        4, 0, [ScrambleMove(successor=m0, group=0),
+               ScrambleMove(successor=m1, group=0)], 2)
+    assert np.allclose(res.step_marginal_sums, 1.0)
+    assert np.allclose(res.distribution.probs, [0.0, 0.5, 0.5, 0.0])
 
 
 # -- sequence consume ---------------------------------------------------------

@@ -68,10 +68,9 @@ def test_value_error_ground_truth_definition():
     mdp, p = build_chain(6)
     d = shortest_solution_lengths(mdp)
     gamma = 0.9
-    from skilldiff.rl import _Env, _ground_truth
+    from skilldiff.rl import _ground_truth
 
-    e = _Env(mdp)
-    _, v_star, q_star = _ground_truth(e, gamma)
+    v_star, q_star = _ground_truth(mdp, gamma)
     for s in range(1, 7):
         assert v_star[s] == pytest.approx(gamma ** (d.d[s] - 1))
         assert q_star[s, 0] == pytest.approx(gamma ** d.d[mdp.successor[s, 0]]

@@ -1,0 +1,175 @@
+"""The sparse transition operator against the gather loops it replaced.
+
+The ``_gather_*`` functions below are the padded-table sweeps that
+``solve_q``, ``per_length_counts`` and ``expansion_length_q`` ran before
+they read the successor table through ``transition_matrix``.  They stay here
+as oracles: the operator must reproduce them bit for bit (the expansion DP
+groups actions by expansion length, so it is held to 1e-14).
+"""
+
+import numpy as np
+import pytest
+
+from skilldiff.experiments import random_invertible_mdp, random_macro_skills
+from skilldiff.mdp import TabularDsmdp, transition_matrix
+from skilldiff.metrics import (NotConvergedError, expansion_length_q,
+                               per_length_counts, solve_q)
+from skilldiff.skills import GOAL_PASS_DEAD, augment
+
+
+def _gather_solve_q(mdp, delta, tol=1e-12, max_iter=50_000):
+    n, m = mdp.num_states, mdp.num_actions
+    succ = mdp.successor_padded()
+    coef = (1.0 - delta) / m
+    q = np.zeros(n + 1)
+    q[mdp.goal] = 1.0
+    residual = np.inf
+    for it in range(1, max_iter + 1):
+        new = q[succ[:, 0]].copy()
+        for a in range(1, m):
+            new += q[succ[:, a]]
+        new *= coef
+        new[mdp.goal] = 1.0
+        new[n] = 0.0
+        residual = float(np.max(np.abs(new - q)))
+        q = new
+        if residual <= tol:
+            return q[:n], it, residual
+    raise NotConvergedError(max_iter, residual, tol)
+
+
+def _gather_per_length_counts(mdp, l_max):
+    n, m = mdp.num_states, mdp.num_actions
+    succ = mdp.successor_padded()
+    counts = np.zeros((n, l_max + 1))
+    cur = np.zeros(n + 1)
+    cur[mdp.goal] = 1.0
+    counts[mdp.goal, 0] = 1.0
+    for l in range(1, l_max + 1):
+        nxt = cur[succ[:, 0]].copy()
+        for a in range(1, m):
+            nxt += cur[succ[:, a]]
+        nxt[n] = 0.0
+        counts[:, l] = nxt[:n]
+        cur = nxt
+    return counts
+
+
+def _gather_expansion_length_q(augmented, l_max):
+    mdp = augmented.mdp
+    n, m = mdp.num_states, mdp.num_actions
+    w = [1] * augmented.base.num_actions + [len(z.macro)
+                                           for z in augmented.skills]
+    succ = mdp.successor_padded()
+    G = np.zeros((l_max + 1, n + 1))
+    G[0, mdp.goal] = 1.0
+    inv = 1.0 / m
+    for l in range(1, l_max + 1):
+        acc = np.zeros(n + 1)
+        for a in range(m):
+            if l - w[a] >= 0:
+                acc[:n] += G[l - w[a], succ[:n, a]]
+        G[l] = inv * acc
+        G[l, mdp.goal] = 0.0
+        G[l, n] = 0.0
+    return G[:, :n].T
+
+
+def _random_table(rng):
+    """Random MDP with dead entries, 1-7 actions and forced duplicate
+    successors (some action columns copy another on part of the rows)."""
+    n = int(rng.integers(3, 30))
+    m = int(rng.integers(1, 8))
+    succ = rng.integers(0, n, size=(n, m)).astype(np.int32)
+    succ[rng.random(succ.shape) < 0.2] = n
+    if m > 1:
+        rows = rng.random(n) < 0.3
+        succ[rows, m - 1] = succ[rows, 0]
+    succ[0] = n
+    return TabularDsmdp(successor=succ, goal=0,
+                        action_labels=[f"a{i}" for i in range(m)])
+
+
+def _outcome(solve):
+    """(q, iterations, residual), with q = None when the solve gave up."""
+    try:
+        return solve()
+    except NotConvergedError as e:
+        return None, e.iterations, e.residual
+
+
+def _solve_q_triple(mdp, delta, max_iter):
+    qt = solve_q(mdp, delta, max_iter=max_iter)
+    return qt.q, qt.iterations, qt.residual
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.02, 0.1])
+def test_solve_q_matches_gather_oracle(delta):
+    rng = np.random.default_rng(40)
+    for _ in range(60):
+        mdp = _random_table(rng)
+        q, it, res = _outcome(lambda: _solve_q_triple(mdp, delta, 20_000))
+        q0, it0, res0 = _outcome(
+            lambda: _gather_solve_q(mdp, delta, max_iter=20_000))
+        assert (it, res) == (it0, res0)
+        assert (q is None) == (q0 is None)
+        assert q is None or np.array_equal(q, q0)
+
+
+def test_solve_q_on_augmented_mdps_matches_gather_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        base = random_invertible_mdp(rng, int(rng.integers(5, 30)),
+                                     int(rng.integers(2, 4)))
+        aug = augment(base, random_macro_skills(rng, base), GOAL_PASS_DEAD)
+        for delta in (0.0, 0.02, 0.1):
+            qt = solve_q(aug.mdp, delta)
+            q0, it0, res0 = _gather_solve_q(aug.mdp, delta)
+            assert np.array_equal(qt.q, q0)
+            assert (qt.iterations, qt.residual) == (it0, res0)
+
+
+def test_per_length_counts_match_gather_oracle():
+    rng = np.random.default_rng(42)
+    for _ in range(60):
+        mdp = _random_table(rng)
+        c = per_length_counts(mdp, 12)
+        assert np.array_equal(c.counts, _gather_per_length_counts(mdp, 12))
+
+
+def test_expansion_length_q_matches_gather_oracle():
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        base = random_invertible_mdp(rng, int(rng.integers(5, 30)),
+                                     int(rng.integers(2, 4)))
+        aug = augment(base, random_macro_skills(rng, base), GOAL_PASS_DEAD)
+        G = expansion_length_q(aug, 40)
+        G0 = _gather_expansion_length_q(aug, 40)
+        assert G.shape == G0.shape
+        assert np.max(np.abs(G - G0)) <= 1e-14
+
+
+def test_transition_matrix_sums_live_successors():
+    rng = np.random.default_rng(44)
+    for _ in range(30):
+        mdp = _random_table(rng)
+        n, m = mdp.num_states, mdp.num_actions
+        P = transition_matrix(mdp.successor)
+        assert P.shape == (n, n)
+        x = rng.random(n)
+        xpad = np.concatenate([x, [0.0]])
+        loop = np.zeros(n)
+        for s in range(n):
+            for a in range(m):
+                loop[s] += xpad[mdp.successor[s, a]]
+        assert np.array_equal(P @ x, loop)
+        assert P.indptr[mdp.goal] == P.indptr[mdp.goal + 1]  # empty goal row
+        assert P.nnz == int((mdp.successor != mdp.dead).sum())
+
+
+def test_transition_matrix_counts_duplicates_and_drops_dead():
+    # state 1 reaches 2 twice and dies once; state 2 reaches 1 and 2
+    succ = np.array([[3, 3, 3], [2, 3, 2], [1, 2, 3]], dtype=np.int32)
+    P = transition_matrix(succ)
+    assert P.toarray().tolist() == [[0, 0, 0], [0, 0, 2], [0, 1, 1]]
+    assert np.array_equal(P @ np.array([5.0, 7.0, 11.0]), [0.0, 22.0, 18.0])
