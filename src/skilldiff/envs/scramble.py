@@ -5,6 +5,13 @@ legal moves from the solved state, K uniform on 1..K_max, re-scramble if
 solved".  This is computed exactly by dynamic programming over
 (state, last-move-group) and averaging the K-step marginals, then
 conditioning on not being at the goal.
+
+The DP pulls rather than scatters.  Each move's legal entries are inverted
+once into int32 preimage tables (one per preimage a target can have, so an
+injective move has one); an entry of n means "no preimage" and gathers the
+zero kept at index n of every mass vector.  A step divides each context's
+mass by its legal-move count, sums the contexts, and lets every move gather
+the mass that may enter it: the total, less its own group's share.
 """
 
 from __future__ import annotations
@@ -49,54 +56,50 @@ def scramble_distribution(
     Each step picks uniformly among legal moves.
     """
     n = num_states
-    dead = n
     groups = sorted({m.group for m in moves if m.group is not None})
     gindex = {g: i for i, g in enumerate(groups)}
     C = len(groups) + 1  # context: last move's group; last slot = "none"
-    none_ctx = C - 1
+    ctx = [gindex[m.group] if m.group is not None else C - 1 for m in moves]
 
-    valid = np.zeros((len(moves), n), dtype=bool)
-    for j, mv in enumerate(moves):
-        t = mv.successor
-        valid[j] = (t != dead) & (t != np.arange(n))
+    # legal-move counts per (context, state); a group's context excludes it
+    counts = np.zeros((C, n), dtype=np.min_scalar_type(len(moves)))
+    tables = [[] for _ in range(C)]  # preimage tables of the moves per group
+    for mv, g in zip(moves, ctx):
+        legal = _legal_entries(mv, n)
+        for c in range(C):
+            if c != g or g == C - 1:
+                counts[c] += legal
+        if legal.any():
+            tables[g].append(_preimage_tables(mv.successor, legal, n))
+    stuck = [np.flatnonzero(row == 0) for row in counts]  # mass stays put
+    np.maximum(counts, 1, out=counts)
 
-    # legal-move counts per (state, context)
-    counts = np.zeros((C, n), dtype=np.float64)
-    for c in range(C):
-        for j, mv in enumerate(moves):
-            ctx = gindex[mv.group] if mv.group is not None else None
-            if ctx is not None and ctx == c:
-                continue
-            counts[c] += valid[j]
-
-    w = np.zeros((C, n), dtype=np.float64)
-    w[none_ctx, goal] = 1.0
+    w = np.zeros((C, n + 1), dtype=np.float64)  # column n stays zero
+    w[C - 1, goal] = 1.0
+    w_new = np.empty_like(w)
+    total, entering = np.empty((2, n + 1), dtype=np.float64)
+    marginal = entering[:n]  # reused once the step's gathers are done
     mixture = np.zeros(n, dtype=np.float64)
     marg_sums = np.zeros(k_max, dtype=np.float64)
 
     for k in range(k_max):
-        w_new = np.zeros_like(w)
+        w_new.fill(0.0)
         for c in range(C):
-            mass = w[c]
-            active = mass > 0.0
-            if not active.any():
-                continue
-            denom = counts[c]
-            stuck = active & (denom == 0.0)
-            if stuck.any():  # no legal move: mass stays put
-                w_new[c][stuck] += mass[stuck]
-            share = np.where(denom > 0.0, mass / np.maximum(denom, 1.0), 0.0)
-            for j, mv in enumerate(moves):
-                ctx = gindex[mv.group] if mv.group is not None else none_ctx
-                if mv.group is not None and gindex[mv.group] == c:
-                    continue
-                sel = valid[j] & (share > 0.0)
-                if not sel.any():
-                    continue
-                w_new[ctx] += np.bincount(mv.successor[sel], weights=share[sel],
-                                          minlength=n)
-        w = w_new
-        marginal = w.sum(axis=0)
+            w_new[c, stuck[c]] = w[c, stuck[c]]
+        w[:, :n] /= counts
+        np.sum(w, axis=0, out=total)
+        for g in range(C):
+            if g == C - 1:
+                pool = total
+            else:  # a group's own share may not enter it again
+                pool = np.subtract(total, w[g], out=w[g])
+            for first, *extra in tables[g]:
+                np.take(pool, first, out=entering, mode="clip")  # unbuffered
+                for table in extra:
+                    entering += pool[table]
+                w_new[g] += entering
+        w, w_new = w_new, w
+        np.sum(w[:, :n], axis=0, out=marginal)
         marg_sums[k] = marginal.sum()
         mixture += marginal
     mixture /= k_max
@@ -111,3 +114,32 @@ def scramble_distribution(
         step_marginal_sums=marg_sums,
         goal_mass_removed=goal_mass,
     )
+
+
+def _legal_entries(mv: ScrambleMove, n: int) -> np.ndarray:
+    """Bool mask of the states where mv moves to another live state."""
+    t = np.asarray(mv.successor)
+    if t.shape != (n,):
+        raise ValueError(f"scramble move {mv.label!r} has successor shape "
+                         f"{t.shape}, expected ({n},)")
+    if int(t.min()) < 0 or int(t.max()) > n:
+        raise ValueError(f"scramble move {mv.label!r} has a successor "
+                         f"outside [0, {n}]")
+    return (t != n) & (t != np.arange(n))
+
+
+def _preimage_tables(successor: np.ndarray, legal: np.ndarray,
+                     n: int) -> list[np.ndarray]:
+    """int32 tables whose k-th holds each target's k-th smallest legal
+    preimage, or n; gathering through them in turn adds a target's sources
+    in state order."""
+    src = np.flatnonzero(legal).astype(np.int32)
+    tgt = np.asarray(successor)[src]
+    tables = []
+    while len(src):
+        table = np.full(n + 1, n, dtype=np.int32)
+        np.minimum.at(table, tgt, src)
+        tables.append(table)
+        rest = table[tgt] != src
+        src, tgt = src[rest], tgt[rest]
+    return tables

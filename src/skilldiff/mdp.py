@@ -4,7 +4,8 @@ A tabular MDP here is a dense successor table over states 0..n-1 with a single
 goal state and an implicit absorbing dead pseudo-state.  The dead state is
 *not* part of the state array; internally it is addressed as index
 ``num_states``.  Sums over successors go through ``transition_matrix``,
-which drops dead entries; walks that may sit in the dead state gather from
+which drops dead entries; the reverse graph is that operator's transpose,
+built by a counting sort.  Walks that may sit in the dead state gather from
 ``successor_padded``.
 """
 
@@ -249,29 +250,33 @@ class ReverseGraph:
 
 
 def build_reverse_graph(mdp: TabularDsmdp) -> ReverseGraph:
-    """Invert the successor table.  Dead transitions and the goal row are skipped."""
-    n, m = mdp.num_states, mdp.num_actions
-    succ = mdp.successor.ravel()
-    valid = np.flatnonzero(succ != mdp.dead)
-    targets = succ[valid]
-    order = np.argsort(targets, kind="stable")
-    sorted_edges = valid[order]
-    preds = (sorted_edges // m).astype(np.int32)
-    actions = (sorted_edges % m).astype(np.int32)
-    counts = np.bincount(targets, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return ReverseGraph(indptr, preds, actions)
+    """Invert the successor table.  Dead transitions and the goal row are skipped.
+
+    The reverse graph is the transpose of ``transition_matrix`` with action
+    ids as its entries; ``tocsc`` transposes by a counting sort, which keeps
+    each target's predecessors in (state, action) order.
+    """
+    P = transition_matrix(mdp.successor)
+    P.data = np.broadcast_to(np.arange(mdp.num_actions, dtype=np.int32),
+                             mdp.successor.shape)[mdp.successor != mdp.dead]
+    R = P.tocsc()
+    return ReverseGraph(R.indptr.astype(np.int64),
+                        R.indices.astype(np.int32, copy=False),
+                        R.data.astype(np.int32, copy=False))
 
 
 def shortest_solution_lengths(
     mdp: TabularDsmdp, rev: ReverseGraph | None = None
 ) -> SolutionLengthTable:
-    """BFS over the reverse graph from the goal."""
+    """BFS over the reverse graph from the goal.
+
+    Each level marks the unreached predecessors of the frontier; the next
+    frontier is read back from the marks, so it comes out sorted without a
+    sort.
+    """
     if rev is None:
         rev = build_reverse_graph(mdp)
-    n = mdp.num_states
-    d = np.full(n, UNSOLVABLE, dtype=np.int32)
+    d = np.full(mdp.num_states, UNSOLVABLE, dtype=np.int32)
     d[mdp.goal] = 0
     frontier = np.array([mdp.goal], dtype=np.int64)
     level = 0
@@ -280,9 +285,8 @@ def shortest_solution_lengths(
         preds = _gather_ragged(rev, frontier)
         if len(preds) == 0:
             break
-        fresh = np.unique(preds[d[preds] == UNSOLVABLE])
-        d[fresh] = level
-        frontier = fresh
+        d[preds[d[preds] == UNSOLVABLE]] = level
+        frontier = np.flatnonzero(d == level)
     return SolutionLengthTable(d=d)
 
 

@@ -115,7 +115,8 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
 
     # ---- learning-difficulty ratio vs merged incompressibility
     if a0 > 1:
-        icm = ic_merged(mdp0, augmented, p, mode="sup", sol_cap=sol_cap, d0=d0)
+        icm = ic_merged(mdp0, augmented, p, mode="sup", sol_cap=sol_cap,
+                        d0=d0, d_aug=dplus)
         rhs = _penalty(a0, aplus) * icm.value
         rep.claims.append(BoundClaim(
             "learn_ratio_merged_ic", ratio, rhs,

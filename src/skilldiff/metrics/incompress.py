@@ -258,14 +258,16 @@ def ic_merged(mdp0: TabularDsmdp, augmented: AugmentedMdp,
               p: StateDistribution, mode: str = "sup",
               epsilon: float | None = None, sol_cap: int = 64,
               exhaustive_support: int = 12,
-              d0: SolutionLengthTable | None = None) -> ICValue:
+              d0: SolutionLengthTable | None = None,
+              d_aug: SolutionLengthTable | None = None) -> ICValue:
     """Merged p-incompressibility of the base w.r.t. the augmented action set."""
     if mdp0.num_actions <= 1:
         raise DegenerateDenominatorError("merged IC needs |A0| > 1")
     if d0 is None:
         d0 = shortest_solution_lengths(mdp0)
     asg = merged_solution_entropy(augmented, p, sol_cap=sol_cap,
-                                  exhaustive_support=exhaustive_support)
+                                  exhaustive_support=exhaustive_support,
+                                  d_aug=d_aug)
     return _ic_with_mode(asg.entropy, d0.expected(p), float(mdp0.num_actions),
                          mode, epsilon, asg)
 

@@ -132,9 +132,10 @@ def augment(base: TabularDsmdp, skills: list[Skill],
     labels = list(base.action_labels)
     for j, z in enumerate(skills):
         if z.kind == "macro":
-            if max(z.macro) >= m0:
+            bad = [a for a in z.macro if not 0 <= a < m0]
+            if bad:
                 raise SkillError(f"skill {z.label!r} references base action "
-                                 f"{max(z.macro)} out of range")
+                                 f"{bad[0]} out of range")
             col, length = _unroll_macro_column(base, z.macro, mode)
         else:
             col, length = _unroll_tabular_column(base, z, mode)
@@ -186,7 +187,7 @@ def _unroll_tabular_column(base: TabularDsmdp, z: Skill, mode):
         if not seq:
             col[s] = s
             continue
-        if max(seq) >= base.num_actions:
+        if min(seq) < 0 or max(seq) >= base.num_actions:
             raise SkillError(f"skill {z.label!r} references an out-of-range "
                              f"base action at state {s}")
         r = unroll(base, s, seq)

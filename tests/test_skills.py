@@ -78,6 +78,19 @@ def test_skill_out_of_range_action():
         augment(mdp, [Skill.from_macro((0, 5), label="bad")])
 
 
+def test_skill_negative_action_is_rejected():
+    # numpy would read -1 as the last base action, so the check must catch it
+    from conftest import random_dsmdp
+
+    mdp = random_dsmdp(np.random.default_rng(9), 6, 3)
+    with pytest.raises(SkillError, match="-1"):
+        augment(mdp, [Skill.from_macro((0, -1), label="neg")])
+    seqs = [(0, 1)] * mdp.num_states
+    seqs[2] = (1, -1)
+    with pytest.raises(SkillError):
+        augment(mdp, [Skill.from_sequences(seqs, label="neg-tab")])
+
+
 def test_d_never_increases_under_success_mode():
     rng = np.random.default_rng(4)
     from conftest import random_dsmdp
