@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -129,12 +129,8 @@ _ALGO_IDS = {"q_learning": 0, "rl_value_iteration": 1, "reinforce": 2}
 
 def _run_cell(args) -> dict:
     (env_preset, variant, v_idx, algo, seed_idx, root_seed, overrides) = args
-    import dataclasses
-
     mdp, p = _cached_env(env_preset)
-    cfg = protocol_preset(algo)
-    for k, v in overrides.items():
-        cfg = dataclasses.replace(cfg, **{k: v})
+    cfg = replace(protocol_preset(algo), **overrides)
     cfg = cfg.with_seed(cell_seed(root_seed, v_idx, _ALGO_IDS[algo], seed_idx))
     if variant.is_base:
         env = mdp

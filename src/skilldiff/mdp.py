@@ -113,7 +113,11 @@ class TabularDsmdp:
     @classmethod
     def from_json_dict(cls, d: dict) -> "TabularDsmdp":
         n, m = d["num_states"], d["num_actions"]
-        succ = np.asarray(d["successor"], dtype=np.int64).reshape(n, m)
+        succ = np.asarray(d["successor"], dtype=np.int64)
+        if succ.size != n * m:
+            raise MdpError(f"successor list has {succ.size} entries, not "
+                           f"num_states * num_actions = {n * m}")
+        succ = succ.reshape(n, m)
         succ[succ == DEAD_SENTINEL_U32] = n
         return cls(
             successor=succ.astype(np.int32),
@@ -149,16 +153,27 @@ class TabularDsmdp:
         with open(path, "rb") as f:
             if f.read(6) != _BIN_MAGIC:
                 raise MdpError("bad magic")
-            version, n, m, goal, base = struct.unpack("<5I", f.read(20))
+            version, n, m, goal, base = struct.unpack(
+                "<5I", _read_exact(f, 20, "header"))
             if version != 1:
                 raise MdpError(f"unsupported version {version}")
-            (nlabels,) = struct.unpack("<I", f.read(4))
-            labels = json.loads(f.read(nlabels))["action_labels"]
-            raw = np.frombuffer(f.read(4 * n * m), dtype=np.uint32).reshape(n, m)
+            (nlabels,) = struct.unpack("<I", _read_exact(f, 4, "header"))
+            labels = json.loads(
+                _read_exact(f, nlabels, "labels"))["action_labels"]
+            raw = np.frombuffer(_read_exact(f, 4 * n * m, "successor table"),
+                                dtype=np.uint32).reshape(n, m)
         succ = raw.astype(np.int64)
         succ[raw == DEAD_SENTINEL_U32] = n
         return cls(successor=succ.astype(np.int32), goal=goal,
                    action_labels=labels, base_action_count=base)
+
+
+def _read_exact(f, size: int, what: str) -> bytes:
+    buf = f.read(size)
+    if len(buf) != size:
+        raise MdpError(f"truncated file: {what} needs {size} bytes, "
+                       f"{len(buf)} left")
+    return buf
 
 
 @dataclass

@@ -9,6 +9,7 @@ as skipped rather than assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -156,7 +157,7 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
                                      notes_common + why))
 
     # ---- Exploration lower bound via solution density (needs delta > 0)
-    je0 = jep = None
+    q0 = je0 = jep = None
     if delta > 0:
         q0 = solve_q(mdp0, delta, tol=q_tol)
         qp = solve_q(augmented.mdp, delta, tol=q_tol)
@@ -183,7 +184,11 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
     # ---- Macroactions always hurt exploration when p is close to rho
     _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
                                     separable, is_macro, strict, slack,
-                                    notes_common, q_tol, je0, jep)
+                                    notes_common, q0, je0, jep)
+
+    # (q0, q+) at delta = 0 for the two gap checks, solved on first use
+    q_at_zero = functools.cache(lambda: (
+        solve_q(mdp0, 0.0, tol=q_tol), solve_q(augmented.mdp, 0.0, tol=q_tol)))
 
     # ---- Exploration gap bound in fully-covered uniform-solution MDPs
     counts = None
@@ -195,7 +200,7 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
         pass
     _check_full_coverage_gap(rep, mdp0, augmented, p, d0, counts, separable,
                              is_macro, strict, uniform_length_solutions,
-                             slack, notes_common, q_tol)
+                             slack, notes_common, q_at_zero)
 
     # ---- Expressivity-aware learning bound
     if a0 > 1 and augmented.num_skills >= 1:
@@ -235,13 +240,13 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
     # ---- Length-resolved exploration gap with the KL correction
     _check_kl_corrected_gap(rep, mdp0, augmented, p, d0, separable, is_macro,
                             strict, slack, notes_common, length_dp_l_max,
-                            length_dp_state_cap, q_tol)
+                            length_dp_state_cap, q_at_zero)
     return rep
 
 
 def _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
                                     separable, is_macro, strict, slack,
-                                    notes, q_tol, je0, jep):
+                                    notes, q0, je0, jep):
     name = "macros_hurt_exploration_near_uniform"
     if not (delta > 0 and separable and is_macro and strict):
         rep.claims.append(BoundClaim(
@@ -259,7 +264,6 @@ def _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
             name, None, None, None, False,
             notes + "a length-1-solvable state has longer solutions"))
         return
-    q0 = solve_q(mdp0, delta, tol=q_tol)
     rho = delta / (1.0 - delta) * q0.q
     rho[mdp0.goal] = 0.0
     sup = p.support
@@ -281,7 +285,7 @@ def _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
 
 def _check_full_coverage_gap(rep, mdp0, augmented, p, d0, counts, separable,
                              is_macro, strict, uniform_lengths, slack, notes,
-                             q_tol):
+                             q_at_zero):
     name = "explore_gap_full_coverage"
     pre_fail = None
     if not (separable and is_macro and strict):
@@ -319,8 +323,7 @@ def _check_full_coverage_gap(rep, mdp0, augmented, p, d0, counts, separable,
         rep.claims.append(BoundClaim(name, None, None, None, False,
                                      notes + pre_fail))
         return
-    q0 = solve_q(mdp0, 0.0, tol=q_tol)
-    qp = solve_q(augmented.mdp, 0.0, tol=q_tol)
+    q0, qp = q_at_zero()
     lhs = (p_exploration_difficulty(augmented.mdp, p, qp)
            - p_exploration_difficulty(mdp0, p, q0))
     x = mdp0.num_actions / augmented.mdp.num_actions
@@ -353,7 +356,8 @@ def expansion_length_q(augmented: AugmentedMdp, l_max: int) -> np.ndarray:
 
 
 def _check_kl_corrected_gap(rep, mdp0, augmented, p, d0, separable, is_macro,
-                            strict, slack, notes, l_max, state_cap, q_tol):
+                            strict, slack, notes, l_max, state_cap,
+                            q_at_zero):
     name = "explore_gap_kl_corrected"
     if not (separable and is_macro and strict):
         rep.claims.append(BoundClaim(
@@ -367,8 +371,7 @@ def _check_kl_corrected_gap(rep, mdp0, augmented, p, d0, separable, is_macro,
         return
     counts_full = per_length_counts(mdp0, l_max)
     G = expansion_length_q(augmented, l_max)
-    q0 = solve_q(mdp0, 0.0, tol=q_tol)
-    qp = solve_q(augmented.mdp, 0.0, tol=q_tol)
+    q0, qp = q_at_zero()
     sup = p.support
     coverage = G[sup].sum(axis=1) / qp.q[sup]
     if np.any(np.abs(coverage - 1.0) > 1e-9):

@@ -69,7 +69,6 @@ def save_report(report: "DifficultyReport", path: str,
 
 def compute_difficulty_report(mdp: TabularDsmdp, p: StateDistribution,
                               delta: float, epsilon: float | None = None,
-                              base: TabularDsmdp | None = None,
                               augmented: AugmentedMdp | None = None,
                               sol_cap: int = 64,
                               q_tol: float = 1e-12) -> DifficultyReport:

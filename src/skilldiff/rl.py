@@ -1,9 +1,13 @@
 """Tabular RL algorithms with the episodic sparse-reward protocol.
 
 Episodes start from p, end at the goal, after `horizon` agent actions, or
-once `base_action_budget` base actions have been consumed (skills consume
-their unrolled length).  The dead state is a real absorbing state: an agent
-that walks into it keeps burning steps until the episode ends.
+once `base_action_budget` base actions have been consumed.  Cost rule: a
+base action consumes one base action and a skill consumes its unrolled
+length, at least one (an empty sequence still takes a step).  The dead state
+is a real absorbing state: an agent that walks into it keeps burning one base
+action per step until the episode ends.  A run's env steps are the base
+actions its training episodes consume, times |A| for RL value iteration,
+whose updates read every successor of a state.
 
 Sample complexity is measured from periodic evaluations: the env-step counts
 at which a monitored series crosses its threshold are averaged.
@@ -114,33 +118,27 @@ def adaptive_epsilon_step(eps: float, best_reward: float, reward: float,
     return eps, best_reward
 
 
-class _Env:
-    """Uniform view over a base or augmented MDP for the RL loop."""
+def _tables(env):
+    """(mdp, successor table with a dead row, cost [n+1, m]) of a base or
+    augmented MDP; cost[s, a] is the base actions that a takes in s under
+    the module's cost rule."""
+    mdp = env.mdp if isinstance(env, AugmentedMdp) else env
+    cost = np.ones((mdp.num_states + 1, mdp.num_actions), dtype=np.int64)
+    if isinstance(env, AugmentedMdp):
+        cost[:-1, env.base.num_actions:] = np.maximum(1, env.skill_lengths)
+    return mdp, mdp.successor_padded(), cost
 
-    def __init__(self, env):
-        if isinstance(env, AugmentedMdp):
-            self.mdp = env.mdp
-            self.base_actions = env.base.num_actions
-            self._skill_lengths = env.skill_lengths
-        else:
-            self.mdp = env
-            self.base_actions = env.num_actions
-            self._skill_lengths = None
-        self.n = self.mdp.num_states
-        self.m = self.mdp.num_actions
-        self.goal = self.mdp.goal
-        self.dead = self.mdp.dead
-        self.succ = self.mdp.successor_padded()
 
-    def action_cost(self, s: int, a: int) -> int:
-        if s == self.dead or a < self.base_actions or self._skill_lengths is None:
-            return 1
-        return max(1, int(self._skill_lengths[s, a - self.base_actions]))
+def _softmax(row: np.ndarray) -> np.ndarray:
+    probs = np.exp(row - row.max())
+    probs /= probs.sum()
+    return probs
 
-    def step(self, s: int, a: int) -> int:
-        if s == self.dead:
-            return self.dead  # absorbing
-        return int(self.succ[s, a])
+
+def _successor_values(t, v, goal: int, dead: int, gamma: float) -> np.ndarray:
+    """Bootstrap target of each successor in t: 1 at the goal, 0 at dead and
+    gamma * v elsewhere."""
+    return np.where(t == goal, 1.0, gamma * v[t] * (t != dead))
 
 
 def _ground_truth(mdp: TabularDsmdp, gamma: float):
@@ -161,34 +159,94 @@ def _ground_truth(mdp: TabularDsmdp, gamma: float):
 
 def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
     """One seeded RL run producing the evaluation time series."""
-    e = _Env(env)
+    algo = cfg.algorithm
+    if algo not in (Q_LEARNING, RL_VALUE_ITERATION, REINFORCE):
+        raise ValueError(f"unknown algorithm {algo!r}")
+    mdp, succ, cost = _tables(env)
+    goal, dead, m, gamma = mdp.goal, mdp.dead, mdp.num_actions, cfg.gamma
     children = np.random.SeedSequence(cfg.seed).spawn(2)
     rng = np.random.default_rng(children[0])
     eval_rng_seed = children[1]
-    v_star, q_star = _ground_truth(e.mdp, cfg.gamma)
+    v_star, q_star = _ground_truth(mdp, gamma)
     sup = p.support
     psup = p.probs[sup]
     cumsup = np.cumsum(psup)
 
-    def sample_start(r: float) -> int:
-        i = min(int(np.searchsorted(cumsup, r, side="right")), len(sup) - 1)
-        return int(sup[i])
+    def start(g: np.random.Generator) -> int:
+        if len(sup) == 1:
+            return int(sup[0])
+        i = np.searchsorted(cumsup, g.random(), side="right")
+        return int(sup[min(int(i), len(sup) - 1)])
 
-    algo = cfg.algorithm
-    if algo in (Q_LEARNING, RL_VALUE_ITERATION):
-        q = np.zeros((e.n + 1, e.m))  # dead row stays zero
-        theta = None
-    elif algo == REINFORCE:
-        q = None
-        theta = np.zeros((e.n + 1, e.m))
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    # Q for q-learning, V in column 0 for RL value iteration, theta for
+    # REINFORCE.  No dead step is ever updated, so the dead row stays zero.
+    table = np.zeros((mdp.num_states + 1, m))
+    v = table[:, 0]
+
+    def greedy(s: int) -> int:
+        if algo == Q_LEARNING:
+            return int(np.argmax(table[s]))
+        return int(np.argmax(_successor_values(succ[s], v, goal, dead, gamma)))
+
+    def softmax_policy(g: np.random.Generator):
+        return lambda s: int(g.choice(m, p=_softmax(table[s])))
+
+    def epsilon_greedy(s: int) -> int:
+        if rng.random() < eps:
+            return int(rng.integers(m))
+        return greedy(s)
+
+    def episode(s: int, choose):
+        """Roll one episode from s: its (state, action) steps, whether it
+        reached the goal, and the base actions it used."""
+        steps = []
+        base_used = 0
+        while len(steps) < cfg.horizon and base_used < cfg.base_action_budget:
+            a = choose(s)
+            steps.append((s, a))
+            base_used += int(cost[s, a])
+            s = int(succ[s, a])
+            if s == goal:
+                return steps, True, base_used
+        return steps, False, base_used
+
+    n_eval = 1 if len(sup) == 1 else cfg.eval_episodes
+
+    def evaluate():
+        ev = np.random.default_rng(eval_rng_seed)
+        choose = softmax_policy(ev) if algo == REINFORCE else greedy
+        total = 0.0
+        for _ in range(n_eval):
+            steps, reached, _ = episode(start(ev), choose)
+            if reached:
+                total += gamma ** (len(steps) - 1)
+        if algo == Q_LEARNING:
+            err = float(np.dot(psup,
+                               np.abs(table[sup] - q_star[sup]).mean(axis=1)))
+        elif algo == RL_VALUE_ITERATION:
+            err = float(np.dot(psup, np.abs(v[sup] - v_star[sup])))
+        else:
+            err = float("nan")
+        return total / n_eval, err
 
     replay_s = np.zeros(cfg.replay_size, dtype=np.int64)
     replay_a = np.zeros(cfg.replay_size, dtype=np.int64)
     replay_fill = 0
     replay_ptr = 0
 
+    def update_from_replay():
+        for i in rng.integers(0, replay_fill, size=cfg.batch_size):
+            s, a = int(replay_s[i]), int(replay_a[i])
+            if algo == Q_LEARNING:
+                t = succ[s, a]
+                target = 1.0 if t == goal else gamma * float(table[t].max())
+                table[s, a] += cfg.alpha * (target - table[s, a])
+            else:  # rl_value_iteration: state-value update from all successors
+                target = _successor_values(succ[s], v, goal, dead, gamma).max()
+                table[s, 0] += cfg.alpha * (float(target) - table[s, 0])
+
+    mult = m if algo == RL_VALUE_ITERATION else 1
+    policy = softmax_policy(rng) if algo == REINFORCE else epsilon_greedy
     eps = cfg.eps_start
     best_reward = 0.0
     env_steps = 0
@@ -197,120 +255,27 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
     samples: list[tuple[int, float, float]] = []
     converged = False
 
-    def greedy_action(s: int) -> int:
-        if algo == Q_LEARNING:
-            return int(np.argmax(q[s]))
-        if algo == RL_VALUE_ITERATION:
-            t = e.succ[s]
-            targets = np.where(t == e.goal, 1.0,
-                               cfg.gamma * q[t, 0] * (t != e.dead))
-            return int(np.argmax(targets))
-        raise AssertionError
-
-    def policy_action(s: int) -> int:
-        if algo == REINFORCE:
-            logits = theta[s] - theta[s].max()
-            probs = np.exp(logits)
-            probs /= probs.sum()
-            return int(rng.choice(e.m, p=probs))
-        if rng.random() < eps:
-            return int(rng.integers(e.m))
-        return greedy_action(s)
-
-    def evaluate():
-        ev = np.random.default_rng(eval_rng_seed)
-        n_ep = 1 if p.support_size == 1 else cfg.eval_episodes
-        total = 0.0
-        for _ in range(n_ep):
-            s = sample_start(ev.random()) if p.support_size > 1 else int(sup[0])
-            steps = 0
-            base_used = 0
-            while steps < cfg.horizon and base_used < cfg.base_action_budget:
-                if algo == REINFORCE:
-                    logits = theta[s] - theta[s].max()
-                    probs = np.exp(logits)
-                    probs /= probs.sum()
-                    a = int(ev.choice(e.m, p=probs))
-                else:
-                    a = greedy_action(s)
-                base_used += e.action_cost(s, a)
-                s2 = e.step(s, a)
-                steps += 1
-                if s2 == e.goal:
-                    total += cfg.gamma ** (steps - 1)
-                    break
-                s = s2
-        reward = total / n_ep
-        if algo == Q_LEARNING:
-            err = float(np.dot(psup,
-                               np.abs(q[sup] - q_star[sup]).mean(axis=1)))
-        elif algo == RL_VALUE_ITERATION:
-            err = float(np.dot(psup, np.abs(q[sup, 0] - v_star[sup])))
-        else:
-            err = float("nan")
-        return reward, err
-
-    def update_from_replay():
-        if replay_fill < cfg.batch_size:
-            return
-        idx = rng.integers(0, replay_fill, size=cfg.batch_size)
-        for i in idx:
-            s, a = int(replay_s[i]), int(replay_a[i])
-            if algo == Q_LEARNING:
-                t = e.succ[s, a] if s != e.dead else e.dead
-                if t == e.goal:
-                    target = 1.0
-                elif t == e.dead:
-                    target = 0.0
-                else:
-                    target = cfg.gamma * float(q[t].max())
-                q[s, a] += cfg.alpha * (target - q[s, a])
-            else:  # rl_value_iteration: state-value update from all successors
-                t = e.succ[s]
-                targets = np.where(t == e.goal, 1.0,
-                                   cfg.gamma * q[t, 0] * (t != e.dead))
-                q[s, 0] += cfg.alpha * (float(targets.max()) - q[s, 0])
-
     while env_steps < cfg.max_env_steps and not converged:
-        s = sample_start(rng.random()) if p.support_size > 1 else int(sup[0])
-        trajectory = []
-        steps = 0
-        base_used = 0
-        success_len = None
-        while steps < cfg.horizon and base_used < cfg.base_action_budget:
-            a = policy_action(s)
-            cost = e.action_cost(s, a)
-            t = e.step(s, a)
-            steps += 1
-            base_used += cost
-            mult = e.m if algo == RL_VALUE_ITERATION else 1
-            env_steps += cost * mult
-            trajectory.append((s, a))
-            if s != e.dead and algo in (Q_LEARNING, RL_VALUE_ITERATION):
-                replay_s[replay_ptr] = s
-                replay_a[replay_ptr] = a
-                replay_ptr = (replay_ptr + 1) % cfg.replay_size
-                replay_fill = min(replay_fill + 1, cfg.replay_size)
-            if t == e.goal:
-                success_len = steps
-                break
-            s = t
+        steps, reached, base_used = episode(start(rng), policy)
+        env_steps += base_used * mult
         episodes += 1
-
         if algo == REINFORCE:
-            if success_len is not None:
-                g = cfg.gamma ** (success_len - 1)
-                for (s_t, a_t) in trajectory:
-                    if s_t == e.dead:
-                        continue
-                    logits = theta[s_t] - theta[s_t].max()
-                    probs = np.exp(logits)
-                    probs /= probs.sum()
-                    grad = -probs
-                    grad[a_t] += 1.0
-                    theta[s_t] += cfg.alpha * g * grad
-        elif episodes % cfg.update_every == 0:
-            update_from_replay()
+            if reached:  # dead is absorbing, so no step of the episode is dead
+                g = gamma ** (len(steps) - 1)
+                for s, a in steps:
+                    grad = -_softmax(table[s])
+                    grad[a] += 1.0
+                    table[s] += cfg.alpha * g * grad
+        else:
+            for s, a in steps:
+                if s != dead:
+                    replay_s[replay_ptr] = s
+                    replay_a[replay_ptr] = a
+                    replay_ptr = (replay_ptr + 1) % cfg.replay_size
+                    replay_fill = min(replay_fill + 1, cfg.replay_size)
+            if (episodes % cfg.update_every == 0
+                    and replay_fill >= cfg.batch_size):
+                update_from_replay()
 
         if env_steps - last_eval >= cfg.eval_every_env_steps:
             last_eval = env_steps
@@ -373,7 +338,7 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
 
     for sweep in range(1, max_sweeps + 1):
         if variant == "state":
-            targets = np.where(succ == mdp.goal, 1.0, gamma * v[succ])
+            targets = _successor_values(succ, v, mdp.goal, mdp.dead, gamma)
             vnew = (1.0 - alpha) * v[:n] + alpha * targets.max(axis=1)
             vnew[mdp.goal] = 1.0
             v[:n] = vnew
@@ -381,7 +346,7 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
         else:
             mx = np.concatenate([qtab[:n].max(axis=1), [0.0]])
             mx[mdp.goal] = 1.0
-            targets = np.where(succ == mdp.goal, 1.0, gamma * mx[succ])
+            targets = _successor_values(succ, mx, mdp.goal, mdp.dead, gamma)
             qnew = (1.0 - alpha) * qtab[:n] + alpha * targets
             qnew[mdp.goal] = 0.0
             qtab[:n] = qnew
@@ -399,9 +364,8 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
                 sweeps_to["reward"] = sweep
         done_err = (not want_err) or ("value_error" in sweeps_to)
         done_rew = (not want_reward) or ("reward" in sweeps_to)
-        if done_err and done_rew and not track_first_exact:
-            break
-        if track_first_exact and (first_one != -1).all() and done_err and done_rew:
+        if done_err and done_rew and (first_one is None
+                                      or (first_one != -1).all()):
             break
     table = v[:n] if variant == "state" else qtab[:n]
     return PlannerResult(sweeps_to=sweeps_to, first_value_one=first_one,
@@ -417,9 +381,8 @@ def _greedy_reward(mdp, succ, values, p, gamma, horizon):
         r = 0.0
         for step in range(1, horizon + 1):
             t = succ[s]
-            targets = np.where(t == mdp.goal, 1.0,
-                               gamma * vpad[t] * (t != mdp.dead))
-            a = int(np.argmax(targets))
+            a = int(np.argmax(_successor_values(t, vpad, mdp.goal, mdp.dead,
+                                                gamma)))
             s2 = int(t[a])
             if s2 == mdp.goal:
                 r = gamma ** (step - 1)

@@ -115,12 +115,6 @@ class AugmentedMdp:
     def num_skills(self) -> int:
         return len(self.skills)
 
-    def action_length(self, s: int, a: int) -> int:
-        """Base actions consumed by augmented action a taken in state s."""
-        if a < self.base.num_actions:
-            return 1
-        return int(self.skill_lengths[s, a - self.base.num_actions])
-
 
 def augment(base: TabularDsmdp, skills: list[Skill],
             mode: str = GOAL_PASS_DEAD) -> AugmentedMdp:

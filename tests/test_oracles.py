@@ -1,23 +1,39 @@
-"""The reverse graph, the BFS and the scramble DP against the code they
-replaced.
+"""The reverse graph, the BFS, the scramble DP and the RL run against the
+code they replaced.
 
 ``_argsort_reverse_graph``, ``_unique_bfs`` and ``_bincount_scramble`` are
 the implementations that ``build_reverse_graph``, ``shortest_solution_lengths``
 and ``scramble_distribution`` had before they became a counting sort, a
-marking BFS and a preimage-gather DP.  They stay here as oracles.  The graph
-and the lengths must match bit for bit, and so must the scramble DP when no
-move has a group; with groups it sums the contexts in another order and is
-held to 1e-15.
+marking BFS and a preimage-gather DP.  ``_run_oracle`` is ``rl.run`` as it
+was before one episode routine served training and evaluation.  They stay
+here as oracles.  The graph, the lengths and the RL records must match bit
+for bit, and so must the scramble DP when no move has a group; with groups it
+sums the contexts in another order and is held to 1e-15.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from skilldiff.envs import ENV_PRESETS, build_env
 from skilldiff.envs.scramble import (ScrambleMove, ScrambleResult,
                                      scramble_distribution)
+from skilldiff.envs.synthetic import build_chain
+from skilldiff.experiments import (VariantSpec, materialize_variant,
+                                   random_invertible_mdp,
+                                   random_tabular_skills, variant_grid)
 from skilldiff.mdp import (UNSOLVABLE, ReverseGraph, SolutionLengthTable,
                            StateDistribution, TabularDsmdp, _gather_ragged,
                            build_reverse_graph, shortest_solution_lengths)
+from skilldiff.rl import (Q_LEARNING, REINFORCE, RL_VALUE_ITERATION,
+                          RunRecord, _ground_truth, adaptive_epsilon_step,
+                          protocol_preset, run)
+from skilldiff.skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS,
+                              AugmentedMdp, Skill, augment)
+
+from conftest import random_dsmdp
 
 
 def _argsort_reverse_graph(mdp):
@@ -268,3 +284,301 @@ def test_scramble_rejects_malformed_moves(successor, what):
                         label="bad-move")
     with pytest.raises(ValueError, match=f"'bad-move'.*{what}"):
         scramble_distribution(4, 0, [move], 2)
+
+
+# -- RL run -------------------------------------------------------------------
+
+class _Env:
+    """Uniform view over a base or augmented MDP for the RL loop."""
+
+    def __init__(self, env):
+        if isinstance(env, AugmentedMdp):
+            self.mdp = env.mdp
+            self.base_actions = env.base.num_actions
+            self._skill_lengths = env.skill_lengths
+        else:
+            self.mdp = env
+            self.base_actions = env.num_actions
+            self._skill_lengths = None
+        self.n = self.mdp.num_states
+        self.m = self.mdp.num_actions
+        self.goal = self.mdp.goal
+        self.dead = self.mdp.dead
+        self.succ = self.mdp.successor_padded()
+
+    def action_cost(self, s: int, a: int) -> int:
+        if s == self.dead or a < self.base_actions or self._skill_lengths is None:
+            return 1
+        return max(1, int(self._skill_lengths[s, a - self.base_actions]))
+
+    def step(self, s: int, a: int) -> int:
+        if s == self.dead:
+            return self.dead  # absorbing
+        return int(self.succ[s, a])
+
+
+def _run_oracle(env, p, cfg):
+    e = _Env(env)
+    children = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.default_rng(children[0])
+    eval_rng_seed = children[1]
+    v_star, q_star = _ground_truth(e.mdp, cfg.gamma)
+    sup = p.support
+    psup = p.probs[sup]
+    cumsup = np.cumsum(psup)
+
+    def sample_start(r: float) -> int:
+        i = min(int(np.searchsorted(cumsup, r, side="right")), len(sup) - 1)
+        return int(sup[i])
+
+    algo = cfg.algorithm
+    if algo in (Q_LEARNING, RL_VALUE_ITERATION):
+        q = np.zeros((e.n + 1, e.m))  # dead row stays zero
+        theta = None
+    elif algo == REINFORCE:
+        q = None
+        theta = np.zeros((e.n + 1, e.m))
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}")
+
+    replay_s = np.zeros(cfg.replay_size, dtype=np.int64)
+    replay_a = np.zeros(cfg.replay_size, dtype=np.int64)
+    replay_fill = 0
+    replay_ptr = 0
+
+    eps = cfg.eps_start
+    best_reward = 0.0
+    env_steps = 0
+    last_eval = 0
+    episodes = 0
+    samples = []
+    converged = False
+
+    def greedy_action(s: int) -> int:
+        if algo == Q_LEARNING:
+            return int(np.argmax(q[s]))
+        if algo == RL_VALUE_ITERATION:
+            t = e.succ[s]
+            targets = np.where(t == e.goal, 1.0,
+                               cfg.gamma * q[t, 0] * (t != e.dead))
+            return int(np.argmax(targets))
+        raise AssertionError
+
+    def policy_action(s: int) -> int:
+        if algo == REINFORCE:
+            logits = theta[s] - theta[s].max()
+            probs = np.exp(logits)
+            probs /= probs.sum()
+            return int(rng.choice(e.m, p=probs))
+        if rng.random() < eps:
+            return int(rng.integers(e.m))
+        return greedy_action(s)
+
+    def evaluate():
+        ev = np.random.default_rng(eval_rng_seed)
+        n_ep = 1 if p.support_size == 1 else cfg.eval_episodes
+        total = 0.0
+        for _ in range(n_ep):
+            s = sample_start(ev.random()) if p.support_size > 1 else int(sup[0])
+            steps = 0
+            base_used = 0
+            while steps < cfg.horizon and base_used < cfg.base_action_budget:
+                if algo == REINFORCE:
+                    logits = theta[s] - theta[s].max()
+                    probs = np.exp(logits)
+                    probs /= probs.sum()
+                    a = int(ev.choice(e.m, p=probs))
+                else:
+                    a = greedy_action(s)
+                base_used += e.action_cost(s, a)
+                s2 = e.step(s, a)
+                steps += 1
+                if s2 == e.goal:
+                    total += cfg.gamma ** (steps - 1)
+                    break
+                s = s2
+        reward = total / n_ep
+        if algo == Q_LEARNING:
+            err = float(np.dot(psup,
+                               np.abs(q[sup] - q_star[sup]).mean(axis=1)))
+        elif algo == RL_VALUE_ITERATION:
+            err = float(np.dot(psup, np.abs(q[sup, 0] - v_star[sup])))
+        else:
+            err = float("nan")
+        return reward, err
+
+    def update_from_replay():
+        if replay_fill < cfg.batch_size:
+            return
+        idx = rng.integers(0, replay_fill, size=cfg.batch_size)
+        for i in idx:
+            s, a = int(replay_s[i]), int(replay_a[i])
+            if algo == Q_LEARNING:
+                t = e.succ[s, a] if s != e.dead else e.dead
+                if t == e.goal:
+                    target = 1.0
+                elif t == e.dead:
+                    target = 0.0
+                else:
+                    target = cfg.gamma * float(q[t].max())
+                q[s, a] += cfg.alpha * (target - q[s, a])
+            else:
+                t = e.succ[s]
+                targets = np.where(t == e.goal, 1.0,
+                                   cfg.gamma * q[t, 0] * (t != e.dead))
+                q[s, 0] += cfg.alpha * (float(targets.max()) - q[s, 0])
+
+    while env_steps < cfg.max_env_steps and not converged:
+        s = sample_start(rng.random()) if p.support_size > 1 else int(sup[0])
+        trajectory = []
+        steps = 0
+        base_used = 0
+        success_len = None
+        while steps < cfg.horizon and base_used < cfg.base_action_budget:
+            a = policy_action(s)
+            cost = e.action_cost(s, a)
+            t = e.step(s, a)
+            steps += 1
+            base_used += cost
+            mult = e.m if algo == RL_VALUE_ITERATION else 1
+            env_steps += cost * mult
+            trajectory.append((s, a))
+            if s != e.dead and algo in (Q_LEARNING, RL_VALUE_ITERATION):
+                replay_s[replay_ptr] = s
+                replay_a[replay_ptr] = a
+                replay_ptr = (replay_ptr + 1) % cfg.replay_size
+                replay_fill = min(replay_fill + 1, cfg.replay_size)
+            if t == e.goal:
+                success_len = steps
+                break
+            s = t
+        episodes += 1
+
+        if algo == REINFORCE:
+            if success_len is not None:
+                g = cfg.gamma ** (success_len - 1)
+                for (s_t, a_t) in trajectory:
+                    if s_t == e.dead:
+                        continue
+                    logits = theta[s_t] - theta[s_t].max()
+                    probs = np.exp(logits)
+                    probs /= probs.sum()
+                    grad = -probs
+                    grad[a_t] += 1.0
+                    theta[s_t] += cfg.alpha * g * grad
+        elif episodes % cfg.update_every == 0:
+            update_from_replay()
+
+        if env_steps - last_eval >= cfg.eval_every_env_steps:
+            last_eval = env_steps
+            reward, err = evaluate()
+            samples.append((env_steps, reward, err))
+            eps, best_reward = adaptive_epsilon_step(eps, best_reward,
+                                                     reward, cfg)
+            if cfg.stop_reward is not None and reward >= cfg.stop_reward:
+                converged = True
+            if (cfg.stop_value_error is not None and not math.isnan(err)
+                    and err <= cfg.stop_value_error):
+                converged = True
+
+    return RunRecord(samples=samples, converged=converged,
+                     terminal_env_steps=env_steps, algorithm=algo,
+                     seed=cfg.seed)
+
+
+_ALGORITHMS = (Q_LEARNING, RL_VALUE_ITERATION, REINFORCE)
+
+
+def _assert_same_run(env, p, cfg):
+    got, want = run(env, p, cfg), _run_oracle(env, p, cfg)
+    assert len(got.samples) == len(want.samples)
+    for a, b in zip(got.samples, want.samples):
+        assert a[0] == b[0] and type(a[0]) is int
+        assert np.array_equal(a[1:], b[1:], equal_nan=True)
+    assert got.converged == want.converged
+    assert got.terminal_env_steps == want.terminal_env_steps
+    assert type(got.terminal_env_steps) is int
+    return got
+
+
+def _spread_p(mdp, rng):
+    """p on up to six random solvable non-goal states."""
+    d = shortest_solution_lengths(mdp)
+    cand = np.flatnonzero(d.solvable)
+    cand = cand[cand != mdp.goal]
+    pick = rng.choice(cand, size=min(6, len(cand)), replace=False)
+    probs = np.zeros(mdp.num_states)
+    probs[pick] = rng.random(len(pick)) + 0.1
+    return StateDistribution(probs / probs.sum())
+
+
+def _cfg(algo, seed, **kw):
+    return replace(protocol_preset(algo, seed=seed, max_env_steps=8_000),
+                   eval_every_env_steps=1000, eval_episodes=40, **kw)
+
+
+@pytest.mark.parametrize("algo", _ALGORITHMS)
+def test_run_matches_oracle_on_cliff_variants(cliff_bundle, algo):
+    mdp, p, _ = cliff_bundle
+    variants = variant_grid("cliff", 7)
+    reached = 0
+    for i in (0, 1, 3, 5, 9, 24, 27):
+        env = mdp if variants[i].is_base else materialize_variant(
+            mdp, variants[i], GOAL_PASS_SUCCESS)
+        rec = _assert_same_run(env, p, _cfg(algo, 100 + i, stop_reward=None))
+        reached += any(s[1] > 0.0 for s in rec.samples)
+    assert reached >= 2
+
+
+@pytest.mark.parametrize("algo", _ALGORITHMS)
+def test_run_matches_oracle_on_pickup(algo):
+    mdp, p, _ = build_env(ENV_PRESETS["pickup"])
+    assert p.support_size > 1
+    macro = materialize_variant(mdp, VariantSpec("m", ["PUURRRP", "LL"]),
+                                GOAL_PASS_SUCCESS)
+    for env in (mdp, macro):
+        _assert_same_run(env, p, _cfg(algo, 7))
+
+
+@pytest.mark.parametrize("algo", _ALGORITHMS)
+def test_run_matches_oracle_on_random_invertible_mdps(algo):
+    rng = np.random.default_rng(90)
+    empty = 0
+    for k in range(4):
+        mdp = random_invertible_mdp(rng, int(rng.integers(6, 16)), 3)
+        p = _spread_p(mdp, rng)
+        tabular = augment(mdp, random_tabular_skills(rng, mdp),
+                          mode=(GOAL_PASS_SUCCESS, GOAL_PASS_DEAD)[k % 2])
+        lengths = np.delete(tabular.skill_lengths, mdp.goal, axis=0)
+        empty += int((lengths == 0).sum())
+        macros = augment(mdp, [Skill.from_macro((0, 1)),
+                               Skill.from_macro((2, 2, 1))],
+                         mode=GOAL_PASS_SUCCESS)
+        for env in (mdp, tabular, macros):
+            _assert_same_run(env, p, _cfg(algo, k, gamma=0.95, horizon=20,
+                                          base_action_budget=30))
+    assert empty > 0
+
+
+@pytest.mark.parametrize("algo", _ALGORITHMS)
+def test_run_matches_oracle_on_tables_with_dead_entries(algo):
+    rng = np.random.default_rng(91)
+    checked = 0
+    for k in range(5):
+        mdp = random_dsmdp(rng, int(rng.integers(8, 25)), 3, dead_frac=0.2)
+        assert (mdp.successor[1:] == mdp.dead).any()
+        if shortest_solution_lengths(mdp).solvable.sum() <= 2:
+            continue
+        p = _spread_p(mdp, rng)
+        assert p.support_size > 1
+        _assert_same_run(mdp, p, _cfg(algo, k, gamma=0.9))
+        checked += 1
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("algo", _ALGORITHMS)
+def test_run_matches_oracle_on_chain(algo):
+    mdp, p = build_chain(5)
+    _assert_same_run(mdp, p, _cfg(algo, 3))
+    _assert_same_run(mdp, p, _cfg(algo, 4, stop_reward=None,
+                                  stop_value_error=0.05))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skilldiff.envs.synthetic import build_chain, build_sequence_consume
-from skilldiff.mdp import DEAD_SENTINEL_U32, TabularDsmdp
+from skilldiff.mdp import DEAD_SENTINEL_U32, MdpError, TabularDsmdp
 
 from conftest import random_dsmdp
 
@@ -68,3 +68,28 @@ def test_binary_round_trip_preserves_augmentation_metadata(tmp_path):
     assert back.base_action_count == 1
     assert back.num_actions == 2
     assert back.action_labels == ["a", "aa"]
+
+
+@pytest.mark.parametrize("cut, what", [
+    (lambda nlabels: 6 + 10, "header"),
+    (lambda nlabels: 6 + 22, "header"),
+    (lambda nlabels: 30 + nlabels // 2, "labels"),
+    (lambda nlabels: 30 + nlabels + 5, "successor table"),
+    (lambda nlabels: -1, "successor table"),
+], ids=["mid-header", "label-length", "mid-labels", "mid-table", "last-byte"])
+def test_truncated_binary_names_the_short_part(tmp_path, cut, what):
+    mdp = random_dsmdp(np.random.default_rng(62), 9, 3)
+    path = tmp_path / "m.bin"
+    mdp.save_binary(path)
+    raw = path.read_bytes()
+    (nlabels,) = struct.unpack("<I", raw[26:30])
+    path.write_bytes(raw[:cut(nlabels)])
+    with pytest.raises(MdpError, match=f"truncated file: {what}"):
+        TabularDsmdp.load_binary(path)
+
+
+def test_json_with_a_short_successor_list_is_rejected():
+    d = build_chain(3)[0].to_json_dict()
+    d["successor"] = d["successor"][:-1]
+    with pytest.raises(MdpError, match="successor list has 3 entries"):
+        TabularDsmdp.from_json_dict(d)
