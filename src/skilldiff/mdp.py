@@ -3,10 +3,10 @@
 A tabular MDP here is a dense successor table over states 0..n-1 with a single
 goal state and an implicit absorbing dead pseudo-state.  The dead state is
 *not* part of the state array; internally it is addressed as index
-``num_states``.  Sums over successors go through ``transition_matrix``,
-which drops dead entries; the reverse graph is that operator's transpose,
-built by a counting sort.  Walks that may sit in the dead state gather from
-``successor_padded``.
+``num_states``.  Sums over successors go through ``transition_matrix`` (or
+its dense form for small MDPs), which drops dead entries; the reverse graph
+is that operator's transpose, built by a counting sort.  Walks that may sit
+in the dead state gather from ``successor_padded``.
 """
 
 from __future__ import annotations
@@ -158,8 +158,11 @@ class TabularDsmdp:
             if version != 1:
                 raise MdpError(f"unsupported version {version}")
             (nlabels,) = struct.unpack("<I", _read_exact(f, 4, "header"))
-            labels = json.loads(
-                _read_exact(f, nlabels, "labels"))["action_labels"]
+            blob = _read_exact(f, nlabels, "labels")
+            try:
+                labels = json.loads(blob)["action_labels"]
+            except (ValueError, KeyError, TypeError) as e:
+                raise MdpError(f"corrupt label blob: {e!r}") from e
             raw = np.frombuffer(_read_exact(f, 4 * n * m, "successor table"),
                                 dtype=np.uint32).reshape(n, m)
         succ = raw.astype(np.int64)
@@ -245,6 +248,38 @@ def transition_matrix(successor: np.ndarray) -> csr_matrix:
     np.cumsum(live.sum(axis=1), out=indptr[1:])
     indices = successor[live]
     return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
+
+def dense_transition_matrix(successor: np.ndarray) -> np.ndarray:
+    """``transition_matrix`` as a dense float64 [n, n] array, for small n.
+
+    One bincount over row * (n + 1) + successor counts every entry, dead
+    ones in an extra column that is sliced off, without scipy's
+    constructor."""
+    n = successor.shape[0]
+    flat = successor + np.arange(0, n * (n + 1), n + 1)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=n * (n + 1))
+    return counts.reshape(n, n + 1)[:, :n].astype(np.float64)
+
+
+def solvable_mask(successor: np.ndarray, goal: int) -> np.ndarray:
+    """Bool [n]: the states from which some action sequence reaches goal.
+
+    A boolean pull over a successor table whose dead index is its row
+    count: a state becomes solvable once one of its successors is, repeated
+    until no state changes.  The same set as
+    ``shortest_solution_lengths(...).solvable``, without a reverse graph.
+    """
+    n = successor.shape[0]
+    ok = np.zeros(n + 1, dtype=bool)  # ok[n] is the dead state
+    ok[goal] = True
+    count = 1
+    while True:
+        ok[:n] |= ok[successor].any(axis=1)
+        new_count = int(np.count_nonzero(ok))
+        if new_count == count:
+            return ok[:n]
+        count = new_count
 
 
 class ReverseGraph:

@@ -38,6 +38,7 @@ class DifficultyReport:
     log_base: str = LOG_BASE
     q_residual: float = 0.0
     q_iterations: int = 0
+    q_error_bound: float = math.inf  # proven bound on ||q - q*||_inf
 
     @property
     def j_explore_bits(self) -> float:
@@ -107,4 +108,5 @@ def compute_difficulty_report(mdp: TabularDsmdp, p: StateDistribution,
         num_actions=mdp.num_actions, base_action_count=mdp.base_action_count,
         goal_pass_mode=augmented.goal_pass_mode if augmented else None,
         ic_unmerged_fixed=icf, ic_unmerged_sup=ics,
-        ic_merged=icm, q_residual=q.residual, q_iterations=q.iterations)
+        ic_merged=icm, q_residual=q.residual, q_iterations=q.iterations,
+        q_error_bound=q.error_bound)

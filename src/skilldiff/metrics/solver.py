@@ -6,19 +6,46 @@ minimal fixed point of
 
     q(s) = ((1 - delta)/|A|) * sum_a q(T(s, a)),   q(goal) = 1, q(dead) = 0,
 
-computed by damped-free Jacobi iteration from zero, one ``transition_matrix``
-product per sweep (dead successors have no entry, so they add 0).  For
-delta > 0 the map is a (1-delta)-contraction; for delta = 0 the monotone
-iteration converges to the hitting probability of the uniform random policy.
+that is, the solution of (I - cP) q = b with c = (1 - delta)/|A|, P the
+live-successor count matrix and b the goal column of cP.
+
+MDPs of at most ``DIRECT_MAX_STATES`` states start from a direct solve: one
+``np.linalg.solve`` of (I - cP_SS) q_S = b_S over the solvable non-goal
+states S, with q = 0 elsewhere (so unsolvable states stay exactly 0, and the
+system is nonsingular even at delta = 0).  At delta = 0 the same call also
+solves (I - cP_SS) t = 1.  Larger MDPs start from q = 0 (only the goal at
+1).  Both then run the same Jacobi sweep loop, one product with the count
+matrix per sweep (dead successors have no entry, so they add 0), until the
+sweep residual is at most ``tol``; from the direct start that is one sweep.
+
+The returned ``QTable.error_bound`` is a proven bound on ||q - q*||_inf,
+gain * (residual + r) + r, where r = (|A| + 2) * eps covers the rounding of
+the last sweep and gain bounds ||(I - cP_SS)^-1||_inf:
+
+* delta > 0: gain = (1 - delta)/delta, the contraction bound;
+* delta = 0, direct start: gain = ||t||_inf / (1 - ||1 - (I - cP_SS) t||_inf),
+  with the rounding of that check added to its norm, because
+  (I - cP_SS)^-1 is nonnegative and t approximates (I - cP_SS)^-1 1;
+* delta = 0 above the cut-off: gain = inf, so the bound is inf; the monotone
+  iteration from zero converges to q* from below but certifies nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..mdp import TabularDsmdp, transition_matrix
+from ..mdp import (TabularDsmdp, dense_transition_matrix, solvable_mask,
+                   transition_matrix)
+
+# Largest MDP solved directly.  Measured on random 3-action permutation MDPs
+# (2-vCPU Xeon, numpy 2.4) at delta = 0.1, where the sweep loop needs the
+# fewest sweeps: direct 1.15 ms against 1.68 ms from zero at 200 states,
+# 2.57 ms against 1.73 ms at 300.  The O(n^3) factorisation loses above.
+DIRECT_MAX_STATES = 200
+_EPS = np.finfo(np.float64).eps
 
 
 class NotConvergedError(Exception):
@@ -36,22 +63,60 @@ class QTable:
     delta: float
     residual: float
     iterations: int
+    error_bound: float  # proven bound on ||q - q*||_inf
 
 
 def solve_q(mdp: TabularDsmdp, delta: float, tol: float = 1e-12,
             max_iter: int = 50_000) -> QTable:
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must be in [0, 1)")
-    P = transition_matrix(mdp.successor)
+    n, goal = mdp.num_states, mdp.goal
     coef = (1.0 - delta) / mdp.num_actions
-    q = np.zeros(mdp.num_states)
-    q[mdp.goal] = 1.0
+    rounding = (mdp.num_actions + 2) * _EPS
+    q = np.zeros(n)
+    q[goal] = 1.0
+    if n <= DIRECT_MAX_STATES:
+        P = dense_transition_matrix(mdp.successor)
+        t_gain = _direct_start(P, mdp.successor, goal, coef, q,
+                               rounding if delta == 0 else None)
+    else:
+        P = transition_matrix(mdp.successor)
+        t_gain = math.inf
+    gain = (1.0 - delta) / delta if delta > 0 else t_gain
     residual = np.inf
     for it in range(1, max_iter + 1):
         new = coef * (P @ q)
-        new[mdp.goal] = 1.0
+        new[goal] = 1.0
         residual = float(np.max(np.abs(new - q)))
         q = new
         if residual <= tol:
-            return QTable(q=q, delta=delta, residual=residual, iterations=it)
+            return QTable(q=q, delta=delta, residual=residual, iterations=it,
+                          error_bound=gain * (residual + rounding) + rounding)
     raise NotConvergedError(max_iter, residual, tol)
+
+
+def _direct_start(P: np.ndarray, successor: np.ndarray, goal: int,
+                  coef: float, q: np.ndarray,
+                  rounding: float | None) -> float:
+    """Write the direct solution over the solvable non-goal states S into q.
+
+    With a ``rounding`` allowance, also solve B t = 1 (B = I - cP_SS) and
+    return the bound ||t||_inf / (1 - ||1 - B t||_inf) on ||B^-1||_inf, or
+    inf when the check fails; without one, return inf.  An empty S gives 0."""
+    solvable = solvable_mask(successor, goal)
+    solvable[goal] = False
+    S = np.flatnonzero(solvable)
+    if len(S) == 0:
+        return 0.0
+    B = -coef * P.take(S, 0).take(S, 1)
+    B.flat[::len(S) + 1] += 1.0
+    b = coef * P[S, goal]
+    if rounding is None:
+        q[S] = np.linalg.solve(B, b)
+        return math.inf
+    x = np.linalg.solve(B, np.column_stack([b, np.ones(len(S))]))
+    q[S] = x[:, 0]
+    t = x[:, 1]
+    t_norm = float(np.max(np.abs(t)))
+    miss = float(np.max(np.abs(1.0 - B @ t))) + rounding * t_norm
+    return t_norm / (1.0 - miss) if miss < 1.0 else math.inf

@@ -5,6 +5,8 @@ arrival solutions length by length through a dictionary-based forward fold,
 never touching the fixed-point solver.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from skilldiff.metrics import (DeltaZeroError, NotConvergedError,
                                p_exploration_difficulty_am,
                                p_learning_difficulty, per_length_counts,
                                solution_density, solve_q)
+from skilldiff.metrics.solver import DIRECT_MAX_STATES
 
-from conftest import random_dsmdp
+from conftest import exact_q, random_dsmdp
 
 
 def oracle_q_per_start(mdp, s0, delta, l_max):
@@ -66,7 +69,8 @@ def test_q_oracle_equivalence_small_random():
 
 
 def test_q_not_converged_reports_residual():
-    mdp, _ = build_chain(40)
+    # longer than the cut-off, so the sweep loop starts from zero
+    mdp, _ = build_chain(DIRECT_MAX_STATES + 50)
     with pytest.raises(NotConvergedError) as e:
         solve_q(mdp, 0.0, tol=1e-15, max_iter=5)
     assert e.value.residual > 0.0
@@ -90,7 +94,15 @@ def test_exploration_difficulty_chain_delta0():
     assert p_exploration_difficulty(mdp, p, q) == pytest.approx(0.0, abs=1e-9)
 
 
-CLIFF_Q_START = 0.003038647478980426  # frozen after first computation
+# q*(start) on the cliff at delta = 1/50, rounded to float from the exact
+# rational solution; test_cliff_q_start_is_the_exact_fixed_point re-derives it
+CLIFF_Q_START = 0.003038647526683348
+
+
+def test_cliff_q_start_is_the_exact_fixed_point(cliff_bundle):
+    mdp, _, info = cliff_bundle
+    exact = exact_q(mdp, Fraction(1, 50))[info["start"]]
+    assert CLIFF_Q_START == float(exact)
 
 
 def test_cliff_exploration_regression(cliff_bundle):

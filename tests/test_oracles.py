@@ -5,8 +5,9 @@ code they replaced.
 the implementations that ``build_reverse_graph``, ``shortest_solution_lengths``
 and ``scramble_distribution`` had before they became a counting sort, a
 marking BFS and a preimage-gather DP.  ``_run_oracle`` is ``rl.run`` as it
-was before one episode routine served training and evaluation.  They stay
-here as oracles.  The graph, the lengths and the RL records must match bit
+was before one episode routine served training and evaluation, and
+``_bfs_random_invertible_mdp`` is ``random_invertible_mdp`` as it was before
+it tested solvability with ``solvable_mask``.  They stay here as oracles.  The graph, the lengths and the RL records must match bit
 for bit, and so must the scramble DP when no move has a group; with groups it
 sums the contexts in another order and is held to 1e-15.
 """
@@ -133,6 +134,38 @@ def _bincount_scramble(num_states, goal, moves, k_max):
 
 
 # -- reverse graph and BFS ------------------------------------------------------
+
+def _bfs_random_invertible_mdp(rng, num_states, num_actions, max_tries=200):
+    for _ in range(max_tries):
+        succ = np.empty((num_states, num_actions), dtype=np.int32)
+        for a in range(num_actions):
+            succ[:, a] = rng.permutation(num_states)
+        succ[0] = num_states
+        mdp = TabularDsmdp(successor=succ, goal=0,
+                           action_labels=[f"a{i}" for i in range(num_actions)])
+        if shortest_solution_lengths(mdp).solvable.all():
+            return mdp
+    raise RuntimeError("failed to sample a fully solvable invertible MDP")
+
+
+def test_random_invertible_mdp_matches_bfs_oracle():
+    # same accept/reject decisions, hence the same draws and the same MDPs;
+    # one and two actions reject often, and one action can exhaust the tries
+    rng, rng0 = np.random.default_rng(90), np.random.default_rng(90)
+    for _ in range(300):
+        n, m = int(rng0.integers(2, 41)), int(rng0.integers(1, 4))
+        assert (n, m) == (int(rng.integers(2, 41)), int(rng.integers(1, 4)))
+        try:
+            mdp0 = _bfs_random_invertible_mdp(rng0, n, m, max_tries=20)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                random_invertible_mdp(rng, n, m, max_tries=20)
+            continue
+        mdp = random_invertible_mdp(rng, n, m, max_tries=20)
+        assert np.array_equal(mdp.successor, mdp0.successor)
+        assert mdp.action_labels == mdp0.action_labels
+    assert rng.bit_generator.state == rng0.bit_generator.state
+
 
 def _random_table(rng):
     """Random MDP with dead entries, 1-7 actions and forced duplicate

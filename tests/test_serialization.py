@@ -88,6 +88,37 @@ def test_truncated_binary_names_the_short_part(tmp_path, cut, what):
         TabularDsmdp.load_binary(path)
 
 
+def _with_label_blob(tmp_path, blob: bytes):
+    """A saved 9-state MDP whose label blob is replaced by ``blob``."""
+    mdp = random_dsmdp(np.random.default_rng(62), 9, 3)
+    path = tmp_path / "m.bin"
+    mdp.save_binary(path)
+    raw = path.read_bytes()
+    (nlabels,) = struct.unpack("<I", raw[26:30])
+    path.write_bytes(raw[:26] + struct.pack("<I", len(blob)) + blob
+                     + raw[30 + nlabels:])
+    return path
+
+
+@pytest.mark.parametrize("blob", [
+    b"!" + json.dumps({"action_labels": ["a0", "a1", "a2"]}).encode()[1:],
+    b"\xff\xfe",
+    json.dumps({"labels": ["a0", "a1", "a2"]}).encode(),
+    json.dumps(["a0", "a1", "a2"]).encode(),
+], ids=["bad-json", "bad-utf8", "no-action-labels", "not-an-object"])
+def test_corrupt_label_blob_is_an_mdp_error(tmp_path, blob):
+    path = _with_label_blob(tmp_path, blob)
+    with pytest.raises(MdpError, match="corrupt label blob"):
+        TabularDsmdp.load_binary(path)
+
+
+def test_rewritten_label_blob_still_loads(tmp_path):
+    labels = ["x", "y", "z"]
+    path = _with_label_blob(
+        tmp_path, json.dumps({"action_labels": labels}).encode())
+    assert TabularDsmdp.load_binary(path).action_labels == labels
+
+
 def test_json_with_a_short_successor_list_is_rejected():
     d = build_chain(3)[0].to_json_dict()
     d["successor"] = d["successor"][:-1]

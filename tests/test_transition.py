@@ -1,20 +1,31 @@
-"""The sparse transition operator against the gather loops it replaced.
+"""The transition operator and the q solver against the loops they replaced.
 
 The ``_gather_*`` functions below are the padded-table sweeps that
 ``solve_q``, ``per_length_counts`` and ``expansion_length_q`` ran before
 they read the successor table through ``transition_matrix``.  They stay here
 as oracles: the operator must reproduce them bit for bit (the expansion DP
-groups actions by expansion length, so it is held to 1e-14).
+groups actions by expansion length, so it is held to 1e-14).  ``solve_q``
+reproduces the sweep oracle bit for bit above ``DIRECT_MAX_STATES``; below
+it the direct start must agree with the oracle within both certified
+bounds, and with the exact rational solution ``exact_q`` within its own.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from skilldiff.envs import ENV_PRESETS, build_env
 from skilldiff.experiments import random_invertible_mdp, random_macro_skills
-from skilldiff.mdp import TabularDsmdp, transition_matrix
+from skilldiff.mdp import (TabularDsmdp, dense_transition_matrix,
+                           transition_matrix)
 from skilldiff.metrics import (NotConvergedError, expansion_length_q,
                                per_length_counts, solve_q)
+from skilldiff.metrics.solver import DIRECT_MAX_STATES, _direct_start
 from skilldiff.skills import GOAL_PASS_DEAD, augment
+
+from conftest import exact_q, exact_solve
 
 
 def _gather_solve_q(mdp, delta, tol=1e-12, max_iter=50_000):
@@ -75,10 +86,11 @@ def _gather_expansion_length_q(augmented, l_max):
     return G[:, :n].T
 
 
-def _random_table(rng):
-    """Random MDP with dead entries, 1-7 actions and forced duplicate
-    successors (some action columns copy another on part of the rows)."""
-    n = int(rng.integers(3, 30))
+def _random_table(rng, lo=3, hi=30):
+    """Random MDP of lo..hi-1 states with dead entries, 1-7 actions and
+    forced duplicate successors (some action columns copy another on part
+    of the rows)."""
+    n = int(rng.integers(lo, hi))
     m = int(rng.integers(1, 8))
     succ = rng.integers(0, n, size=(n, m)).astype(np.int32)
     succ[rng.random(succ.shape) < 0.2] = n
@@ -103,17 +115,41 @@ def _solve_q_triple(mdp, delta, max_iter):
     return qt.q, qt.iterations, qt.residual
 
 
+def _sweep_bound(mdp, delta, residual):
+    """Certified error of a sweep iterate at delta > 0: the contraction
+    bound plus the rounding of one sweep."""
+    r = (mdp.num_actions + 2) * np.finfo(np.float64).eps
+    return (1.0 - delta) / delta * (residual + r) + r
+
+
+def _assert_within_exact(mdp, qt):
+    """Every state of qt within qt.error_bound of the rational q*."""
+    assert math.isfinite(qt.error_bound)
+    bound = Fraction(qt.error_bound)
+    exact = exact_q(mdp, qt.delta)
+    for s in range(mdp.num_states):
+        assert abs(Fraction(float(qt.q[s])) - exact[s]) <= bound, s
+
+
+def _assert_near_oracle(mdp, delta, qt):
+    """delta > 0: q within the sum of both certified bounds of the sweep
+    oracle's q; delta = 0: within its bound of the exact solution."""
+    if delta == 0.0:
+        _assert_within_exact(mdp, qt)
+        return
+    q0, _, res0 = _gather_solve_q(mdp, delta)
+    gap = float(np.max(np.abs(qt.q - q0)))
+    assert gap <= qt.error_bound + _sweep_bound(mdp, delta, res0)
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.02, 0.1])
 def test_solve_q_matches_gather_oracle(delta):
     rng = np.random.default_rng(40)
     for _ in range(60):
         mdp = _random_table(rng)
-        q, it, res = _outcome(lambda: _solve_q_triple(mdp, delta, 20_000))
-        q0, it0, res0 = _outcome(
-            lambda: _gather_solve_q(mdp, delta, max_iter=20_000))
-        assert (it, res) == (it0, res0)
-        assert (q is None) == (q0 is None)
-        assert q is None or np.array_equal(q, q0)
+        qt = solve_q(mdp, delta)
+        assert qt.iterations == 1 and qt.residual <= 1e-12
+        _assert_near_oracle(mdp, delta, qt)
 
 
 def test_solve_q_on_augmented_mdps_matches_gather_oracle():
@@ -124,9 +160,74 @@ def test_solve_q_on_augmented_mdps_matches_gather_oracle():
         aug = augment(base, random_macro_skills(rng, base), GOAL_PASS_DEAD)
         for delta in (0.0, 0.02, 0.1):
             qt = solve_q(aug.mdp, delta)
-            q0, it0, res0 = _gather_solve_q(aug.mdp, delta)
-            assert np.array_equal(qt.q, q0)
-            assert (qt.iterations, qt.residual) == (it0, res0)
+            assert qt.iterations == 1
+            _assert_near_oracle(aug.mdp, delta, qt)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.02, 0.1])
+def test_solve_q_above_the_cut_off_is_the_sweep_oracle(delta):
+    # q, sweep count and residual are bit-identical to the sweep from zero,
+    # or both give up after the same sweeps with the same residual
+    rng = np.random.default_rng(45)
+    for _ in range(4):
+        mdp = _random_table(rng, DIRECT_MAX_STATES + 1, DIRECT_MAX_STATES + 60)
+        q, it, res = _outcome(lambda: _solve_q_triple(mdp, delta, 3000))
+        q0, it0, res0 = _outcome(
+            lambda: _gather_solve_q(mdp, delta, max_iter=3000))
+        assert (it, res) == (it0, res0)
+        assert (q is None) == (q0 is None)
+        assert q is None or np.array_equal(q, q0)
+        if q is not None:
+            eb = solve_q(mdp, delta, max_iter=3000).error_bound
+            assert eb == (_sweep_bound(mdp, delta, res) if delta else math.inf)
+
+
+def test_solve_q_on_pickup_is_the_sweep_oracle():
+    mdp = build_env(ENV_PRESETS["pickup"])[0]
+    assert mdp.num_states > DIRECT_MAX_STATES
+    qt = solve_q(mdp, 0.1)
+    q0, it0, res0 = _gather_solve_q(mdp, 0.1)
+    assert np.array_equal(qt.q, q0)
+    assert (qt.iterations, qt.residual) == (it0, res0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.02, 0.1])
+def test_solve_q_within_its_bound_of_the_exact_solution(delta):
+    rng = np.random.default_rng(46)
+    for _ in range(30):
+        mdp = _random_table(rng, 2, 13)
+        _assert_within_exact(mdp, solve_q(mdp, delta))
+    for _ in range(15):  # recurrent: every action permutes the states
+        mdp = random_invertible_mdp(rng, int(rng.integers(3, 13)),
+                                    int(rng.integers(1, 4)))
+        _assert_within_exact(mdp, solve_q(mdp, delta))
+
+
+def test_delta_zero_gain_bounds_the_exact_inverse_norm(cliff_bundle):
+    # the delta = 0 bound rests on gain >= ||(I - cP_SS)^-1||_inf = max t*
+    rng = np.random.default_rng(47)
+    mdps = [_random_table(rng, 2, 13) for _ in range(30)]
+    mdps += [random_invertible_mdp(rng, int(rng.integers(3, 13)),
+                                   int(rng.integers(1, 4)))
+             for _ in range(15)]
+    for mdp in mdps + [cliff_bundle[0]]:
+        m = mdp.num_actions
+        gain = _direct_start(dense_transition_matrix(mdp.successor),
+                             mdp.successor, mdp.goal, 1.0 / m,
+                             np.zeros(mdp.num_states),
+                             (m + 2) * np.finfo(np.float64).eps)
+        assert gain >= max(exact_solve(mdp, 0.0)[1])
+
+
+def test_solve_q_on_the_cliff_at_delta_zero_is_certified(cliff_bundle):
+    # the sweep from zero gave up here after 50,000 sweeps; q* = 1 on every
+    # state, and the certified bound is about 1e-11
+    mdp = cliff_bundle[0]
+    qt = solve_q(mdp, 0.0, tol=1e-12)
+    assert qt.iterations == 1
+    assert qt.error_bound <= 1e-10
+    _assert_within_exact(mdp, qt)
+    assert all(x == 1 for x in exact_q(mdp, 0.0))
 
 
 def test_per_length_counts_match_gather_oracle():
@@ -163,6 +264,8 @@ def test_transition_matrix_sums_live_successors():
             for a in range(m):
                 loop[s] += xpad[mdp.successor[s, a]]
         assert np.array_equal(P @ x, loop)
+        assert np.array_equal(dense_transition_matrix(mdp.successor),
+                              P.toarray())
         assert P.indptr[mdp.goal] == P.indptr[mdp.goal + 1]  # empty goal row
         assert P.nnz == int((mdp.successor != mdp.dead).sum())
 
@@ -172,4 +275,5 @@ def test_transition_matrix_counts_duplicates_and_drops_dead():
     succ = np.array([[3, 3, 3], [2, 3, 2], [1, 2, 3]], dtype=np.int32)
     P = transition_matrix(succ)
     assert P.toarray().tolist() == [[0, 0, 0], [0, 0, 2], [0, 1, 1]]
+    assert dense_transition_matrix(succ).tolist() == P.toarray().tolist()
     assert np.array_equal(P @ np.array([5.0, 7.0, 11.0]), [0.0, 22.0, 18.0])
