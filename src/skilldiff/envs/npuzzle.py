@@ -28,13 +28,23 @@ def _factorials(k):
 
 
 def perm_rank(perms: np.ndarray) -> np.ndarray:
-    """Vectorized Lehmer rank of permutation rows."""
+    """Vectorized Lehmer rank of permutation rows.
+
+    Digit i counts the later entries smaller than entry i.  The rows are
+    transposed to columns and each digit adds up, one column pair at a time,
+    in int8.
+    """
     B, k = perms.shape
     f = _factorials(k)
-    less = perms[:, :, None] > perms[:, None, :]  # [B, i, j]: perm_j < perm_i
-    tri = np.triu(np.ones((k, k), dtype=bool), 1)  # j > i
-    digits = (less & tri).sum(axis=2)
-    return digits @ f
+    cols = np.ascontiguousarray(perms.T)
+    ranks = np.zeros(B, dtype=np.int64)
+    digit = np.empty(B, dtype=np.int8)
+    for i in range(k - 1):
+        digit.fill(0)
+        for j in range(i + 1, k):
+            digit += cols[j] < cols[i]
+        ranks += digit * f[i]
+    return ranks
 
 
 def perm_unrank(ranks: np.ndarray, k: int) -> np.ndarray:

@@ -12,6 +12,24 @@ injective move has one); an entry of n means "no preimage" and gathers the
 zero kept at index n of every mass vector.  A step divides each context's
 mass by its legal-move count, sums the contexts, and lets every move gather
 the mass that may enter it: the total, less its own group's share.
+
+The walk starts at one state, so its early steps touch few (frontier
+search: Korf, Zhang, Thayer & Hohwald 2005, JACM 52(5)).  A sorted
+frontier, first just the goal, covers the support of the mass; the next
+frontier is the frontier plus every image of it under every move, found by
+marking one bool array through the moves' own successor arrays.  While the
+next frontier holds at most ``FRONTIER_SHARE`` of the states, a step
+divides, sums, subtracts and gathers on those indices alone and writes the
+next frontier, which contains the old one, so no entry it read keeps a stale
+value; only the stuck-mass accumulator is zeroed again.  Past that share the
+steps turn dense and stay dense.  A dense step keeps one mass array: the
+context sum is taken before any group's pool is formed, so group g's pool
+is computed into its own row, its entering mass gathered into one
+accumulator (stuck mass first) and copied back.  Either way every state adds
+the same numbers in the same order, states off the frontier hold exact
+zeros, and each step's marginal is summed over all n states, so the result
+does not depend on where the steps turn dense.  ``step_states`` records how
+many states each step wrote.
 """
 
 from __future__ import annotations
@@ -36,11 +54,19 @@ class ScrambleMove:
     label: str = ""
 
 
+# Largest share of the states a frontier step may write; measured on the cube
+# and puzzle8 builds (CHANGES.md), where the dense pull wins beyond it.
+FRONTIER_SHARE = 0.25
+
+
 @dataclass
 class ScrambleResult:
     distribution: StateDistribution
     step_marginal_sums: np.ndarray  # should each be 1 before conditioning
     goal_mass_removed: float
+    # int64 [k_max]: target states each step wrote, the frontier's size while
+    # the DP runs sparse and num_states once it runs dense
+    step_states: np.ndarray
 
 
 def scramble_distribution(
@@ -56,6 +82,10 @@ def scramble_distribution(
     Each step picks uniformly among legal moves.
     """
     n = num_states
+    if k_max < 1:
+        raise ValueError(f"scramble k_max is {k_max}, expected at least 1")
+    if not 0 <= goal < n:
+        raise ValueError(f"scramble goal {goal} is outside [0, {n})")
     groups = sorted({m.group for m in moves if m.group is not None})
     gindex = {g: i for i, g in enumerate(groups)}
     C = len(groups) + 1  # context: last move's group; last slot = "none"
@@ -64,8 +94,9 @@ def scramble_distribution(
     # legal-move counts per (context, state); a group's context excludes it
     counts = np.zeros((C, n), dtype=np.min_scalar_type(len(moves)))
     tables = [[] for _ in range(C)]  # preimage tables of the moves per group
+    states = np.arange(n, dtype=np.int32)
     for mv, g in zip(moves, ctx):
-        legal = _legal_entries(mv, n)
+        legal = _legal_entries(mv, states)
         for c in range(C):
             if c != g or g == C - 1:
                 counts[c] += legal
@@ -76,30 +107,32 @@ def scramble_distribution(
 
     w = np.zeros((C, n + 1), dtype=np.float64)  # column n stays zero
     w[C - 1, goal] = 1.0
-    w_new = np.empty_like(w)
-    total, entering = np.empty((2, n + 1), dtype=np.float64)
-    marginal = entering[:n]  # reused once the step's gathers are done
+    # off the frontier w, total and marginal hold zeros; acc is zero between
+    # uses; entering is the dense steps' gather buffer
+    total, entering, acc = np.zeros((3, n + 1), dtype=np.float64)
+    marginal = entering[:n]
     mixture = np.zeros(n, dtype=np.float64)
     marg_sums = np.zeros(k_max, dtype=np.float64)
+    step_states = np.full(k_max, n, dtype=np.int64)
 
+    front = np.array([goal])
+    reached = np.zeros(n + 1, dtype=bool)  # index n collects dead entries
+    reached[goal] = True
     for k in range(k_max):
-        w_new.fill(0.0)
-        for c in range(C):
-            w_new[c, stuck[c]] = w[c, stuck[c]]
-        w[:, :n] /= counts
-        np.sum(w, axis=0, out=total)
-        for g in range(C):
-            if g == C - 1:
-                pool = total
-            else:  # a group's own share may not enter it again
-                pool = np.subtract(total, w[g], out=w[g])
-            for first, *extra in tables[g]:
-                np.take(pool, first, out=entering, mode="clip")  # unbuffered
-                for table in extra:
-                    entering += pool[table]
-                w_new[g] += entering
-        w, w_new = w_new, w
-        np.sum(w[:, :n], axis=0, out=marginal)
+        if front is not None:
+            for mv in moves:
+                reached[np.asarray(mv.successor)[front]] = True
+            nxt = np.flatnonzero(reached[:n])
+            if len(nxt) > FRONTIER_SHARE * n:
+                front = None
+        if front is None:
+            _dense_step(w, counts, stuck, tables, total, entering, acc)
+            np.sum(w[:, :n], axis=0, out=marginal)
+        else:
+            _frontier_step(w, counts, stuck, tables, total, acc, front, nxt)
+            marginal[nxt] = w[:, nxt].sum(axis=0)
+            step_states[k] = len(nxt)
+            front = nxt
         marg_sums[k] = marginal.sum()
         mixture += marginal
     mixture /= k_max
@@ -113,11 +146,56 @@ def scramble_distribution(
         distribution=StateDistribution(mixture),
         step_marginal_sums=marg_sums,
         goal_mass_removed=goal_mass,
+        step_states=step_states,
     )
 
 
-def _legal_entries(mv: ScrambleMove, n: int) -> np.ndarray:
-    """Bool mask of the states where mv moves to another live state."""
+def _frontier_step(w, counts, stuck, tables, total, acc, front, nxt):
+    """One step on the states in front, writing the states in nxt."""
+    C = len(w)
+    share = w[:, front] / counts[:, front]
+    total[front] = share.sum(axis=0)
+    for g in range(C):
+        acc[stuck[g]] = w[g, stuck[g]]
+        part = acc[nxt]
+        acc[stuck[g]] = 0.0
+        if g == C - 1:
+            pool = total
+        else:  # a group's own share may not enter it again
+            w[g, front] = total[front] - share[g]
+            pool = w[g]
+        for first, *extra in tables[g]:
+            entering = pool[first[nxt]]
+            for table in extra:
+                entering += pool[table[nxt]]
+            part += entering
+        w[g, nxt] = part
+
+
+def _dense_step(w, counts, stuck, tables, total, entering, acc):
+    """One step on every state, in place."""
+    C = len(w)
+    w[:, :-1] /= counts
+    np.sum(w, axis=0, out=total)
+    for g in range(C):
+        acc.fill(0.0)
+        acc[stuck[g]] = w[g, stuck[g]]
+        if g == C - 1:
+            pool = total
+        else:  # a group's own share may not enter it again
+            pool = np.subtract(total, w[g], out=w[g])
+        for first, *extra in tables[g]:
+            np.take(pool, first, out=entering, mode="clip")  # unbuffered
+            for table in extra:
+                entering += pool[table]
+            acc += entering
+        w[g] = acc
+
+
+def _legal_entries(mv: ScrambleMove, states: np.ndarray) -> np.ndarray:
+    """Bool mask of the states where mv moves to another live state; states
+    is arange(n)."""
+    n = len(states)
     t = np.asarray(mv.successor)
     if t.shape != (n,):
         raise ValueError(f"scramble move {mv.label!r} has successor shape "
@@ -125,7 +203,7 @@ def _legal_entries(mv: ScrambleMove, n: int) -> np.ndarray:
     if int(t.min()) < 0 or int(t.max()) > n:
         raise ValueError(f"scramble move {mv.label!r} has a successor "
                          f"outside [0, {n}]")
-    return (t != n) & (t != np.arange(n))
+    return (t != n) & (t != states)
 
 
 def _preimage_tables(successor: np.ndarray, legal: np.ndarray,

@@ -16,7 +16,7 @@ def puzzle_bundle():
 
 @pytest.fixture(scope="session")
 def cube_bundle():
-    """Full pocket-cube build (about five seconds); shared across the session."""
+    """Full pocket-cube build (about three seconds); shared across the session."""
     return build_env(ENV_PRESETS["cube"])
 
 

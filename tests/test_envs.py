@@ -148,6 +148,34 @@ def test_scramble_no_consecutive_same_group():
     assert np.allclose(res.distribution.probs, [0.0, 0.5, 0.5, 0.0])
 
 
+@pytest.mark.parametrize("goal, k_max, what", [
+    (0, 0, "k_max is 0"),
+    (0, -2, "k_max is -2"),
+    (-1, 2, "goal -1 is outside"),
+    (4, 2, "goal 4 is outside"),
+])
+def test_scramble_rejects_bad_goal_and_k_max(goal, k_max, what):
+    move = ScrambleMove(successor=np.array([1, 2, 3, 3], dtype=np.int32))
+    with pytest.raises(ValueError, match=what):
+        scramble_distribution(4, goal, [move], k_max)
+
+
+def test_scramble_k_max_from_an_env_spec_is_checked():
+    spec = EnvSpec("n_puzzle", {"n": 2, "k_max": 0})
+    with pytest.raises(ValueError, match="k_max is 0"):
+        build_env(spec)
+
+
+def test_scramble_step_states_on_puzzle8(puzzle_bundle):
+    mdp, _, info = puzzle_bundle
+    written = info["scramble"].step_states
+    assert len(written) == 31
+    # the goal and the two states one blank move from it
+    assert written[0] == 3
+    assert np.all(np.diff(written) >= 0)
+    assert written.max() <= mdp.num_states
+
+
 # -- sequence consume ---------------------------------------------------------
 
 def test_sequence_consume_structure():

@@ -12,6 +12,7 @@ for bit, and so must the scramble DP when no move has a group; with groups it
 sums the contexts in another order and is held to 1e-15.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -19,7 +20,9 @@ import numpy as np
 import pytest
 
 from skilldiff.envs import ENV_PRESETS, build_env
-from skilldiff.envs.scramble import (ScrambleMove, ScrambleResult,
+from skilldiff.envs.npuzzle import _factorials, perm_rank
+from skilldiff.envs.scramble import (FRONTIER_SHARE, ScrambleMove,
+                                     ScrambleResult, _preimage_tables,
                                      scramble_distribution)
 from skilldiff.envs.synthetic import build_chain
 from skilldiff.experiments import (VariantSpec, materialize_variant,
@@ -130,7 +133,80 @@ def _bincount_scramble(num_states, goal, moves, k_max):
         distribution=StateDistribution(mixture),
         step_marginal_sums=marg_sums,
         goal_mass_removed=goal_mass,
+        step_states=np.full(k_max, n, dtype=np.int64),
     )
+
+
+def _dense_scramble(num_states, goal, moves, k_max):
+    n = num_states
+    groups = sorted({m.group for m in moves if m.group is not None})
+    gindex = {g: i for i, g in enumerate(groups)}
+    C = len(groups) + 1
+    ctx = [gindex[m.group] if m.group is not None else C - 1 for m in moves]
+
+    counts = np.zeros((C, n), dtype=np.min_scalar_type(len(moves)))
+    tables = [[] for _ in range(C)]
+    for mv, g in zip(moves, ctx):
+        t = np.asarray(mv.successor)
+        legal = (t != n) & (t != np.arange(n))
+        for c in range(C):
+            if c != g or g == C - 1:
+                counts[c] += legal
+        if legal.any():
+            tables[g].append(_preimage_tables(mv.successor, legal, n))
+    stuck = [np.flatnonzero(row == 0) for row in counts]
+    np.maximum(counts, 1, out=counts)
+
+    w = np.zeros((C, n + 1), dtype=np.float64)
+    w[C - 1, goal] = 1.0
+    w_new = np.empty_like(w)
+    total, entering = np.empty((2, n + 1), dtype=np.float64)
+    marginal = entering[:n]
+    mixture = np.zeros(n, dtype=np.float64)
+    marg_sums = np.zeros(k_max, dtype=np.float64)
+
+    for k in range(k_max):
+        w_new.fill(0.0)
+        for c in range(C):
+            w_new[c, stuck[c]] = w[c, stuck[c]]
+        w[:, :n] /= counts
+        np.sum(w, axis=0, out=total)
+        for g in range(C):
+            if g == C - 1:
+                pool = total
+            else:
+                pool = np.subtract(total, w[g], out=w[g])
+            for first, *extra in tables[g]:
+                np.take(pool, first, out=entering, mode="clip")
+                for table in extra:
+                    entering += pool[table]
+                w_new[g] += entering
+        w, w_new = w_new, w
+        np.sum(w[:, :n], axis=0, out=marginal)
+        marg_sums[k] = marginal.sum()
+        mixture += marginal
+    mixture /= k_max
+    goal_mass = float(mixture[goal])
+    mixture[goal] = 0.0
+    total = mixture.sum()
+    if total <= 0.0:
+        raise ValueError("scramble distribution has no non-goal mass")
+    mixture /= total
+    return ScrambleResult(
+        distribution=StateDistribution(mixture),
+        step_marginal_sums=marg_sums,
+        goal_mass_removed=goal_mass,
+        step_states=np.full(k_max, n, dtype=np.int64),
+    )
+
+
+def _outer_perm_rank(perms):
+    B, k = perms.shape
+    f = _factorials(k)
+    less = perms[:, :, None] > perms[:, None, :]
+    tri = np.triu(np.ones((k, k), dtype=bool), 1)
+    digits = (less & tri).sum(axis=2)
+    return digits @ f
 
 
 # -- reverse graph and BFS ------------------------------------------------------
@@ -317,6 +393,86 @@ def test_scramble_rejects_malformed_moves(successor, what):
                         label="bad-move")
     with pytest.raises(ValueError, match=f"'bad-move'.*{what}"):
         scramble_distribution(4, 0, [move], 2)
+
+
+def _local_moves(rng, n, grouped):
+    """Low-degree moves on a line of n states under a random labelling.
+
+    Each move shifts most states by its own one to six places, forward
+    for even moves and back for odd ones, so a walk from one state covers
+    few states for many steps.  A fifth of the states shift at random
+    instead, so shifts collide (many-to-one) and some are 0 (no-ops); some
+    entries leave the line or are cut (dead).  On a few states every move
+    outside one group, or every move, is a no-op: they are stuck in that
+    group's context, or in all contexts.
+    """
+    label = rng.permutation(n)  # the state at each place on the line
+    place = np.argsort(label)
+    moves = []
+    for j in range(int(rng.integers(2, 5))):
+        shift = np.full(n, (-1) ** j * int(rng.integers(1, 7)))
+        odd = rng.random(n) < 0.2
+        shift[odd] = rng.integers(-6, 7, size=int(odd.sum()))
+        to = place + shift
+        t = np.where((to >= 0) & (to < n), label[np.clip(to, 0, n - 1)], n)
+        t[rng.random(n) < 0.05] = n
+        group = int(rng.integers(2)) if grouped and rng.random() < 0.8 else None
+        moves.append(ScrambleMove(successor=t.astype(np.int32), group=group,
+                                  label=f"m{j}"))
+    for s in rng.choice(n, size=n // 20, replace=False):
+        keep = rng.choice([None, 0, 1]) if grouped else None
+        for mv in moves:
+            if keep is None or mv.group != keep:
+                mv.successor[s] = s
+    return moves
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_frontier_scramble_matches_dense_oracle(grouped):
+    # walks that stay sparse for several steps run the frontier phase, and
+    # the switch to dense steps, or not, depending on n and k_max
+    rng = np.random.default_rng(53 + grouped)
+    switched = sparse_only = 0
+    for _ in range(150):
+        n = int(rng.integers(100, 2000))
+        goal = int(rng.integers(n))
+        moves = _local_moves(rng, n, grouped)
+        k_max = int(rng.integers(10, 80))
+        try:
+            res0 = _dense_scramble(n, goal, moves, k_max)
+        except ValueError:
+            with pytest.raises(ValueError):
+                scramble_distribution(n, goal, moves, k_max)
+            continue
+        res = scramble_distribution(n, goal, moves, k_max)
+        assert np.array_equal(res.distribution.probs,
+                              res0.distribution.probs)
+        assert np.array_equal(res.step_marginal_sums, res0.step_marginal_sums)
+        assert res.goal_mass_removed == res0.goal_mass_removed
+        sparse = res.step_states[res.step_states < n]
+        assert len(sparse) >= 2 and np.all(sparse <= FRONTIER_SHARE * n)
+        if len(sparse) < k_max:
+            switched += 1
+            assert np.all(res.step_states[len(sparse):] == n)
+        else:
+            sparse_only += 1
+    assert switched >= 30 and sparse_only >= 30
+
+
+def test_perm_rank_matches_outer_product_oracle():
+    def same(perms):
+        r, r0 = perm_rank(perms), _outer_perm_rank(perms)
+        assert r.dtype == r0.dtype
+        assert np.array_equal(r, r0)
+
+    all7 = np.array(list(itertools.permutations(range(7))), dtype=np.int8)
+    same(all7)
+    assert np.array_equal(perm_rank(all7), np.arange(5040))
+    rng = np.random.default_rng(54)
+    same(rng.permuted(np.tile(np.arange(9, dtype=np.int8), (2000, 1)),
+                      axis=1))
+    same(np.zeros((4, 1), dtype=np.int8))
+    same(np.zeros((0, 9), dtype=np.int8))
 
 
 # -- RL run -------------------------------------------------------------------
