@@ -13,11 +13,10 @@ import numpy as np
 
 from . import __version__
 from .envs import ENV_PRESETS, build_env
-from .experiments import (CorrelationResult, improvement_scatter,
-                          lambda_correlation, mean_log_n, metrics_table,
-                          run_rl_campaign, sample_complexities,
-                          theorem_campaign, variant_grid, write_csv,
-                          GNUPLOT_TEMPLATE)
+from .experiments import (improvement_scatter, lambda_correlation,
+                          mean_log_n, metrics_table, run_rl_campaign,
+                          sample_complexities, theorem_campaign, variant_grid,
+                          write_csv, GNUPLOT_TEMPLATE)
 from .mdl import Corpus, discover_macroactions
 from .metrics import NotConvergedError
 from .rl import RunRecord

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mdp import StateDistribution, TabularDsmdp
+from ..mdp import TabularDsmdp
 from .npuzzle import perm_rank, perm_unrank
 from .scramble import ScrambleMove, scramble_distribution
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mdp import BudgetExceededError, StateDistribution, TabularDsmdp
+from ..mdp import BudgetExceededError, TabularDsmdp
 from .scramble import ScrambleMove, scramble_distribution
 
 ACTIONS = ["U", "R", "D", "L"]

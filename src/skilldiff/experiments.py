@@ -4,22 +4,19 @@ theorem campaign."""
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .envs import ENV_PRESETS, EnvSpec, build_env
+from .envs import ENV_PRESETS, build_env
 from .mdp import (StateDistribution, TabularDsmdp, shortest_solution_lengths,
                   solvable_mask)
 from .metrics import (bounds_report, compute_difficulty_report, solve_q,
                       p_exploration_difficulty, p_learning_difficulty,
-                      solution_density, tightness_augmentation, ic_unmerged)
-from .rl import (NOT_REACHED, RlConfig, RunRecord, protocol_preset,
-                 measure_sample_complexity, planner_value_iteration, run)
+                      tightness_augmentation, ic_unmerged)
+from .rl import protocol_preset, measure_sample_complexity, run
 from .skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS, MACRO_PRESETS,
                      AugmentedMdp, MacroGenSpec, Skill, augment,
                      generate_macro_sets, macro_from_labels)

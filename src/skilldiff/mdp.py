@@ -3,17 +3,17 @@
 A tabular MDP here is a dense successor table over states 0..n-1 with a single
 goal state and an implicit absorbing dead pseudo-state.  The dead state is
 *not* part of the state array; internally it is addressed as index
-``num_states``.  Sums over successors go through ``transition_matrix`` (or
-its dense form for small MDPs), which drops dead entries; the reverse graph
-is that operator's transpose, built by a counting sort.  Walks that may sit
-in the dead state gather from ``successor_padded``.
+``num_states``.  Sums over successors go through ``transition_matrix``,
+which drops dead entries and picks the dense or sparse form by size; the
+reverse graph is the sparse operator's transpose, built by a counting sort.
+Walks that may sit in the dead state gather from ``successor_padded``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -235,31 +235,37 @@ class SolutionLengthTable:
         return float(np.dot(p.probs[sup], self.d[sup]))
 
 
-def transition_matrix(successor: np.ndarray) -> csr_matrix:
-    """Sparse operator of a successor table whose dead index is its row count.
+# Largest MDP with a dense operator, and with a direct start in ``solver``.
+DIRECT_MAX_STATES = 200
 
-    P[s, t] counts the actions taking s to t; dead entries are dropped, so the
-    all-dead goal row is empty.  Entries keep action order and duplicates, so
-    ``P @ x`` adds x over each state's live successors in action order.
+
+def transition_matrix(successor: np.ndarray) -> np.ndarray | csr_matrix:
+    """Operator P of a successor table whose dead index is its row count.
+
+    P[s, t] counts the actions taking s to t, so ``P @ x`` adds x over each
+    state's live successors; dead entries are dropped and the all-dead goal
+    row is empty.  Up to ``DIRECT_MAX_STATES`` rows P is a dense array from
+    one bincount (dead entries fill an extra column that is cut off), above
+    it a CSR matrix.  On 3-action permutation tables (2-vCPU Xeon) a product
+    takes 8.5 us dense vs 9.0 us CSR and a build 62 vs 59 us at 200 states;
+    at 300, 19.5 vs 9.4 us and 757 vs 69 us.
     """
+    n = successor.shape[0]
+    if n > DIRECT_MAX_STATES:
+        return _csr_transition_matrix(successor)
+    flat = successor + np.arange(0, n * (n + 1), n + 1)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=n * (n + 1))
+    return counts.reshape(n, n + 1)[:, :n].astype(np.float64)
+
+
+def _csr_transition_matrix(successor: np.ndarray) -> csr_matrix:
+    """``transition_matrix`` as CSR at any size, entries in action order."""
     n = successor.shape[0]
     live = successor != n
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(live.sum(axis=1), out=indptr[1:])
     indices = successor[live]
     return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-
-
-def dense_transition_matrix(successor: np.ndarray) -> np.ndarray:
-    """``transition_matrix`` as a dense float64 [n, n] array, for small n.
-
-    One bincount over row * (n + 1) + successor counts every entry, dead
-    ones in an extra column that is sliced off, without scipy's
-    constructor."""
-    n = successor.shape[0]
-    flat = successor + np.arange(0, n * (n + 1), n + 1)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=n * (n + 1))
-    return counts.reshape(n, n + 1)[:, :n].astype(np.float64)
 
 
 def solvable_mask(successor: np.ndarray, goal: int) -> np.ndarray:
@@ -302,11 +308,11 @@ class ReverseGraph:
 def build_reverse_graph(mdp: TabularDsmdp) -> ReverseGraph:
     """Invert the successor table.  Dead transitions and the goal row are skipped.
 
-    The reverse graph is the transpose of ``transition_matrix`` with action
-    ids as its entries; ``tocsc`` transposes by a counting sort, which keeps
+    The reverse graph is the transpose of the CSR operator with action ids
+    as its entries; ``tocsc`` transposes by a counting sort, which keeps
     each target's predecessors in (state, action) order.
     """
-    P = transition_matrix(mdp.successor)
+    P = _csr_transition_matrix(mdp.successor)
     P.data = np.broadcast_to(np.arange(mdp.num_actions, dtype=np.int32),
                              mdp.successor.shape)[mdp.successor != mdp.dead]
     R = P.tocsc()
@@ -358,12 +364,11 @@ def check_invertible_transitions(mdp: TabularDsmdp,
     solvable-or-goal successor.  Implemented by bucketing (a, successor)."""
     if d is None:
         d = shortest_solution_lengths(mdp)
-    n, m = mdp.num_states, mdp.num_actions
     solvable_pad = np.concatenate([d.solvable, [False]])  # dead is not solvable
     keep = mdp.successor != mdp.dead
     keep[mdp.goal] = False
-    keep &= solvable_pad[np.minimum(mdp.successor, n)]
-    for a in range(m):
+    keep &= solvable_pad[mdp.successor]
+    for a in range(mdp.num_actions):
         tgts = mdp.successor[keep[:, a], a]
         if len(np.unique(tgts)) != len(tgts):
             return False

@@ -18,14 +18,19 @@ import numpy as np
 from ..mdp import (BudgetExceededError, StateDistribution, TabularDsmdp,
                    check_invertible_transitions,
                    check_solution_separable_bruteforce,
-                   shortest_solution_lengths, transition_matrix)
+                   shortest_solution_lengths)
 from ..skills import GOAL_PASS_DEAD, AugmentedMdp, behavior_variety
-from .difficulty import (p_exploration_difficulty, p_learning_difficulty,
-                         per_length_counts, solution_density)
+from .difficulty import (length_dp, p_exploration_difficulty,
+                         p_learning_difficulty, per_length_counts,
+                         solution_density)
 from .incompress import ic_expressive, ic_merged, ic_unmerged
 from .solver import solve_q
 
 DEFAULT_SLACK = 1e-9
+# Expansion-length horizon of the KL-corrected gap check, and the largest
+# base MDP it runs on.
+LENGTH_DP_L_MAX = 64
+LENGTH_DP_STATE_CAP = 10_000
 
 
 @dataclass
@@ -83,9 +88,6 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
                   separable: bool | None = None,
                   uniform_length_solutions: bool | None = None,
                   slack: float = DEFAULT_SLACK,
-                  counts_l_max: int | None = None,
-                  length_dp_l_max: int = 64,
-                  length_dp_state_cap: int = 10_000,
                   sol_cap: int = 64,
                   q_tol: float = 1e-12) -> BoundsReport:
     """Evaluate every applicable theorem bound on one augmentation triple.
@@ -190,17 +192,19 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
     q_at_zero = functools.cache(lambda: (
         solve_q(mdp0, 0.0, tol=q_tol), solve_q(augmented.mdp, 0.0, tol=q_tol)))
 
+    # one per-length count table for both gap checks, built on first use: the
+    # full-coverage check reads lengths up to d_max + 2, the KL check (only up
+    # to LENGTH_DP_STATE_CAP states) up to LENGTH_DP_L_MAX
+    l_full = int(d0.d.max()) + 2
+    l_kl = LENGTH_DP_L_MAX if mdp0.num_states <= LENGTH_DP_STATE_CAP else 0
+    count_table = functools.cache(
+        lambda: per_length_counts(mdp0, max(l_full, l_kl)))
+
     # ---- Exploration gap bound in fully-covered uniform-solution MDPs
-    counts = None
-    if counts_l_max is None:
-        counts_l_max = int(d0.d.max()) + 2
-    try:
-        counts = per_length_counts(mdp0, counts_l_max)
-    except BudgetExceededError:
-        pass
-    _check_full_coverage_gap(rep, mdp0, augmented, p, d0, counts, separable,
-                             is_macro, strict, uniform_length_solutions,
-                             slack, notes_common, q_at_zero)
+    _check_full_coverage_gap(rep, mdp0, augmented, p, d0, count_table, l_full,
+                             separable, is_macro, strict,
+                             uniform_length_solutions, slack, notes_common,
+                             q_at_zero)
 
     # ---- Expressivity-aware learning bound
     if a0 > 1 and augmented.num_skills >= 1:
@@ -238,9 +242,8 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
                                      notes_common + "needs strict macro aug"))
 
     # ---- Length-resolved exploration gap with the KL correction
-    _check_kl_corrected_gap(rep, mdp0, augmented, p, d0, separable, is_macro,
-                            strict, slack, notes_common, length_dp_l_max,
-                            length_dp_state_cap, q_at_zero)
+    _check_kl_corrected_gap(rep, mdp0, augmented, p, count_table, separable,
+                            is_macro, strict, slack, notes_common, q_at_zero)
     return rep
 
 
@@ -257,7 +260,7 @@ def _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
     solvable_pad = np.concatenate([d0.solvable, [False]])
     has_len1 = (mdp0.successor == mdp0.goal).any(axis=1)
     has_len1[mdp0.goal] = False
-    longer = (solvable_pad[np.minimum(mdp0.successor, mdp0.num_states)]
+    longer = (solvable_pad[mdp0.successor]
               & (mdp0.successor != mdp0.goal)).any(axis=1)
     if np.any(has_len1 & longer):
         rep.claims.append(BoundClaim(
@@ -283,20 +286,22 @@ def _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
         notes + f"KL(p||rho)={kl:.3e} <= {threshold:.3e}"))
 
 
-def _check_full_coverage_gap(rep, mdp0, augmented, p, d0, counts, separable,
-                             is_macro, strict, uniform_lengths, slack, notes,
-                             q_at_zero):
+def _check_full_coverage_gap(rep, mdp0, augmented, p, d0, count_table, l_max,
+                             separable, is_macro, strict, uniform_lengths,
+                             slack, notes, q_at_zero):
     name = "explore_gap_full_coverage"
     pre_fail = None
     if not (separable and is_macro and strict):
         pre_fail = "needs separable base and a strict macro augmentation"
-    elif counts is None:
-        pre_fail = "per-length counts unavailable within budget"
+    else:
+        try:
+            counts = count_table()
+        except BudgetExceededError:
+            pre_fail = "per-length counts unavailable within budget"
     if pre_fail is None:
-        n = mdp0.num_states
         solvable = d0.solvable.copy()
         solvable[mdp0.goal] = False
-        cmat = counts.counts[:, 1:]
+        cmat = counts.counts[:, 1:l_max + 1]
         if uniform_lengths is None:
             nz = (cmat > 0).sum(axis=1)
             uniform_lengths = bool(np.all(nz[solvable] == 1))
@@ -338,38 +343,25 @@ def expansion_length_q(augmented: AugmentedMdp, l_max: int) -> np.ndarray:
     sequence by |A+|^-t.  Macro augmentations only (expansions >= 1)."""
     if not all(z.kind == "macro" for z in augmented.skills):
         raise ValueError("expansion-length DP requires a macro augmentation")
-    mdp = augmented.mdp
     w = np.array([1] * augmented.base.num_actions
                  + [len(z.macro) for z in augmented.skills])
-    # one operator per distinct expansion length k: G[l] gets P_k @ G[l - k]
-    ops = [(int(k), transition_matrix(mdp.successor[:, w == k]))
-           for k in np.unique(w)]
-    G = np.zeros((l_max + 1, mdp.num_states))
-    G[0, mdp.goal] = 1.0
-    inv = 1.0 / mdp.num_actions
-    for l in range(1, l_max + 1):
-        for k, P in ops:
-            if k <= l:
-                G[l] += P @ G[l - k]
-        G[l] *= inv
-    return G.T  # [n, l_max + 1]
+    return length_dp(augmented.mdp, w, l_max, 1.0 / augmented.mdp.num_actions)
 
 
-def _check_kl_corrected_gap(rep, mdp0, augmented, p, d0, separable, is_macro,
-                            strict, slack, notes, l_max, state_cap,
-                            q_at_zero):
+def _check_kl_corrected_gap(rep, mdp0, augmented, p, count_table, separable,
+                            is_macro, strict, slack, notes, q_at_zero):
     name = "explore_gap_kl_corrected"
     if not (separable and is_macro and strict):
         rep.claims.append(BoundClaim(
             name, None, None, None, False,
             notes + "needs separable base and a strict macro augmentation"))
         return
-    if mdp0.num_states > state_cap:
+    if mdp0.num_states > LENGTH_DP_STATE_CAP:
         rep.claims.append(BoundClaim(
             name, None, None, None, False,
-            notes + f"gated to at most {state_cap} states"))
+            notes + f"gated to at most {LENGTH_DP_STATE_CAP} states"))
         return
-    counts_full = per_length_counts(mdp0, l_max)
+    l_max = LENGTH_DP_L_MAX
     G = expansion_length_q(augmented, l_max)
     q0, qp = q_at_zero()
     sup = p.support
@@ -382,7 +374,7 @@ def _check_kl_corrected_gap(rep, mdp0, augmented, p, d0, separable, is_macro,
     # p-tilde(s, l) = p(s) G(s, l) / q+(s); lambda(l) its length marginal
     pt = p.probs[sup, None] * G[sup] / qp.q[sup, None]
     lam = pt.sum(axis=0)
-    q0t = counts_full.counts[sup] * (
+    q0t = count_table().counts[sup, :l_max + 1] * (
         float(mdp0.num_actions) ** -np.arange(l_max + 1))
     mask = pt > 0.0
     if np.any(q0t[mask] <= 0.0):

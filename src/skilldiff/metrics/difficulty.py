@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 from ..mdp import (BudgetExceededError, MdpError, SolutionLengthTable,
                    StateDistribution, TabularDsmdp, shortest_solution_lengths,
                    transition_matrix)
-from .solver import QTable, solve_q
+from .solver import QTable
 
 
 class SupportUnsolvableError(MdpError):
@@ -109,14 +109,28 @@ def per_length_counts(mdp: TabularDsmdp, l_max: int,
     n, m = mdp.num_states, mdp.num_actions
     if 8 * n * (l_max + 1) > memory_budget:
         raise BudgetExceededError("per-length count table exceeds memory budget")
-    # row l = P @ row l-1; the goal row of P is empty, so a solution reaches
-    # the goal only at its last step
-    P = transition_matrix(mdp.successor)
-    counts = np.zeros((l_max + 1, n))
-    counts[0, mdp.goal] = 1.0
-    for l in range(1, l_max + 1):
-        counts[l] = P @ counts[l - 1]
-    counts = counts.T
+    counts = length_dp(mdp, np.ones(m, dtype=np.int64), l_max, 1.0)
     saturated = bool(np.any(counts > _SATURATION))
     return PerLengthSolutionCounts(counts=counts, l_max=l_max,
                                    num_actions=m, saturated=saturated)
+
+
+def length_dp(mdp: TabularDsmdp, lengths: np.ndarray, l_max: int,
+              scale: float) -> np.ndarray:
+    """G[s, l], l = 0..l_max: G[:, 0] marks the goal and G[l] = scale *
+    sum_k P_k G[l - k], P_k the operator of the columns a with lengths[a] == k.
+    The goal rows are empty, so a sequence reaches the goal only at its last
+    step.  Unit lengths and scale 1 count solutions exactly (0 + x and x * 1
+    are exact); expansion lengths and 1/|A| give ``expansion_length_q``."""
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    ops = [(int(k), transition_matrix(mdp.successor[:, lengths == k]))
+           for k in np.unique(lengths)]
+    G = np.zeros((l_max + 1, mdp.num_states))
+    G[0, mdp.goal] = 1.0
+    for l in range(1, l_max + 1):
+        for k, P in ops:
+            if k <= l:
+                G[l] += P @ G[l - k]
+        G[l] *= scale
+    return G.T

@@ -5,20 +5,21 @@ All variants share one epsilon treatment: a termination symbol with rate
 epsilon adds -log((1-eps)/eps) to the numerator and -log(1-eps) per symbol
 to the denominator.  Three modes are supported:
 
-  * fixed_epsilon -- evaluate at one epsilon, clamping negatives to 0;
-  * sup           -- maximize over epsilon (logit-scale grid + bounded
-                     refinement), including the analytic eps->1 boundary
-                     limit 1/E_p[d];
+  * fixed_epsilon -- evaluate at one epsilon in (0, 1), negatives to 0;
+  * sup           -- maximize over epsilon: the eps->1 boundary limit
+                     1/E_p[d], or the single interior stationary point,
+                     found by one bracketed root solve;
   * boundary      -- the eps->1 limit alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -41,40 +42,42 @@ class ICValue:
     entropy_term: float | None = None  # the H used in the numerator
     cap_hit: bool = False
 
-    @property
-    def bits(self) -> float:
-        return self.value  # dimensionless ratio; same in any log base
-
-
-def _ic_at_logit(u: float, H: float, Ed: float, a_eff: float) -> float:
-    """Eq-10-style ratio at eps = sigmoid(u), numerically stable:
-    -log((1-e)/e) = u and -log(1-e) = softplus(u)."""
-    return (H + u) / (Ed * (np.log(a_eff) + np.logaddexp(0.0, u)))
-
 
 def _ic_fixed(H: float, Ed: float, a_eff: float, eps: float):
     num = H - np.log((1.0 - eps) / eps)
-    den = Ed * np.log(a_eff / (1.0 - eps))
-    if den <= 0.0:
-        raise DegenerateDenominatorError(f"denominator {den:g} at eps={eps:g}")
-    v = num / den
+    v = num / (Ed * np.log(a_eff / (1.0 - eps)))
     return (0.0, True) if v < 0.0 else (float(v), False)
 
 
 def _ic_sup(H: float, Ed: float, a_eff: float):
-    grid = np.linspace(-40.0, 40.0, 2001)
-    vals = _ic_at_logit(grid, H, Ed, a_eff)
-    i = int(np.argmax(vals))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda u: -_ic_at_logit(u, H, Ed, a_eff),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    interior = max(float(vals[i]), float(-res.fun))
-    boundary = 1.0 / Ed
-    if boundary >= interior:
-        return boundary, None
-    eps = float(1.0 / (1.0 + np.exp(-res.x)))
-    return interior, eps
+    """(sup over eps of the ratio, its eps, or None for the eps -> 1 limit).
+
+    In u = logit(eps), with D = E_p[d], the ratio is f(u) = (H + u) / den,
+    den = D (log a + softplus u), and f' = -D g / den^2, where g(u) =
+    (H + u) sigmoid(u) - log a - softplus(u) has g' = (H + u) sigmoid (1 -
+    sigmoid).  So g < -log a < 0 on u <= -H and g rises on (-H, inf) toward
+    H - log a.  If H <= log a, f only rises and the sup is its limit 1/D.
+    Otherwise f peaks at the one root u* of g, found on (-H, 40), where
+    f(u*) = 1 / (D sigmoid(u*)); a root beyond 40 would leave that within
+    e^-40 (below rounding) of the boundary 1/D, which also stays the floor.
+    """
+    log_a = math.log(a_eff)
+
+    def sigmoid_softplus(u):
+        tail = math.log1p(math.exp(-abs(u)))
+        return math.exp(-max(-u, 0.0) - tail), max(u, 0.0) + tail
+
+    def g(u):
+        sigmoid, softplus = sigmoid_softplus(u)
+        return (H + u) * sigmoid - log_a - softplus
+
+    if H > log_a and g(40.0) > 0.0:
+        u = brentq(g, -H, 40.0, xtol=1e-14)
+        eps, softplus = sigmoid_softplus(u)
+        v = (H + u) / (Ed * (log_a + softplus))
+        if v > 1.0 / Ed:
+            return v, eps
+    return 1.0 / Ed, None
 
 
 def _ic_with_mode(H, Ed, a_eff, mode, epsilon,
@@ -84,15 +87,17 @@ def _ic_with_mode(H, Ed, a_eff, mode, epsilon,
         raise DegenerateDenominatorError("need |A| > 1 (effective)")
     if Ed <= 0.0:
         raise DegenerateDenominatorError("E_p[d] must be positive")
+    clamped = False
     if mode == "fixed_epsilon":
         if epsilon is None:
             raise ValueError("fixed_epsilon mode needs an epsilon")
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
         value, clamped = _ic_fixed(H, Ed, a_eff, epsilon)
     elif mode == "sup":
-        v, epsilon = _ic_sup(H, Ed, a_eff)
-        value, clamped = max(v, 0.0), v < 0.0
+        value, epsilon = _ic_sup(H, Ed, a_eff)
     elif mode == "boundary":
-        value, epsilon, clamped = 1.0 / Ed, None, False
+        value, epsilon = 1.0 / Ed, None
     else:
         raise ValueError(f"unknown IC mode {mode!r}")
     return ICValue(value, mode, epsilon, clamped,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .incompress import ICValue, ic_merged, ic_unmerged
 from .solver import solve_q
 
 LOG_BASE = "nats"
-_NATS_TO_BITS = 1.0 / math.log(2.0)
 
 
 @dataclass
@@ -39,14 +38,6 @@ class DifficultyReport:
     q_residual: float = 0.0
     q_iterations: int = 0
     q_error_bound: float = math.inf  # proven bound on ||q - q*||_inf
-
-    @property
-    def j_explore_bits(self) -> float:
-        return self.j_explore * _NATS_TO_BITS
-
-    @property
-    def entropy_p_bits(self) -> float:
-        return self.entropy_p * _NATS_TO_BITS
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, default=float)

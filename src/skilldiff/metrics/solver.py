@@ -9,14 +9,17 @@ minimal fixed point of
 that is, the solution of (I - cP) q = b with c = (1 - delta)/|A|, P the
 live-successor count matrix and b the goal column of cP.
 
-MDPs of at most ``DIRECT_MAX_STATES`` states start from a direct solve: one
-``np.linalg.solve`` of (I - cP_SS) q_S = b_S over the solvable non-goal
-states S, with q = 0 elsewhere (so unsolvable states stay exactly 0, and the
-system is nonsingular even at delta = 0).  At delta = 0 the same call also
-solves (I - cP_SS) t = 1.  Larger MDPs start from q = 0 (only the goal at
-1).  Both then run the same Jacobi sweep loop, one product with the count
-matrix per sweep (dead successors have no entry, so they add 0), until the
-sweep residual is at most ``tol``; from the direct start that is one sweep.
+MDPs of at most ``mdp.DIRECT_MAX_STATES`` states, whose operator ``mdp``
+makes dense, start from a direct solve: one ``np.linalg.solve`` of
+(I - cP_SS) q_S = b_S over the solvable non-goal states S, with q = 0
+elsewhere (so unsolvable states stay exactly 0, and the system is
+nonsingular even at delta = 0).  At delta = 0 the same call also solves
+(I - cP_SS) t = 1.  Larger MDPs start from q = 0 (only the goal at 1).  Both
+then run the same Jacobi sweep loop, one product with the operator per sweep
+(dead successors have no entry, so they add 0), until the sweep residual is
+at most ``tol``; from the direct start that is one sweep.  The direct start
+wins up to about that size (random 3-action permutation MDPs, delta = 0.1,
+2-vCPU Xeon: 1.15 vs 1.68 ms from zero at 200 states, 2.57 vs 1.73 ms at 300).
 
 The returned ``QTable.error_bound`` is a proven bound on ||q - q*||_inf,
 gain * (residual + r) + r, where r = (|A| + 2) * eps covers the rounding of
@@ -37,14 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mdp import (TabularDsmdp, dense_transition_matrix, solvable_mask,
+from ..mdp import (DIRECT_MAX_STATES, TabularDsmdp, solvable_mask,
                    transition_matrix)
 
-# Largest MDP solved directly.  Measured on random 3-action permutation MDPs
-# (2-vCPU Xeon, numpy 2.4) at delta = 0.1, where the sweep loop needs the
-# fewest sweeps: direct 1.15 ms against 1.68 ms from zero at 200 states,
-# 2.57 ms against 1.73 ms at 300.  The O(n^3) factorisation loses above.
-DIRECT_MAX_STATES = 200
 _EPS = np.finfo(np.float64).eps
 
 
@@ -75,13 +73,11 @@ def solve_q(mdp: TabularDsmdp, delta: float, tol: float = 1e-12,
     rounding = (mdp.num_actions + 2) * _EPS
     q = np.zeros(n)
     q[goal] = 1.0
+    P = transition_matrix(mdp.successor)
+    t_gain = math.inf
     if n <= DIRECT_MAX_STATES:
-        P = dense_transition_matrix(mdp.successor)
         t_gain = _direct_start(P, mdp.successor, goal, coef, q,
                                rounding if delta == 0 else None)
-    else:
-        P = transition_matrix(mdp.successor)
-        t_gain = math.inf
     gain = (1.0 - delta) / delta if delta > 0 else t_gain
     residual = np.inf
     for it in range(1, max_iter + 1):

@@ -16,7 +16,7 @@ at which a monitored series crosses its threshold are averaged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

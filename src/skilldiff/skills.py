@@ -13,7 +13,7 @@ the goal mid-way:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,10 +77,6 @@ def macro_from_labels(word: str, base_labels: list[str]) -> Skill:
 class UnrollResult:
     final: int  # state index, or mdp.dead
     goal_step: int | None  # step (1-based) at which the goal was reached
-
-    @property
-    def reached_goal_exactly(self) -> bool:
-        return self.goal_step is not None
 
 
 def unroll(base: TabularDsmdp, s: int, seq) -> UnrollResult:

@@ -66,7 +66,7 @@ def test_check_near_uniform_exploration_instance_with_geometric_weights():
     for _ in range(5):
         aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
         rep = bounds_report(mdp, aug, p, delta, separable=True,
-                            uniform_length_solutions=True, counts_l_max=L + 1)
+                            uniform_length_solutions=True)
         c = rep.claim("macros_hurt_exploration_near_uniform")
         assert c.preconditions_met
         assert c.holds  # strictly increases exploration difficulty

@@ -148,6 +148,18 @@ def test_single_skill_to_goal_gives_zero_merged_ic():
     assert sup.value == pytest.approx(1.0 / d.expected(p))
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5])
+def test_fixed_epsilon_outside_the_open_unit_interval_is_rejected(epsilon):
+    from skilldiff.experiments import build_star_base
+
+    mdp, p = build_star_base(4)
+    aug = augment(mdp, [], mode=GOAL_PASS_DEAD)
+    with pytest.raises(ValueError, match="epsilon"):
+        ic_unmerged(mdp, p, mode="fixed_epsilon", epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        ic_merged(mdp, aug, p, mode="fixed_epsilon", epsilon=epsilon)
+
+
 def test_macro_augmentation_merged_equals_unmerged():
     # distinct solutions stay distinct under macros in a separable base
     from skilldiff.experiments import random_invertible_mdp, random_macro_skills

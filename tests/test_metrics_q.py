@@ -200,6 +200,22 @@ def test_counts_recurrence_and_reconstruction():
             assert np.all(np.abs(recon - q.q) <= (1 - delta) ** L + 1e-9)
 
 
+def test_length_dp_rejects_a_negative_l_max():
+    from skilldiff.experiments import (random_invertible_mdp,
+                                       random_macro_skills)
+    from skilldiff.metrics import expansion_length_q
+    from skilldiff.skills import GOAL_PASS_DEAD, augment
+
+    mdp, _ = build_chain(4)
+    with pytest.raises(ValueError, match="l_max"):
+        per_length_counts(mdp, -1)
+    rng = np.random.default_rng(13)
+    base = random_invertible_mdp(rng, 8, 2)
+    aug = augment(base, random_macro_skills(rng, base), GOAL_PASS_DEAD)
+    with pytest.raises(ValueError, match="l_max"):
+        expansion_length_q(aug, -1)
+
+
 def test_counts_cliff_optimal_paths(cliff_bundle):
     mdp, _, info = cliff_bundle
     c = per_length_counts(mdp, 15)

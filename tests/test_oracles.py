@@ -1,5 +1,5 @@
-"""The reverse graph, the BFS, the scramble DP and the RL run against the
-code they replaced.
+"""The reverse graph, the BFS, the scramble DP, the RL run and IC(sup)
+against the code they replaced.
 
 ``_argsort_reverse_graph``, ``_unique_bfs`` and ``_bincount_scramble`` are
 the implementations that ``build_reverse_graph``, ``shortest_solution_lengths``
@@ -7,9 +7,12 @@ and ``scramble_distribution`` had before they became a counting sort, a
 marking BFS and a preimage-gather DP.  ``_run_oracle`` is ``rl.run`` as it
 was before one episode routine served training and evaluation, and
 ``_bfs_random_invertible_mdp`` is ``random_invertible_mdp`` as it was before
-it tested solvability with ``solvable_mask``.  They stay here as oracles.  The graph, the lengths and the RL records must match bit
-for bit, and so must the scramble DP when no move has a group; with groups it
-sums the contexts in another order and is held to 1e-15.
+it tested solvability with ``solvable_mask``.  ``_grid_ic_sup`` is
+``incompress._ic_sup`` as it was before one root solve replaced its grid and
+bounded Brent search over ``_ic_at_logit``.  They stay here as oracles.  The
+graph, the lengths and the RL records must match bit for bit, and so must
+the scramble DP when no move has a group; with groups it sums the contexts
+in another order and is held to 1e-15.  IC(sup) is held to 1e-12 relative.
 """
 
 import itertools
@@ -18,6 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from skilldiff.envs import ENV_PRESETS, build_env
 from skilldiff.envs.npuzzle import _factorials, perm_rank
@@ -31,6 +35,7 @@ from skilldiff.experiments import (VariantSpec, materialize_variant,
 from skilldiff.mdp import (UNSOLVABLE, ReverseGraph, SolutionLengthTable,
                            StateDistribution, TabularDsmdp, _gather_ragged,
                            build_reverse_graph, shortest_solution_lengths)
+from skilldiff.metrics.incompress import _ic_sup
 from skilldiff.rl import (Q_LEARNING, REINFORCE, RL_VALUE_ITERATION,
                           RunRecord, _ground_truth, adaptive_epsilon_step,
                           protocol_preset, run)
@@ -473,6 +478,50 @@ def test_perm_rank_matches_outer_product_oracle():
                       axis=1))
     same(np.zeros((4, 1), dtype=np.int8))
     same(np.zeros((0, 9), dtype=np.int8))
+
+
+# -- IC(sup) ------------------------------------------------------------------
+
+def _ic_at_logit(u, H, Ed, a_eff):
+    return (H + u) / (Ed * (np.log(a_eff) + np.logaddexp(0.0, u)))
+
+
+def _grid_ic_sup(H, Ed, a_eff):
+    grid = np.linspace(-40.0, 40.0, 2001)
+    vals = _ic_at_logit(grid, H, Ed, a_eff)
+    i = int(np.argmax(vals))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    res = minimize_scalar(lambda u: -_ic_at_logit(u, H, Ed, a_eff),
+                          bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10})
+    interior = max(float(vals[i]), float(-res.fun))
+    boundary = 1.0 / Ed
+    if boundary >= interior:
+        return boundary, None
+    eps = float(1.0 / (1.0 + np.exp(-res.x)))
+    return interior, eps
+
+
+def test_ic_sup_matches_grid_oracle():
+    rng = np.random.default_rng(55)
+    k = 3500
+    a = np.exp(rng.uniform(0.01, 3.5, 3 * k))
+    log_a = np.log(a)
+    H = np.concatenate([
+        rng.uniform(0.0, 12.0, k),                    # either side
+        log_a[k:2 * k] * rng.uniform(0.0, 1.0, k),    # H <= log a
+        log_a[2 * k:] + rng.uniform(0.0, 1e-6, k),    # just above log a
+    ])
+    Ed = rng.uniform(0.5, 50.0, 3 * k)
+    interior = 0
+    for h, d, aa, la in zip(H, Ed, a, log_a):
+        v, eps = _ic_sup(h, d, aa)
+        v0, eps0 = _grid_ic_sup(h, d, aa)
+        assert abs(v - v0) <= 1e-12 * abs(v0), (h, d, aa)
+        if abs(h - la) > 1e-9:
+            assert (eps is None) == (eps0 is None), (h, d, aa)
+        interior += eps is not None
+    assert 3000 <= interior <= 3 * k - 3000
 
 
 # -- RL run -------------------------------------------------------------------

@@ -18,8 +18,7 @@ import pytest
 
 from skilldiff.envs import ENV_PRESETS, build_env
 from skilldiff.experiments import random_invertible_mdp, random_macro_skills
-from skilldiff.mdp import (TabularDsmdp, dense_transition_matrix,
-                           transition_matrix)
+from skilldiff.mdp import TabularDsmdp, transition_matrix
 from skilldiff.metrics import (NotConvergedError, expansion_length_q,
                                per_length_counts, solve_q)
 from skilldiff.metrics.solver import DIRECT_MAX_STATES, _direct_start
@@ -212,7 +211,7 @@ def test_delta_zero_gain_bounds_the_exact_inverse_norm(cliff_bundle):
              for _ in range(15)]
     for mdp in mdps + [cliff_bundle[0]]:
         m = mdp.num_actions
-        gain = _direct_start(dense_transition_matrix(mdp.successor),
+        gain = _direct_start(transition_matrix(mdp.successor),
                              mdp.successor, mdp.goal, 1.0 / m,
                              np.zeros(mdp.num_states),
                              (m + 2) * np.finfo(np.float64).eps)
@@ -251,29 +250,38 @@ def test_expansion_length_q_matches_gather_oracle():
 
 
 def test_transition_matrix_sums_live_successors():
+    # dense at or below the cut-off, CSR above it; the CSR product adds in
+    # action order, bit for bit, and the dense one in column order, so it is
+    # checked on integers, which every order adds exactly
     rng = np.random.default_rng(44)
-    for _ in range(30):
-        mdp = _random_table(rng)
+    above = (DIRECT_MAX_STATES + 1, DIRECT_MAX_STATES + 60)
+    for lo, hi in [(3, 30)] * 30 + [above] * 10:
+        mdp = _random_table(rng, lo, hi)
         n, m = mdp.num_states, mdp.num_actions
         P = transition_matrix(mdp.successor)
-        assert P.shape == (n, n)
-        x = rng.random(n)
+        dense = n <= DIRECT_MAX_STATES
+        assert isinstance(P, np.ndarray) == dense
+        counts = np.zeros((n, n))
+        for s in range(n):
+            for a in range(m):
+                if mdp.successor[s, a] != n:
+                    counts[s, mdp.successor[s, a]] += 1
+        assert np.array_equal(P if dense else P.toarray(), counts)
+        x = rng.integers(0, 2**20, n).astype(float) if dense else rng.random(n)
         xpad = np.concatenate([x, [0.0]])
         loop = np.zeros(n)
         for s in range(n):
             for a in range(m):
                 loop[s] += xpad[mdp.successor[s, a]]
         assert np.array_equal(P @ x, loop)
-        assert np.array_equal(dense_transition_matrix(mdp.successor),
-                              P.toarray())
-        assert P.indptr[mdp.goal] == P.indptr[mdp.goal + 1]  # empty goal row
-        assert P.nnz == int((mdp.successor != mdp.dead).sum())
+        if not dense:
+            assert P.indptr[mdp.goal] == P.indptr[mdp.goal + 1]  # empty row
+            assert P.nnz == int((mdp.successor != mdp.dead).sum())
 
 
 def test_transition_matrix_counts_duplicates_and_drops_dead():
     # state 1 reaches 2 twice and dies once; state 2 reaches 1 and 2
     succ = np.array([[3, 3, 3], [2, 3, 2], [1, 2, 3]], dtype=np.int32)
     P = transition_matrix(succ)
-    assert P.toarray().tolist() == [[0, 0, 0], [0, 0, 2], [0, 1, 1]]
-    assert dense_transition_matrix(succ).tolist() == P.toarray().tolist()
+    assert P.tolist() == [[0, 0, 0], [0, 0, 2], [0, 1, 1]]
     assert np.array_equal(P @ np.array([5.0, 7.0, 11.0]), [0.0, 22.0, 18.0])
