@@ -11,6 +11,16 @@ whose updates read every successor of a state.
 
 Sample complexity is measured from periodic evaluations: the env-step counts
 at which a monitored series crosses its threshold are averaged.
+
+`run` relies on one invariant: between two replay updates the behaviour
+policy does not change.  Q-learning's table and RL value iteration's V change
+only in a replay update, and epsilon only at an evaluation.  So `run` keeps
+each Q row's max and first argmax in lists and refreshes them only for the
+rows an update touches, and it draws the start states of the greedy
+evaluation once per run: that evaluation draws nothing from its stream,
+which is re-seeded at every evaluation.  Every draw from the training and
+evaluation streams happens in a fixed order, so a run's record depends only
+on (env, p, cfg).
 """
 
 from __future__ import annotations
@@ -157,18 +167,43 @@ def _ground_truth(mdp: TabularDsmdp, gamma: float):
     return v_star, q_star
 
 
+def _check_config(cfg: RlConfig, p: StateDistribution) -> None:
+    """Reject a config that `run` cannot run: one whose episodes use no env
+    step, whose evaluation averages over no episode, or whose replay
+    updates can never start."""
+    fields = ["horizon", "base_action_budget"]
+    replay = cfg.algorithm in (Q_LEARNING, RL_VALUE_ITERATION)
+    if replay:
+        fields += ["update_every", "replay_size"]
+    if p.support_size > 1:
+        fields.append("eval_episodes")
+    for name in fields:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"RlConfig.{name} must be at least 1, "
+                             f"got {getattr(cfg, name)}")
+    if replay and cfg.batch_size > cfg.replay_size:
+        raise ValueError(f"RlConfig.batch_size {cfg.batch_size} exceeds "
+                         f"replay_size {cfg.replay_size}, so no update "
+                         f"would ever run")
+
+
 def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
     """One seeded RL run producing the evaluation time series."""
     algo = cfg.algorithm
     if algo not in (Q_LEARNING, RL_VALUE_ITERATION, REINFORCE):
         raise ValueError(f"unknown algorithm {algo!r}")
+    _check_config(cfg, p)
     mdp, succ, cost = _tables(env)
+    succ, cost = succ.tolist(), cost.tolist()
     goal, dead, m, gamma = mdp.goal, mdp.dead, mdp.num_actions, cfg.gamma
+    alpha, horizon, budget = cfg.alpha, cfg.horizon, cfg.base_action_budget
+    rows = mdp.num_states + 1
     children = np.random.SeedSequence(cfg.seed).spawn(2)
     rng = np.random.default_rng(children[0])
     eval_rng_seed = children[1]
     v_star, q_star = _ground_truth(mdp, gamma)
     sup = p.support
+    sup_list = sup.tolist()
     psup = p.probs[sup]
     cumsup = np.cumsum(psup)
 
@@ -178,22 +213,54 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
         i = np.searchsorted(cumsup, g.random(), side="right")
         return int(sup[min(int(i), len(sup) - 1)])
 
-    # Q for q-learning, V in column 0 for RL value iteration, theta for
-    # REINFORCE.  No dead step is ever updated, so the dead row stays zero.
-    table = np.zeros((mdp.num_states + 1, m))
-    v = table[:, 0]
+    # Q rows for q-learning, V for RL value iteration, theta for REINFORCE.
+    # No dead step is ever updated, so the dead row stays zero.
+    if algo == Q_LEARNING:
+        q = [[0.0] * m for _ in range(rows)]
+        rowmax = [0.0] * rows
+        greedy_action = [0] * rows  # first argmax of each Q row
+        greedy = greedy_action.__getitem__
 
-    def greedy(s: int) -> int:
-        if algo == Q_LEARNING:
-            return int(np.argmax(table[s]))
-        return int(np.argmax(_successor_values(succ[s], v, goal, dead, gamma)))
+        def learn(s: int, a: int) -> None:
+            t = succ[s][a]
+            row = q[s]
+            target = 1.0 if t == goal else gamma * rowmax[t]
+            row[a] += alpha * (target - row[a])
+            rowmax[s] = best = max(row)
+            greedy_action[s] = row.index(best)
+
+        def value_error() -> float:
+            err = np.abs(np.array([q[s] for s in sup_list]) - q_star[sup])
+            return float(np.dot(psup, err.mean(axis=1)))
+    elif algo == RL_VALUE_ITERATION:
+        v = [0.0] * rows
+
+        def successor_values(s: int) -> list[float]:
+            # `_successor_values` for one state; V(dead) stays 0, so dead
+            # needs no mask
+            return [1.0 if t == goal else gamma * v[t] for t in succ[s]]
+
+        def greedy(s: int) -> int:
+            vals = successor_values(s)
+            return vals.index(max(vals))
+
+        def learn(s: int, a: int) -> None:
+            v[s] += alpha * (max(successor_values(s)) - v[s])
+
+        def value_error() -> float:
+            err = np.abs(np.array([v[s] for s in sup_list]) - v_star[sup])
+            return float(np.dot(psup, err))
+    else:
+        theta = np.zeros((rows, m))
 
     def softmax_policy(g: np.random.Generator):
-        return lambda s: int(g.choice(m, p=_softmax(table[s])))
+        return lambda s: int(g.choice(m, p=_softmax(theta[s])))
+
+    rand, randint = rng.random, rng.integers
 
     def epsilon_greedy(s: int) -> int:
-        if rng.random() < eps:
-            return int(rng.integers(m))
+        if rand() < eps:
+            return int(randint(m))
         return greedy(s)
 
     def episode(s: int, choose):
@@ -201,49 +268,42 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
         reached the goal, and the base actions it used."""
         steps = []
         base_used = 0
-        while len(steps) < cfg.horizon and base_used < cfg.base_action_budget:
+        while len(steps) < horizon and base_used < budget:
             a = choose(s)
             steps.append((s, a))
-            base_used += int(cost[s, a])
-            s = int(succ[s, a])
+            base_used += cost[s][a]
+            s = succ[s][a]
             if s == goal:
                 return steps, True, base_used
         return steps, False, base_used
 
     n_eval = 1 if len(sup) == 1 else cfg.eval_episodes
+    if algo != REINFORCE:
+        # the greedy policy draws nothing, so every evaluation re-seeds ev
+        # to the same start states
+        ev = np.random.default_rng(eval_rng_seed)
+        eval_starts = [start(ev) for _ in range(n_eval)]
 
     def evaluate():
-        ev = np.random.default_rng(eval_rng_seed)
-        choose = softmax_policy(ev) if algo == REINFORCE else greedy
         total = 0.0
-        for _ in range(n_eval):
-            steps, reached, _ = episode(start(ev), choose)
+        if algo == REINFORCE:
+            ev = np.random.default_rng(eval_rng_seed)
+            choose = softmax_policy(ev)
+            for _ in range(n_eval):
+                steps, reached, _ = episode(start(ev), choose)
+                if reached:
+                    total += gamma ** (len(steps) - 1)
+            return total / n_eval, float("nan")
+        for s in eval_starts:
+            steps, reached, _ = episode(s, greedy)
             if reached:
                 total += gamma ** (len(steps) - 1)
-        if algo == Q_LEARNING:
-            err = float(np.dot(psup,
-                               np.abs(table[sup] - q_star[sup]).mean(axis=1)))
-        elif algo == RL_VALUE_ITERATION:
-            err = float(np.dot(psup, np.abs(v[sup] - v_star[sup])))
-        else:
-            err = float("nan")
-        return total / n_eval, err
+        return total / n_eval, value_error()
 
-    replay_s = np.zeros(cfg.replay_size, dtype=np.int64)
-    replay_a = np.zeros(cfg.replay_size, dtype=np.int64)
+    replay_size = cfg.replay_size
+    replay: list = [None] * replay_size  # (state, action) ring buffer
     replay_fill = 0
     replay_ptr = 0
-
-    def update_from_replay():
-        for i in rng.integers(0, replay_fill, size=cfg.batch_size):
-            s, a = int(replay_s[i]), int(replay_a[i])
-            if algo == Q_LEARNING:
-                t = succ[s, a]
-                target = 1.0 if t == goal else gamma * float(table[t].max())
-                table[s, a] += cfg.alpha * (target - table[s, a])
-            else:  # rl_value_iteration: state-value update from all successors
-                target = _successor_values(succ[s], v, goal, dead, gamma).max()
-                table[s, 0] += cfg.alpha * (float(target) - table[s, 0])
 
     mult = m if algo == RL_VALUE_ITERATION else 1
     policy = softmax_policy(rng) if algo == REINFORCE else epsilon_greedy
@@ -263,19 +323,21 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
             if reached:  # dead is absorbing, so no step of the episode is dead
                 g = gamma ** (len(steps) - 1)
                 for s, a in steps:
-                    grad = -_softmax(table[s])
+                    grad = -_softmax(theta[s])
                     grad[a] += 1.0
-                    table[s] += cfg.alpha * g * grad
+                    theta[s] += alpha * g * grad
         else:
-            for s, a in steps:
-                if s != dead:
-                    replay_s[replay_ptr] = s
-                    replay_a[replay_ptr] = a
-                    replay_ptr = (replay_ptr + 1) % cfg.replay_size
-                    replay_fill = min(replay_fill + 1, cfg.replay_size)
+            for step in steps:
+                if step[0] != dead:
+                    replay[replay_ptr] = step
+                    replay_ptr = (replay_ptr + 1) % replay_size
+                    replay_fill = min(replay_fill + 1, replay_size)
             if (episodes % cfg.update_every == 0
                     and replay_fill >= cfg.batch_size):
-                update_from_replay()
+                # the only place the behaviour policy changes
+                for i in rng.integers(0, replay_fill,
+                                      size=cfg.batch_size).tolist():
+                    learn(*replay[i])
 
         if env_steps - last_eval >= cfg.eval_every_env_steps:
             last_eval = env_steps
@@ -373,22 +435,24 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
 
 
 def _greedy_reward(mdp, succ, values, p, gamma, horizon):
+    """Expected reward over p of the policy greedy in values: one argmax
+    over every state's successor values, then a walk along the greedy
+    successors."""
     vpad = np.concatenate([values, [0.0]])
     vpad[mdp.goal] = 1.0
+    greedy = _successor_values(succ, vpad, mdp.goal, mdp.dead,
+                               gamma).argmax(axis=1)
+    nxt = np.take_along_axis(succ, greedy[:, None], axis=1)[:, 0].tolist()
     total = 0.0
-    for s0 in p.support:
-        s = int(s0)
+    for s0 in p.support.tolist():
+        s = s0
         r = 0.0
         for step in range(1, horizon + 1):
-            t = succ[s]
-            a = int(np.argmax(_successor_values(t, vpad, mdp.goal, mdp.dead,
-                                                gamma)))
-            s2 = int(t[a])
-            if s2 == mdp.goal:
+            s = nxt[s]
+            if s == mdp.goal:
                 r = gamma ** (step - 1)
                 break
-            if s2 == mdp.dead:
+            if s == mdp.dead:
                 break
-            s = s2
         total += p.probs[s0] * r
     return total

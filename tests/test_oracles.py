@@ -9,10 +9,13 @@ was before one episode routine served training and evaluation, and
 ``_bfs_random_invertible_mdp`` is ``random_invertible_mdp`` as it was before
 it tested solvability with ``solvable_mask``.  ``_grid_ic_sup`` is
 ``incompress._ic_sup`` as it was before one root solve replaced its grid and
-bounded Brent search over ``_ic_at_logit``.  They stay here as oracles.  The
-graph, the lengths and the RL records must match bit for bit, and so must
-the scramble DP when no move has a group; with groups it sums the contexts
-in another order and is held to 1e-15.  IC(sup) is held to 1e-12 relative.
+bounded Brent search over ``_ic_at_logit``.  ``_per_state_greedy_reward`` is
+the planner's ``_greedy_reward`` as it was before one argmax over all states
+replaced an argmax per visited state.  They stay here as oracles.  The
+graph, the lengths, the RL records and the planner results must match bit
+for bit, and so must the scramble DP when no move has a group; with groups
+it sums the contexts in another order and is held to 1e-15.  IC(sup) is
+held to 1e-12 relative.
 """
 
 import itertools
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from skilldiff import rl
 from skilldiff.envs import ENV_PRESETS, build_env
 from skilldiff.envs.npuzzle import _factorials, perm_rank
 from skilldiff.envs.scramble import (FRONTIER_SHARE, ScrambleMove,
@@ -37,7 +41,8 @@ from skilldiff.mdp import (UNSOLVABLE, ReverseGraph, SolutionLengthTable,
                            build_reverse_graph, shortest_solution_lengths)
 from skilldiff.metrics.incompress import _ic_sup
 from skilldiff.rl import (Q_LEARNING, REINFORCE, RL_VALUE_ITERATION,
-                          RunRecord, _ground_truth, adaptive_epsilon_step,
+                          RunRecord, _ground_truth, _successor_values,
+                          adaptive_epsilon_step, planner_value_iteration,
                           protocol_preset, run)
 from skilldiff.skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS,
                               AugmentedMdp, Skill, augment)
@@ -820,3 +825,80 @@ def test_run_matches_oracle_on_chain(algo):
     _assert_same_run(mdp, p, _cfg(algo, 3))
     _assert_same_run(mdp, p, _cfg(algo, 4, stop_reward=None,
                                   stop_value_error=0.05))
+
+
+def test_run_matches_oracle_over_long_budgets(cliff_bundle):
+    """About 40k env steps under the cliff-rl protocol: hundreds of replay
+    update windows, and epsilon at its floor once the greedy policy
+    reaches the goal."""
+    mdp, p, _ = cliff_bundle
+    variants = variant_grid("cliff", 7)
+    longest = max((v for v in variants if v.name.startswith("gen/")),
+                  key=lambda v: max(map(len, v.macros)))
+    reached = 0
+    for algo in (Q_LEARNING, RL_VALUE_ITERATION):
+        for i, v in enumerate((variants[0], variants[1], longest)):
+            env = mdp if v.is_base else materialize_variant(
+                mdp, v, GOAL_PASS_SUCCESS)
+            cfg = replace(protocol_preset(algo, seed=200 + i,
+                                          max_env_steps=40_000),
+                          eval_every_env_steps=2000, stop_reward=None)
+            rec = _assert_same_run(env, p, cfg)
+            reached += any(s[1] == 1.0 for s in rec.samples)
+    assert reached >= 3
+    cfg = replace(protocol_preset(REINFORCE, seed=210, max_env_steps=40_000),
+                  eval_every_env_steps=2000, stop_reward=None)
+    _assert_same_run(mdp, p, cfg)
+
+
+# -- planner greedy reward ----------------------------------------------------
+
+def _per_state_greedy_reward(mdp, succ, values, p, gamma, horizon):
+    vpad = np.concatenate([values, [0.0]])
+    vpad[mdp.goal] = 1.0
+    total = 0.0
+    for s0 in p.support:
+        s = int(s0)
+        r = 0.0
+        for step in range(1, horizon + 1):
+            t = succ[s]
+            a = int(np.argmax(_successor_values(t, vpad, mdp.goal, mdp.dead,
+                                                gamma)))
+            s2 = int(t[a])
+            if s2 == mdp.goal:
+                r = gamma ** (step - 1)
+                break
+            if s2 == mdp.dead:
+                break
+            s = s2
+        total += p.probs[s0] * r
+    return total
+
+
+@pytest.mark.parametrize("preset,picks", [("cliff", (0, 1, 3, 9, 24, 27)),
+                                          ("pickup", (0, 1, 2))])
+def test_planner_greedy_reward_matches_per_state_oracle(preset, picks,
+                                                        monkeypatch):
+    mdp, p, _ = build_env(ENV_PRESETS[preset])
+    variants = variant_grid(preset, 7)
+    reached = 0
+    for i in picks:
+        env = mdp if variants[i].is_base else materialize_variant(
+            mdp, variants[i], GOAL_PASS_SUCCESS).mdp
+        # alpha = 1 at gamma = 1 ties every successor at 1, so the greedy
+        # walk takes the first action and may never reach the goal
+        for kind, alpha, gamma, stop in (("state", 0.1, 1.0, 0.9),
+                                         ("state", 1.0, 1.0, 0.9),
+                                         ("q", 1.0, 0.95, 0.3)):
+            kw = dict(p=p, stop_reward=stop, stop_value_error=0.01,
+                      gamma=gamma, track_first_exact=True, max_sweeps=30)
+            got = planner_value_iteration(env, kind, alpha, **kw)
+            with monkeypatch.context() as mp:
+                mp.setattr(rl, "_greedy_reward", _per_state_greedy_reward)
+                want = planner_value_iteration(env, kind, alpha, **kw)
+            reached += "reward" in got.sweeps_to
+            assert got.sweeps_to == want.sweeps_to
+            assert got.sweeps_run == want.sweeps_run
+            assert np.array_equal(got.first_value_one, want.first_value_one)
+            assert np.array_equal(got.table, want.table)
+    assert reached >= 2 * len(picks)

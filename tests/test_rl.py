@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,27 @@ def test_skills_consume_base_budget():
     rec = run(aug, p, cfg)
     # with budget 100 every episode uses at most 100 + 60 base actions
     assert rec.terminal_env_steps <= cfg.max_env_steps + 160
+
+
+@pytest.mark.parametrize("algo,field,value", [
+    ("q_learning", "horizon", 0),
+    ("reinforce", "base_action_budget", 0),
+    ("rl_value_iteration", "update_every", 0),
+    ("q_learning", "replay_size", 0),
+    ("q_learning", "eval_episodes", 0),
+    ("rl_value_iteration", "batch_size", 1001),
+])
+def test_run_rejects_configs_it_cannot_run(algo, field, value):
+    # no env step per episode (a run that never ends), no replay slot or
+    # update window, no evaluation episode over two starts, or a batch
+    # larger than the replay buffer (a run that never learns)
+    mdp, _ = build_chain(5)
+    p = StateDistribution(np.array([0.0, 0.0, 0.0, 0.5, 0.5, 0.0]))
+    cfg = replace(RlConfig(algorithm=algo, max_env_steps=1000,
+                           eval_every_env_steps=100),
+                  **{field: value})
+    with pytest.raises(ValueError, match=field):
+        run(mdp, p, cfg)
 
 
 def test_epsilon_schedule_floor():
