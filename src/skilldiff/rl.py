@@ -16,9 +16,7 @@ at which a monitored series crosses its threshold are averaged.
 policy does not change.  Q-learning's table and RL value iteration's V change
 only in a replay update, and epsilon only at an evaluation.  So `run` keeps
 each Q row's max and first argmax in lists and refreshes them only for the
-rows an update touches, and it draws the start states of the greedy
-evaluation once per run: that evaluation draws nothing from its stream,
-which is re-seeded at every evaluation.  Every draw from the training and
+rows an update touches.  Every draw from the training and
 evaluation streams happens in a fixed order, so a run's record depends only
 on (env, p, cfg).
 """
@@ -174,7 +172,7 @@ def _check_config(cfg: RlConfig, p: StateDistribution) -> None:
     fields = ["horizon", "base_action_budget"]
     replay = cfg.algorithm in (Q_LEARNING, RL_VALUE_ITERATION)
     if replay:
-        fields += ["update_every", "replay_size"]
+        fields += ["update_every", "batch_size"]
     if p.support_size > 1:
         fields.append("eval_episodes")
     for name in fields:
@@ -278,27 +276,17 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
         return steps, False, base_used
 
     n_eval = 1 if len(sup) == 1 else cfg.eval_episodes
-    if algo != REINFORCE:
-        # the greedy policy draws nothing, so every evaluation re-seeds ev
-        # to the same start states
-        ev = np.random.default_rng(eval_rng_seed)
-        eval_starts = [start(ev) for _ in range(n_eval)]
 
     def evaluate():
+        ev = np.random.default_rng(eval_rng_seed)
+        choose = softmax_policy(ev) if algo == REINFORCE else greedy
         total = 0.0
-        if algo == REINFORCE:
-            ev = np.random.default_rng(eval_rng_seed)
-            choose = softmax_policy(ev)
-            for _ in range(n_eval):
-                steps, reached, _ = episode(start(ev), choose)
-                if reached:
-                    total += gamma ** (len(steps) - 1)
-            return total / n_eval, float("nan")
-        for s in eval_starts:
-            steps, reached, _ = episode(s, greedy)
+        for _ in range(n_eval):
+            steps, reached, _ = episode(start(ev), choose)
             if reached:
                 total += gamma ** (len(steps) - 1)
-        return total / n_eval, value_error()
+        err = float("nan") if algo == REINFORCE else value_error()
+        return total / n_eval, err
 
     replay_size = cfg.replay_size
     replay: list = [None] * replay_size  # (state, action) ring buffer

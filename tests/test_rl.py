@@ -97,13 +97,14 @@ def test_skills_consume_base_budget():
     ("reinforce", "base_action_budget", 0),
     ("rl_value_iteration", "update_every", 0),
     ("q_learning", "replay_size", 0),
+    ("q_learning", "batch_size", 0),
     ("q_learning", "eval_episodes", 0),
     ("rl_value_iteration", "batch_size", 1001),
 ])
 def test_run_rejects_configs_it_cannot_run(algo, field, value):
-    # no env step per episode (a run that never ends), no replay slot or
-    # update window, no evaluation episode over two starts, or a batch
-    # larger than the replay buffer (a run that never learns)
+    # no env step per episode (a run that never ends), no update window, no
+    # evaluation episode over two starts, or an empty batch or one larger
+    # than the replay buffer (a run that never learns)
     mdp, _ = build_chain(5)
     p = StateDistribution(np.array([0.0, 0.0, 0.0, 0.5, 0.5, 0.0]))
     cfg = replace(RlConfig(algorithm=algo, max_env_steps=1000,
