@@ -391,28 +391,19 @@ def theorem_campaign(seed: int = 0, n_macro_cases: int = 200,
     rng = np.random.default_rng(seed)
     summary = CampaignSummary()
 
-    for i in range(n_macro_cases):
-        n = int(rng.integers(5, max_states + 1))
-        m = int(rng.integers(2, 4))
-        mdp = random_invertible_mdp(rng, n, m)
-        p = random_distribution(rng, mdp)
-        aug = augment(mdp, random_macro_skills(rng, mdp), mode=GOAL_PASS_DEAD)
-        rep = bounds_report(mdp, aug, p, delta, separable=True)
-        summary.absorb(f"macro[{i}]", rep)
-        if progress:
-            progress(i, "macro")
-
-    for i in range(n_skill_cases):
-        n = int(rng.integers(5, max_states + 1))
-        m = int(rng.integers(2, 4))
-        mdp = random_invertible_mdp(rng, n, m)
-        p = random_distribution(rng, mdp)
-        aug = augment(mdp, random_tabular_skills(rng, mdp),
-                      mode=GOAL_PASS_DEAD)
-        rep = bounds_report(mdp, aug, p, delta, separable=True)
-        summary.absorb(f"skill[{i}]", rep)
-        if progress:
-            progress(i, "skill")
+    for kind, cases, make_skills in (
+            ("macro", n_macro_cases, random_macro_skills),
+            ("skill", n_skill_cases, random_tabular_skills)):
+        for i in range(cases):
+            n = int(rng.integers(5, max_states + 1))
+            m = int(rng.integers(2, 4))
+            mdp = random_invertible_mdp(rng, n, m)
+            p = random_distribution(rng, mdp)
+            aug = augment(mdp, make_skills(rng, mdp), mode=GOAL_PASS_DEAD)
+            rep = bounds_report(mdp, aug, p, delta, separable=True)
+            summary.absorb(f"{kind}[{i}]", rep)
+            if progress:
+                progress(i, kind)
 
     seq_mdp, seq_p = build_sequence_consume(2, 3)
     for i in range(n_seqcons_sets):

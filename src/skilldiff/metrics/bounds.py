@@ -3,8 +3,8 @@
 Each claim is evaluated numerically on a concrete (base, augmentation, p)
 triple: preconditions are verified from the MDP itself where possible, the
 two sides of the inequality are computed, and the verdict is recorded with a
-small slack.  Claims whose preconditions cannot be established are reported
-as skipped rather than assumed.
+small slack, SLACK.  Claims whose preconditions cannot be established are
+reported as skipped rather than assumed.
 """
 
 from __future__ import annotations
@@ -26,11 +26,15 @@ from .difficulty import (length_dp, p_exploration_difficulty,
 from .incompress import ic_expressive, ic_merged, ic_unmerged
 from .solver import solve_q
 
-DEFAULT_SLACK = 1e-9
+SLACK = 1e-9
 # Expansion-length horizon of the KL-corrected gap check, and the largest
 # base MDP it runs on.
 LENGTH_DP_L_MAX = 64
 LENGTH_DP_STATE_CAP = 10_000
+# Longest action sequence, and most sequences, the brute-force separability
+# search enumerates.
+SEPARABILITY_MAX_LEN = 8
+SEPARABILITY_BUDGET = 60_000
 
 
 @dataclass
@@ -61,18 +65,17 @@ class BoundsReport:
         return {"claims": [vars(c) for c in self.claims]}
 
 
-def determine_separability(mdp: TabularDsmdp, max_len: int = 8,
-                           budget: int = 60_000):
+def determine_separability(mdp: TabularDsmdp):
     """(verdict, how): True when provable (invertible transitions), False on a
     brute-force counterexample, None when neither within budget."""
     if check_invertible_transitions(mdp):
         return True, "invertible_transitions"
-    depth = max_len
-    while depth > 0 and mdp.num_actions**depth > budget:
+    depth = SEPARABILITY_MAX_LEN
+    while depth > 0 and mdp.num_actions**depth > SEPARABILITY_BUDGET:
         depth -= 1
     if depth >= 1:
-        verdict = check_solution_separable_bruteforce(mdp, depth,
-                                                      budget=budget + 1)
+        verdict = check_solution_separable_bruteforce(
+            mdp, depth, budget=SEPARABILITY_BUDGET + 1)
         if not verdict.separable:
             return False, f"violation_at_len_{verdict.checked_len}"
         return None, f"separable_up_to_{depth}"
@@ -86,10 +89,8 @@ def _penalty(a0: int, aplus: int) -> float:
 def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
                   p: StateDistribution, delta: float, *,
                   separable: bool | None = None,
-                  uniform_length_solutions: bool | None = None,
-                  slack: float = DEFAULT_SLACK,
-                  sol_cap: int = 64,
-                  q_tol: float = 1e-12) -> BoundsReport:
+                  uniform_length_solutions: bool | None = None
+                  ) -> BoundsReport:
     """Evaluate every applicable theorem bound on one augmentation triple.
 
     The augmented MDP should be materialized with the formal
@@ -118,12 +119,11 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
 
     # ---- learning-difficulty ratio vs merged incompressibility
     if a0 > 1:
-        icm = ic_merged(mdp0, augmented, p, mode="sup", sol_cap=sol_cap,
-                        d0=d0, d_aug=dplus)
+        icm = ic_merged(mdp0, augmented, p, mode="sup", d0=d0, d_aug=dplus)
         rhs = _penalty(a0, aplus) * icm.value
         rep.claims.append(BoundClaim(
             "learn_ratio_merged_ic", ratio, rhs,
-            ratio >= rhs - slack, True,
+            ratio >= rhs - SLACK, True,
             notes_common + f"H[P+] method={icm.method}"))
     else:
         rep.claims.append(BoundClaim(
@@ -136,7 +136,7 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
         rhs = _penalty(a0, aplus) * icu.value
         rep.claims.append(BoundClaim(
             "learn_ratio_unmerged_ic", ratio, rhs,
-            ratio >= rhs - slack, True,
+            ratio >= rhs - SLACK, True,
             notes_common + f"separability: {sep_how}"))
         # ---- highly incompressible bases always get worse under macros
         cond_rhs = (1.0 / (a0 + 1)) * (1.0 - 1.0 / math.log(a0))
@@ -161,19 +161,19 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
     # ---- Exploration lower bound via solution density (needs delta > 0)
     q0 = je0 = jep = None
     if delta > 0:
-        q0 = solve_q(mdp0, delta, tol=q_tol)
-        qp = solve_q(augmented.mdp, delta, tol=q_tol)
+        q0 = solve_q(mdp0, delta)
+        qp = solve_q(augmented.mdp, delta)
         je0 = p_exploration_difficulty(mdp0, p, q0)
         jep = p_exploration_difficulty(augmented.mdp, p, qp)
         density = solution_density(augmented.mdp, delta, qp)
         rhs = p.entropy() - math.log((1.0 - delta) / delta * density)
         rep.claims.append(BoundClaim(
             "explore_density_lower_bound", jep, rhs,
-            jep >= rhs - slack, True, notes_common + f"D={density:.6g}"))
+            jep >= rhs - SLACK, True, notes_common + f"D={density:.6g}"))
         if separable and is_macro:
             rep.claims.append(BoundClaim(
                 "density_at_most_one_separable", density, 1.0,
-                density <= 1.0 + slack, True, notes_common))
+                density <= 1.0 + SLACK, True, notes_common))
         else:
             rep.claims.append(BoundClaim(
                 "density_at_most_one_separable", density, None, None, False,
@@ -185,12 +185,12 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
 
     # ---- Macroactions always hurt exploration when p is close to rho
     _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
-                                    separable, is_macro, strict, slack,
+                                    separable, is_macro, strict,
                                     notes_common, q0, je0, jep)
 
     # (q0, q+) at delta = 0 for the two gap checks, solved on first use
-    q_at_zero = functools.cache(lambda: (
-        solve_q(mdp0, 0.0, tol=q_tol), solve_q(augmented.mdp, 0.0, tol=q_tol)))
+    q_at_zero = functools.cache(lambda: (solve_q(mdp0, 0.0),
+                                         solve_q(augmented.mdp, 0.0)))
 
     # one per-length count table for both gap checks, built on first use: the
     # full-coverage check reads lengths up to d_max + 2, the KL check (only up
@@ -203,17 +203,17 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
     # ---- Exploration gap bound in fully-covered uniform-solution MDPs
     _check_full_coverage_gap(rep, mdp0, augmented, p, d0, count_table, l_full,
                              separable, is_macro, strict,
-                             uniform_length_solutions, slack, notes_common,
+                             uniform_length_solutions, notes_common,
                              q_at_zero)
 
     # ---- Expressivity-aware learning bound
     if a0 > 1 and augmented.num_skills >= 1:
         E = max(behavior_variety(z, mdp0) for z in augmented.skills)
         ice = ic_expressive(mdp0, p, float(E), mode="sup",
-                            separable=bool(separable), sol_cap=sol_cap, d=d0)
+                            separable=bool(separable), d=d0)
         rhs = _penalty(a0, aplus) * ice.value
         exact = ice.method in ("separable_exact", "exhaustive_exact")
-        holds = ratio >= rhs - slack
+        holds = ratio >= rhs - SLACK
         if not exact and not holds:
             holds = None  # overestimated minimum entropy: inconclusive
         rep.claims.append(BoundClaim(
@@ -227,10 +227,10 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
     # ---- ratio bound without solution separability (min-entropy numerator)
     if a0 > 1 and is_macro and strict:
         ice1 = ic_expressive(mdp0, p, 1.0, mode="sup",
-                             separable=bool(separable), sol_cap=sol_cap, d=d0)
+                             separable=bool(separable), d=d0)
         rhs = _penalty(a0, aplus) * ice1.value
         exact = ice1.method in ("separable_exact", "exhaustive_exact")
-        holds = ratio >= rhs - slack
+        holds = ratio >= rhs - SLACK
         if not exact and not holds:
             holds = None
         rep.claims.append(BoundClaim(
@@ -243,13 +243,13 @@ def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
 
     # ---- Length-resolved exploration gap with the KL correction
     _check_kl_corrected_gap(rep, mdp0, augmented, p, count_table, separable,
-                            is_macro, strict, slack, notes_common, q_at_zero)
+                            is_macro, strict, notes_common, q_at_zero)
     return rep
 
 
 def _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
-                                    separable, is_macro, strict, slack,
-                                    notes, q0, je0, jep):
+                                    separable, is_macro, strict, notes, q0,
+                                    je0, jep):
     name = "macros_hurt_exploration_near_uniform"
     if not (delta > 0 and separable and is_macro and strict):
         rep.claims.append(BoundClaim(
@@ -288,7 +288,7 @@ def _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
 
 def _check_full_coverage_gap(rep, mdp0, augmented, p, d0, count_table, l_max,
                              separable, is_macro, strict, uniform_lengths,
-                             slack, notes, q_at_zero):
+                             notes, q_at_zero):
     name = "explore_gap_full_coverage"
     pre_fail = None
     if not (separable and is_macro and strict):
@@ -333,7 +333,7 @@ def _check_full_coverage_gap(rep, mdp0, augmented, p, d0, count_table, l_max,
            - p_exploration_difficulty(mdp0, p, q0))
     x = mdp0.num_actions / augmented.mdp.num_actions
     rhs = x * (1.0 - x)
-    rep.claims.append(BoundClaim(name, lhs, rhs, lhs >= rhs - slack, True,
+    rep.claims.append(BoundClaim(name, lhs, rhs, lhs >= rhs - SLACK, True,
                                  notes))
 
 
@@ -349,7 +349,7 @@ def expansion_length_q(augmented: AugmentedMdp, l_max: int) -> np.ndarray:
 
 
 def _check_kl_corrected_gap(rep, mdp0, augmented, p, count_table, separable,
-                            is_macro, strict, slack, notes, q_at_zero):
+                            is_macro, strict, notes, q_at_zero):
     name = "explore_gap_kl_corrected"
     if not (separable and is_macro and strict):
         rep.claims.append(BoundClaim(
@@ -386,5 +386,5 @@ def _check_kl_corrected_gap(rep, mdp0, augmented, p, count_table, separable,
            - p_exploration_difficulty(mdp0, p, q0))
     x = mdp0.num_actions / augmented.mdp.num_actions
     rhs = x * (1.0 - x) - kl
-    rep.claims.append(BoundClaim(name, lhs, rhs, lhs >= rhs - slack, True,
+    rep.claims.append(BoundClaim(name, lhs, rhs, lhs >= rhs - SLACK, True,
                                  notes + f"KL={kl:.3e}"))

@@ -73,6 +73,8 @@ def solution_density(mdp: TabularDsmdp, delta: float, qtable: QTable) -> float:
 
 
 _SATURATION = float(2**53)
+# Largest per-length count table, in bytes, that per_length_counts builds.
+COUNT_TABLE_BUDGET = 2_000_000_000
 
 
 @dataclass
@@ -103,11 +105,10 @@ class PerLengthSolutionCounts:
         return float(self.q_tilde(l).sum())
 
 
-def per_length_counts(mdp: TabularDsmdp, l_max: int,
-                      memory_budget: int = 2_000_000_000
-                      ) -> PerLengthSolutionCounts:
+def per_length_counts(mdp: TabularDsmdp,
+                      l_max: int) -> PerLengthSolutionCounts:
     n, m = mdp.num_states, mdp.num_actions
-    if 8 * n * (l_max + 1) > memory_budget:
+    if 8 * n * (l_max + 1) > COUNT_TABLE_BUDGET:
         raise BudgetExceededError("per-length count table exceeds memory budget")
     counts = length_dp(mdp, np.ones(m, dtype=np.int64), l_max, 1.0)
     saturated = bool(np.any(counts > _SATURATION))

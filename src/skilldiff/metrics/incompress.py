@@ -10,6 +10,14 @@ to the denominator.  Three modes are supported:
                      1/E_p[d], or the single interior stationary point,
                      found by one bracketed root solve;
   * boundary      -- the eps->1 limit alone.
+
+Merged and expressive IC take their entropy from canonical shortest
+solutions: each support state's shortest solutions (at most SOL_CAP, in
+lexicographic order) are enumerated and one is assigned per state to
+maximize (merged) or minimize (expressive) the entropy of the merged mass.
+The exact search over all assignments runs up to EXHAUSTIVE_SUPPORT support
+states and EXHAUSTIVE_BUDGET assignments; beyond that a greedy bound is
+reported, tagged by AssignmentResult.method.
 """
 
 from __future__ import annotations
@@ -26,6 +34,10 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from ..mdp import (MdpError, SolutionLengthTable, StateDistribution,
                    TabularDsmdp, shortest_solution_lengths)
 from ..skills import AugmentedMdp
+
+SOL_CAP = 64
+EXHAUSTIVE_SUPPORT = 12
+EXHAUSTIVE_BUDGET = 200_000
 
 
 class DegenerateDenominatorError(MdpError):
@@ -119,9 +131,10 @@ def ic_unmerged(mdp: TabularDsmdp, p: StateDistribution, mode: str = "sup",
 # -- canonical-solution entropy machinery ---------------------------------
 
 def enumerate_shortest_solutions(mdp: TabularDsmdp, d: SolutionLengthTable,
-                                 states, cap: int = 64):
-    """All shortest solutions per state as action tuples, DFS over
-    d-decreasing edges, truncated at `cap` per state."""
+                                 states, cap: int = SOL_CAP):
+    """All shortest solutions per state as action tuples in lexicographic
+    order, by DFS over d-decreasing edges, truncated at `cap` per state.  The
+    goal's one solution is (); an unsolvable state has none."""
     dpad = d.padded()
     succ = mdp.successor
     out: dict[int, list[tuple[int, ...]]] = {}
@@ -131,17 +144,14 @@ def enumerate_shortest_solutions(mdp: TabularDsmdp, d: SolutionLengthTable,
         stack = [(int(s0), ())]
         while stack and len(sols) < cap:
             s, prefix = stack.pop()
+            if dpad[s] == 0:
+                sols.append(prefix)
+                continue
+            step = dpad[s] - 1
             for a in range(mdp.num_actions - 1, -1, -1):
                 t = succ[s, a]
-                if dpad[t] == d.d[s] - 1:
-                    seq = prefix + (a,)
-                    if d.d[s] == 1:
-                        if len(sols) < cap:
-                            sols.append(seq)
-                        else:
-                            break
-                    else:
-                        stack.append((int(t), seq))
+                if dpad[t] == step:
+                    stack.append((int(t), prefix + (a,)))
         if len(sols) >= cap:
             cap_hit = True
         out[int(s0)] = sols
@@ -156,10 +166,8 @@ class AssignmentResult:
     cap_hit: bool = False
 
 
-def max_entropy_assignment(probs: np.ndarray, candidates: list[list],
-                           exhaustive_support: int = 12,
-                           exhaustive_budget: int = 200_000,
-                           cap_hit: bool = False) -> AssignmentResult:
+def max_entropy_assignment(probs: np.ndarray,
+                           candidates: list[list]) -> AssignmentResult:
     """Max-entropy choice of canonical solutions: one candidate per state,
     states sharing the chosen solution merge their mass."""
     keys = sorted({k for cand in candidates for k in cand})
@@ -173,11 +181,10 @@ def max_entropy_assignment(probs: np.ndarray, candidates: list[list],
     if int((match >= 0).sum()) == n:
         # all states keep distinct solutions: H is exactly H[p]
         h = float(-np.dot(probs, np.log(probs)))
-        return AssignmentResult(h, "matching_exact", cap_hit)
-    best = _exhaustive_entropy(probs, candidates, max, exhaustive_support,
-                               exhaustive_budget)
+        return AssignmentResult(h, "matching_exact")
+    best = _exhaustive_entropy(probs, candidates, max)
     if best is not None:
-        return AssignmentResult(best, "exhaustive_exact", cap_hit)
+        return AssignmentResult(best, "exhaustive_exact")
     # greedy: heaviest states first, prefer the least-loaded solution
     order = np.argsort(-probs, kind="stable")
     mass = dict.fromkeys(keys, 0.0)
@@ -185,18 +192,15 @@ def max_entropy_assignment(probs: np.ndarray, candidates: list[list],
         k = min(candidates[i], key=lambda kk: (mass[kk], kk))
         mass[k] += probs[i]
     h = _entropy_of(list(mass.values()))
-    return AssignmentResult(h, "greedy_lower_bound", cap_hit)
+    return AssignmentResult(h, "greedy_lower_bound")
 
 
-def min_entropy_assignment(probs: np.ndarray, candidates: list[list],
-                           exhaustive_support: int = 12,
-                           exhaustive_budget: int = 200_000,
-                           cap_hit: bool = False) -> AssignmentResult:
+def min_entropy_assignment(probs: np.ndarray,
+                           candidates: list[list]) -> AssignmentResult:
     """Merge-maximizing choice: minimizes the canonical-solution entropy."""
-    best = _exhaustive_entropy(probs, candidates, min, exhaustive_support,
-                               exhaustive_budget)
+    best = _exhaustive_entropy(probs, candidates, min)
     if best is not None:
-        return AssignmentResult(best, "exhaustive_exact", cap_hit)
+        return AssignmentResult(best, "exhaustive_exact")
     # greedy set-cover flavor: repeatedly take the solution shared by the
     # largest unassigned mass
     remaining = set(range(len(candidates)))
@@ -211,15 +215,15 @@ def min_entropy_assignment(probs: np.ndarray, candidates: list[list],
         mass_groups.append(sum(probs[i] for i in grabbed))
         remaining -= set(grabbed)
     h = _entropy_of(mass_groups)
-    return AssignmentResult(h, "greedy_upper_bound", cap_hit)
+    return AssignmentResult(h, "greedy_upper_bound")
 
 
-def _exhaustive_entropy(probs, candidates, pick, exhaustive_support,
-                        exhaustive_budget) -> float | None:
+def _exhaustive_entropy(probs, candidates, pick) -> float | None:
     """pick (max or min) of the merged entropy over every choice of one
-    candidate per state; None when the search exceeds its limits."""
+    candidate per state; None beyond EXHAUSTIVE_SUPPORT states or
+    EXHAUSTIVE_BUDGET choices."""
     sizes = np.prod([len(c) for c in candidates], dtype=np.float64)
-    if len(candidates) > exhaustive_support or sizes > exhaustive_budget:
+    if len(candidates) > EXHAUSTIVE_SUPPORT or sizes > EXHAUSTIVE_BUDGET:
         return None
     keys = sorted({k for cand in candidates for k in cand})
     kidx = {k: i for i, k in enumerate(keys)}
@@ -241,28 +245,31 @@ def _entropy_of(mass) -> float:
     return float(-np.dot(m, np.log(m)))
 
 
+def _canonical_entropy(mdp: TabularDsmdp, d: SolutionLengthTable,
+                       p: StateDistribution, assign) -> AssignmentResult:
+    """`assign` (max or min entropy) over the support's shortest solutions in
+    `mdp`; cap_hit marks a support state with SOL_CAP or more of them."""
+    sup = p.support
+    cands, cap_hit = enumerate_shortest_solutions(mdp, d, sup)
+    asg = assign(p.probs[sup], [cands[int(s)] for s in sup])
+    asg.cap_hit = cap_hit
+    return asg
+
+
 def merged_solution_entropy(augmented: AugmentedMdp, p: StateDistribution,
-                            sol_cap: int = 64, exhaustive_support: int = 12,
-                            exhaustive_budget: int = 200_000,
                             d_aug: SolutionLengthTable | None = None
                             ) -> AssignmentResult:
     """H[P+]: max-entropy canonical shortest solutions in the augmented MDP."""
     if d_aug is None:
         d_aug = shortest_solution_lengths(augmented.mdp)
-    sup = p.support
-    if np.any(~d_aug.solvable[sup]):
+    if np.any(~d_aug.solvable[p.support]):
         raise MdpError("support unsolvable in the augmented MDP")
-    cands, cap_hit = enumerate_shortest_solutions(augmented.mdp, d_aug, sup,
-                                                  cap=sol_cap)
-    return max_entropy_assignment(p.probs[sup], [cands[int(s)] for s in sup],
-                                  exhaustive_support, exhaustive_budget,
-                                  cap_hit)
+    return _canonical_entropy(augmented.mdp, d_aug, p, max_entropy_assignment)
 
 
 def ic_merged(mdp0: TabularDsmdp, augmented: AugmentedMdp,
               p: StateDistribution, mode: str = "sup",
-              epsilon: float | None = None, sol_cap: int = 64,
-              exhaustive_support: int = 12,
+              epsilon: float | None = None,
               d0: SolutionLengthTable | None = None,
               d_aug: SolutionLengthTable | None = None) -> ICValue:
     """Merged p-incompressibility of the base w.r.t. the augmented action set."""
@@ -270,17 +277,14 @@ def ic_merged(mdp0: TabularDsmdp, augmented: AugmentedMdp,
         raise DegenerateDenominatorError("merged IC needs |A0| > 1")
     if d0 is None:
         d0 = shortest_solution_lengths(mdp0)
-    asg = merged_solution_entropy(augmented, p, sol_cap=sol_cap,
-                                  exhaustive_support=exhaustive_support,
-                                  d_aug=d_aug)
+    asg = merged_solution_entropy(augmented, p, d_aug=d_aug)
     return _ic_with_mode(asg.entropy, d0.expected(p), float(mdp0.num_actions),
                          mode, epsilon, asg)
 
 
 def ic_expressive(mdp: TabularDsmdp, p: StateDistribution, expressivity: float,
                   mode: str = "sup", epsilon: float | None = None,
-                  separable: bool | None = None, sol_cap: int = 64,
-                  exhaustive_support: int = 12,
+                  separable: bool | None = None,
                   d: SolutionLengthTable | None = None) -> ICValue:
     """E-expressive p-incompressibility: min-entropy canonical solutions in
     the numerator, |A| * E in the denominator.
@@ -299,11 +303,7 @@ def ic_expressive(mdp: TabularDsmdp, p: StateDistribution, expressivity: float,
     if separable:
         asg = AssignmentResult(p.entropy(), "separable_exact")
     else:
-        sup = p.support
-        cands, cap_hit = enumerate_shortest_solutions(mdp, d, sup, cap=sol_cap)
-        asg = min_entropy_assignment(p.probs[sup],
-                                     [cands[int(s)] for s in sup],
-                                     exhaustive_support, cap_hit=cap_hit)
+        asg = _canonical_entropy(mdp, d, p, min_entropy_assignment)
     return _ic_with_mode(asg.entropy, d.expected(p),
                          float(mdp.num_actions) * float(expressivity),
                          mode, epsilon, asg)

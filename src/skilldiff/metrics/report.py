@@ -61,9 +61,8 @@ def save_report(report: "DifficultyReport", path: str,
 
 def compute_difficulty_report(mdp: TabularDsmdp, p: StateDistribution,
                               delta: float, epsilon: float | None = None,
-                              augmented: AugmentedMdp | None = None,
-                              sol_cap: int = 64,
-                              q_tol: float = 1e-12) -> DifficultyReport:
+                              augmented: AugmentedMdp | None = None
+                              ) -> DifficultyReport:
     """Compute the standard metric battery.
 
     epsilon defaults to delta (the fixed-epsilon incompressibility
@@ -74,7 +73,7 @@ def compute_difficulty_report(mdp: TabularDsmdp, p: StateDistribution,
         epsilon = delta if delta > 0 else 0.02
     d = shortest_solution_lengths(mdp)
     p.validate(mdp, d.d)
-    q = solve_q(mdp, delta, tol=q_tol)
+    q = solve_q(mdp, delta)
     jl = p_learning_difficulty(mdp, p, d)
     je = p_exploration_difficulty(mdp, p, q)
     jam = p_exploration_difficulty_am(mdp, p, q)
@@ -91,8 +90,7 @@ def compute_difficulty_report(mdp: TabularDsmdp, p: StateDistribution,
                "clamped": False, "method": None, "cap_hit": False}
     icm = None
     if augmented is not None and augmented.base.num_actions > 1:
-        icm = _ic_dict(ic_merged(augmented.base, augmented, p, mode="sup",
-                                 sol_cap=sol_cap))
+        icm = _ic_dict(ic_merged(augmented.base, augmented, p, mode="sup"))
     return DifficultyReport(
         j_learn=jl, j_explore=je, j_explore_am=jam, density=dens,
         mean_d=mean_d, entropy_p=p.entropy(), delta=delta, epsilon=epsilon,

@@ -20,6 +20,7 @@ import numpy as np
 from ..mdp import (MdpError, SolutionLengthTable, StateDistribution,
                    TabularDsmdp, shortest_solution_lengths)
 from ..skills import GOAL_PASS_DEAD, AugmentedMdp, Skill, augment
+from .incompress import enumerate_shortest_solutions
 
 
 class DeltaTooSmallError(MdpError):
@@ -35,20 +36,11 @@ class TightnessInfo:
 
 def canonical_shortest_solution(mdp: TabularDsmdp, d: SolutionLengthTable,
                                 s: int) -> tuple[int, ...]:
-    """Lexicographically first shortest solution (greedy d-descent)."""
-    dpad = d.padded()
-    seq = []
-    cur = s
-    while cur != mdp.goal:
-        for a in range(mdp.num_actions):
-            t = mdp.successor[cur, a]
-            if dpad[t] == d.d[cur] - 1:
-                seq.append(a)
-                cur = int(t)
-                break
-        else:
-            raise MdpError(f"state {cur} has no d-decreasing edge")
-    return tuple(seq)
+    """Lexicographically first shortest solution; () for the goal."""
+    sols = enumerate_shortest_solutions(mdp, d, [s], cap=1)[0][int(s)]
+    if not sols:
+        raise MdpError(f"state {s} has no shortest solution")
+    return sols[0]
 
 
 def find_round_trip(mdp: TabularDsmdp, s: int) -> tuple[int, int] | None:
@@ -95,21 +87,10 @@ def tightness_augmentation(mdp0: TabularDsmdp, p: StateDistribution,
 
     skills = []
     for j in range(K):
-        seqs = []
-        self_mask = np.zeros(n, dtype=bool)
-        for s in range(n):
-            if s == mdp0.goal:
-                seqs.append(())
-            elif j < counts[s]:
-                seqs.append(goal_seq[s])
-            elif self_seq[s] is not None:
-                seqs.append(tuple(self_seq[s]))
-            else:
-                seqs.append(())
-                self_mask[s] = True
-        skills.append(Skill.from_sequences(
-            seqs, label=f"tight{j}",
-            self_mask=self_mask if self_mask.any() else None))
+        # the goal and the fallback states get (), a length-0 self-loop
+        seqs = [goal_seq[s] if j < counts[s] else self_seq.get(s) or ()
+                for s in range(n)]
+        skills.append(Skill.from_sequences(seqs, label=f"tight{j}"))
     aug = augment(mdp0, skills, mode=mode)
     return aug, TightnessInfo(goal_skill_counts=counts,
                               fallback_states=fallback, f=f)

@@ -368,6 +368,9 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
     variant="q":     Q(s,a) <- (1-a) Q(s,a) + a (1 if T(s,a)=goal else
                       gamma max_a' Q(T(s,a),a')).
     Returns the sweep counts at which each stopping criterion was first met.
+    At gamma = 1 the reward criterion can stay unmet: once V is exact every
+    solvable successor is worth 1, the greedy argmax takes the first such
+    action, and the greedy walk may loop away from the goal.
     """
     n, m = mdp.num_states, mdp.num_actions
     succ = mdp.successor

@@ -35,7 +35,6 @@ class Skill:
     # tabular storage: shared arena with per-state offsets
     offsets: np.ndarray | None = None  # int64 [num_states + 1]
     arena: np.ndarray | None = None  # int32, concatenated sequences
-    self_mask: np.ndarray | None = None  # states with forced self-transition
 
     @classmethod
     def from_macro(cls, seq, label: str | None = None) -> "Skill":
@@ -45,22 +44,18 @@ class Skill:
         return cls(kind="macro", label=label or "+".join(map(str, seq)), macro=seq)
 
     @classmethod
-    def from_sequences(cls, seqs: list[tuple[int, ...]], label: str,
-                       self_mask: np.ndarray | None = None) -> "Skill":
+    def from_sequences(cls, seqs: list[tuple[int, ...]],
+                       label: str) -> "Skill":
         offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
         offsets[1:] = np.cumsum([len(s) for s in seqs])
         arena = np.fromiter((a for s in seqs for a in s), dtype=np.int32,
                             count=int(offsets[-1]))
-        return cls(kind="tabular", label=label, offsets=offsets, arena=arena,
-                   self_mask=self_mask)
+        return cls(kind="tabular", label=label, offsets=offsets, arena=arena)
 
     def sequence(self, s: int) -> tuple[int, ...]:
         if self.kind == "macro":
             return self.macro
         return tuple(self.arena[self.offsets[s]:self.offsets[s + 1]].tolist())
-
-    def is_forced_self(self, s: int) -> bool:
-        return self.self_mask is not None and bool(self.self_mask[s])
 
 
 def macro_from_labels(word: str, base_labels: list[str]) -> Skill:
@@ -170,9 +165,6 @@ def _unroll_tabular_column(base: TabularDsmdp, z: Skill, mode):
         if s == base.goal:
             col[s] = base.dead
             continue
-        if z.is_forced_self(s):
-            col[s] = s
-            continue
         seq = z.sequence(s)
         if not seq:
             col[s] = s
@@ -201,15 +193,8 @@ def behavior_variety(skill: Skill, mdp: TabularDsmdp) -> int:
     """Number of distinct action sequences the skill produces over non-goal states."""
     if skill.kind == "macro":
         return 1
-    seen = set()
-    for s in range(mdp.num_states):
-        if s == mdp.goal:
-            continue
-        if skill.is_forced_self(s):
-            seen.add(())
-        else:
-            seen.add(skill.sequence(s))
-    return len(seen)
+    return len({skill.sequence(s) for s in range(mdp.num_states)
+                if s != mdp.goal})
 
 
 # -- minimum-length rewriting --------------------------------------------

@@ -45,7 +45,17 @@ def test_small_campaign_has_no_violations():
     s = theorem_campaign(seed=2, n_macro_cases=15, n_skill_cases=10,
                          n_seqcons_sets=5, max_states=20)
     assert s.violations == []
-    assert s.holds > 0
+    assert (s.holds, s.skipped, s.inconclusive) == (150, 145, 0)
+    assert s.held_by_claim == {
+        "density_at_most_one_separable": 15,
+        "explore_density_lower_bound": 25,
+        "explore_gap_full_coverage": 5,
+        "explore_gap_kl_corrected": 5,
+        "learn_ratio_expressivity_bound": 30,
+        "learn_ratio_merged_ic": 30,
+        "learn_ratio_min_entropy_bound": 20,
+        "learn_ratio_unmerged_ic": 20,
+    }
 
 
 def test_density_exploration_bound_on_tabular_skills():

@@ -199,9 +199,9 @@ def test_enumeration_cap_flag():
     rng = np.random.default_rng(16)
     mdp = random_invertible_mdp(rng, 10, 3)
     d = shortest_solution_lengths(mdp)
-    sols, cap_hit = enumerate_shortest_solutions(
-        mdp, d, [s for s in range(10) if s != mdp.goal], cap=1)
+    sols, cap_hit = enumerate_shortest_solutions(mdp, d, range(10), cap=1)
     assert all(len(v) == 1 for v in sols.values())
+    assert sols[mdp.goal] == [()]
 
 
 # -- expressive incompressibility ---------------------------------------------

@@ -11,7 +11,9 @@ it tested solvability with ``solvable_mask``.  ``_grid_ic_sup`` is
 ``incompress._ic_sup`` as it was before one root solve replaced its grid and
 bounded Brent search over ``_ic_at_logit``.  ``_per_state_greedy_reward`` is
 the planner's ``_greedy_reward`` as it was before one argmax over all states
-replaced an argmax per visited state.  They stay here as oracles.  The
+replaced an argmax per visited state.  ``_greedy_canonical_solution`` is
+``canonical_shortest_solution`` as it was before it took the first solution
+of ``enumerate_shortest_solutions``.  They stay here as oracles.  The
 graph, the lengths, the RL records and the planner results must match bit
 for bit, and so must the scramble DP when no move has a group; with groups
 it sums the contexts in another order and is held to 1e-15.  IC(sup) is
@@ -36,10 +38,12 @@ from skilldiff.envs.synthetic import build_chain
 from skilldiff.experiments import (VariantSpec, materialize_variant,
                                    random_invertible_mdp,
                                    random_tabular_skills, variant_grid)
-from skilldiff.mdp import (UNSOLVABLE, ReverseGraph, SolutionLengthTable,
-                           StateDistribution, TabularDsmdp, _gather_ragged,
-                           build_reverse_graph, shortest_solution_lengths)
-from skilldiff.metrics.incompress import _ic_sup
+from skilldiff.mdp import (UNSOLVABLE, MdpError, ReverseGraph,
+                           SolutionLengthTable, StateDistribution,
+                           TabularDsmdp, _gather_ragged, build_reverse_graph,
+                           shortest_solution_lengths)
+from skilldiff.metrics.incompress import _ic_sup, enumerate_shortest_solutions
+from skilldiff.metrics.tightness import canonical_shortest_solution
 from skilldiff.rl import (Q_LEARNING, REINFORCE, RL_VALUE_ITERATION,
                           RunRecord, _ground_truth, _successor_values,
                           adaptive_epsilon_step, planner_value_iteration,
@@ -902,3 +906,47 @@ def test_planner_greedy_reward_matches_per_state_oracle(preset, picks,
             assert np.array_equal(got.first_value_one, want.first_value_one)
             assert np.array_equal(got.table, want.table)
     assert reached >= 2 * len(picks)
+
+
+# -- canonical shortest solution ----------------------------------------------
+
+def _greedy_canonical_solution(mdp, d, s):
+    dpad = d.padded()
+    seq = []
+    cur = s
+    while cur != mdp.goal:
+        for a in range(mdp.num_actions):
+            t = mdp.successor[cur, a]
+            if dpad[t] == d.d[cur] - 1:
+                seq.append(a)
+                cur = int(t)
+                break
+        else:
+            raise MdpError(f"state {cur} has no d-decreasing edge")
+    return tuple(seq)
+
+
+def test_canonical_solution_matches_greedy_descent_oracle():
+    rng = np.random.default_rng(51)
+    tables = [_random_table(rng) for _ in range(150)]
+    for _ in range(50):  # augmented tables: many columns reach the goal
+        mdp = random_invertible_mdp(rng, int(rng.integers(5, 20)), 2)
+        tables.append(augment(mdp, random_tabular_skills(rng, mdp)).mdp)
+    unsolvable = 0
+    for mdp in tables:
+        d = shortest_solution_lengths(mdp)
+        sols, _ = enumerate_shortest_solutions(mdp, d, range(mdp.num_states))
+        for s in range(mdp.num_states):
+            assert sols[s] == sorted(sols[s])
+            if not d.solvable[s]:
+                unsolvable += 1
+                assert sols[s] == []
+                for fn in (canonical_shortest_solution,
+                           _greedy_canonical_solution):
+                    with pytest.raises(MdpError):
+                        fn(mdp, d, s)
+                continue
+            want = _greedy_canonical_solution(mdp, d, s)
+            assert canonical_shortest_solution(mdp, d, s) == want
+            assert sols[s][0] == want
+    assert unsolvable > 0
