@@ -128,14 +128,11 @@ def _load_runs(out_dir: str):
     with open(os.path.join(out_dir, "runs.jsonl")) as f:
         for line in f:
             d = json.loads(line)
-            rec = RunRecord(samples=[tuple(s) for s in d["samples"]],
-                            converged=d["converged"],
-                            terminal_env_steps=d["terminal_env_steps"],
-                            algorithm=d["algorithm"], seed=d["seed"])
             m = manifest[d["run_id"]]
             results.append({"variant": m["variant"],
                             "algorithm": m["algorithm"],
-                            "seed_index": m["seed_index"], "record": rec})
+                            "seed_index": m["seed_index"],
+                            "record": RunRecord.from_json_dict(d)})
     return results
 
 

@@ -14,8 +14,9 @@ from .envs import ENV_PRESETS, build_env
 from .mdp import (StateDistribution, TabularDsmdp, shortest_solution_lengths,
                   solvable_mask)
 from .metrics import (bounds_report, compute_difficulty_report, solve_q,
-                      p_exploration_difficulty, p_learning_difficulty,
-                      tightness_augmentation, ic_unmerged)
+                      incompressibility_threshold, p_exploration_difficulty,
+                      p_learning_difficulty, tightness_augmentation,
+                      ic_unmerged)
 from .rl import protocol_preset, measure_sample_complexity, run
 from .skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS, MACRO_PRESETS,
                      AugmentedMdp, MacroGenSpec, Skill, augment,
@@ -424,8 +425,7 @@ def tradeoff_demonstration(delta: float = 0.2, K: int = 600) -> dict:
     mdp, p = build_star_base(6)
     d = shortest_solution_lengths(mdp)
     ic = ic_unmerged(mdp, p, mode="sup", d=d)
-    a0 = mdp.num_actions
-    cond_rhs = (1.0 / (a0 + 1)) * (1.0 - 1.0 / math.log(a0))
+    cond_rhs = incompressibility_threshold(mdp.num_actions)
     aug, info = tightness_augmentation(mdp, p, delta, K)
     q0 = solve_q(mdp, delta)
     qp = solve_q(aug.mdp, delta)

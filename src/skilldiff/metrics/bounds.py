@@ -5,13 +5,34 @@ triple: preconditions are verified from the MDP itself where possible, the
 two sides of the inequality are computed, and the verdict is recorded with a
 small slack, SLACK.  Claims whose preconditions cannot be established are
 reported as skipped rather than assumed.
+
+A report lists its claims in this order, each checked only under its
+precondition ("separable macro": a separable base and macro skills only;
+"strict": at least one skill):
+
+1. ``learn_ratio_merged_ic``: |A0| > 1.
+2. ``learn_ratio_unmerged_ic``: |A0| > 1, separable macro.
+3. ``macros_hurt_learning_when_incompressible``: as 2, strict, and
+   1 - IC <= ``incompressibility_threshold(|A0|)``.
+4. ``explore_density_lower_bound``: delta > 0.
+5. ``density_at_most_one_separable``: separable macro; absent at delta = 0.
+6. ``macros_hurt_exploration_near_uniform``: delta > 0, strict separable
+   macro, no length-1-solvable state with longer solutions, and
+   KL(p || rho) <= delta^2 / (8 (|A0| + 1)^2).
+7. ``explore_gap_full_coverage``: strict separable macro, one solution length
+   per state, fully covered length classes, p proportional to |Sol| in each.
+8. ``learn_ratio_expressivity_bound``: |A0| > 1, strict.
+9. ``learn_ratio_min_entropy_bound``: |A0| > 1, strict macro.
+10. ``explore_gap_kl_corrected``: strict separable macro, at most
+    LENGTH_DP_STATE_CAP states, expansion lengths up to LENGTH_DP_L_MAX
+    covering q+ on the support.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,10 +72,6 @@ class BoundClaim:
 class BoundsReport:
     claims: list[BoundClaim] = field(default_factory=list)
 
-    @property
-    def violations(self) -> list[BoundClaim]:
-        return [c for c in self.claims if c.holds is False]
-
     def claim(self, name: str) -> BoundClaim:
         for c in self.claims:
             if c.name == name:
@@ -82,259 +99,10 @@ def determine_separability(mdp: TabularDsmdp):
     return None, "unverified"
 
 
-def _penalty(a0: int, aplus: int) -> float:
-    return (aplus * math.log(a0)) / (a0 * math.log(aplus))
-
-
-def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
-                  p: StateDistribution, delta: float, *,
-                  separable: bool | None = None,
-                  uniform_length_solutions: bool | None = None
-                  ) -> BoundsReport:
-    """Evaluate every applicable theorem bound on one augmentation triple.
-
-    The augmented MDP should be materialized with the formal
-    ``undefined_is_dead`` convention; the report notes a mismatch otherwise.
-    """
-    rep = BoundsReport()
-    notes_common = ""
-    if augmented.goal_pass_mode != GOAL_PASS_DEAD:
-        notes_common = "warning: augmentation not in undefined_is_dead mode; "
-
-    d0 = shortest_solution_lengths(mdp0)
-    dplus = shortest_solution_lengths(augmented.mdp)
-    p.validate(mdp0, d0.d)
-    a0, aplus = mdp0.num_actions, augmented.mdp.num_actions
-    is_macro = all(z.kind == "macro" for z in augmented.skills)
-    strict = augmented.num_skills >= 1
-
-    if separable is None:
-        separable, sep_how = determine_separability(mdp0)
-    else:
-        sep_how = "caller"
-
-    jl0 = p_learning_difficulty(mdp0, p, d0)
-    jlp = p_learning_difficulty(augmented.mdp, p, dplus)
-    ratio = jlp / jl0
-
-    # ---- learning-difficulty ratio vs merged incompressibility
-    if a0 > 1:
-        icm = ic_merged(mdp0, augmented, p, mode="sup", d0=d0, d_aug=dplus)
-        rhs = _penalty(a0, aplus) * icm.value
-        rep.claims.append(BoundClaim(
-            "learn_ratio_merged_ic", ratio, rhs,
-            ratio >= rhs - SLACK, True,
-            notes_common + f"H[P+] method={icm.method}"))
-    else:
-        rep.claims.append(BoundClaim(
-            "learn_ratio_merged_ic", None, None, None, False,
-            notes_common + "needs |A0| > 1"))
-
-    # ---- same ratio vs unmerged incompressibility (separable base, macros)
-    if a0 > 1 and is_macro and separable:
-        icu = ic_unmerged(mdp0, p, mode="sup", d=d0)
-        rhs = _penalty(a0, aplus) * icu.value
-        rep.claims.append(BoundClaim(
-            "learn_ratio_unmerged_ic", ratio, rhs,
-            ratio >= rhs - SLACK, True,
-            notes_common + f"separability: {sep_how}"))
-        # ---- highly incompressible bases always get worse under macros
-        cond_rhs = (1.0 / (a0 + 1)) * (1.0 - 1.0 / math.log(a0))
-        if strict and 1.0 - icu.value <= cond_rhs:
-            rep.claims.append(BoundClaim(
-                "macros_hurt_learning_when_incompressible", ratio, 1.0,
-                ratio > 1.0, True,
-                notes_common + f"1-IC={1.0 - icu.value:.3e} <= {cond_rhs:.3e}"))
-        else:
-            rep.claims.append(BoundClaim(
-                "macros_hurt_learning_when_incompressible", None, None, None, False,
-                notes_common + "incompressibility condition not met"))
-    else:
-        why = "needs separable base + macro augmentation + |A0|>1"
-        rep.claims.append(BoundClaim("learn_ratio_unmerged_ic",
-                                     None, None, None, False,
-                                     notes_common + why))
-        rep.claims.append(BoundClaim("macros_hurt_learning_when_incompressible",
-                                     None, None, None, False,
-                                     notes_common + why))
-
-    # ---- Exploration lower bound via solution density (needs delta > 0)
-    q0 = je0 = jep = None
-    if delta > 0:
-        q0 = solve_q(mdp0, delta)
-        qp = solve_q(augmented.mdp, delta)
-        je0 = p_exploration_difficulty(mdp0, p, q0)
-        jep = p_exploration_difficulty(augmented.mdp, p, qp)
-        density = solution_density(augmented.mdp, delta, qp)
-        rhs = p.entropy() - math.log((1.0 - delta) / delta * density)
-        rep.claims.append(BoundClaim(
-            "explore_density_lower_bound", jep, rhs,
-            jep >= rhs - SLACK, True, notes_common + f"D={density:.6g}"))
-        if separable and is_macro:
-            rep.claims.append(BoundClaim(
-                "density_at_most_one_separable", density, 1.0,
-                density <= 1.0 + SLACK, True, notes_common))
-        else:
-            rep.claims.append(BoundClaim(
-                "density_at_most_one_separable", density, None, None, False,
-                notes_common + "not a separable macro augmentation"))
-    else:
-        rep.claims.append(BoundClaim("explore_density_lower_bound",
-                                     None, None, None, False,
-                                     notes_common + "needs delta > 0"))
-
-    # ---- Macroactions always hurt exploration when p is close to rho
-    _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
-                                    separable, is_macro, strict,
-                                    notes_common, q0, je0, jep)
-
-    # (q0, q+) at delta = 0 for the two gap checks, solved on first use
-    q_at_zero = functools.cache(lambda: (solve_q(mdp0, 0.0),
-                                         solve_q(augmented.mdp, 0.0)))
-
-    # one per-length count table for both gap checks, built on first use: the
-    # full-coverage check reads lengths up to d_max + 2, the KL check (only up
-    # to LENGTH_DP_STATE_CAP states) up to LENGTH_DP_L_MAX
-    l_full = int(d0.d.max()) + 2
-    l_kl = LENGTH_DP_L_MAX if mdp0.num_states <= LENGTH_DP_STATE_CAP else 0
-    count_table = functools.cache(
-        lambda: per_length_counts(mdp0, max(l_full, l_kl)))
-
-    # ---- Exploration gap bound in fully-covered uniform-solution MDPs
-    _check_full_coverage_gap(rep, mdp0, augmented, p, d0, count_table, l_full,
-                             separable, is_macro, strict,
-                             uniform_length_solutions, notes_common,
-                             q_at_zero)
-
-    # ---- Expressivity-aware learning bound
-    if a0 > 1 and augmented.num_skills >= 1:
-        E = max(behavior_variety(z, mdp0) for z in augmented.skills)
-        ice = ic_expressive(mdp0, p, float(E), mode="sup",
-                            separable=bool(separable), d=d0)
-        rhs = _penalty(a0, aplus) * ice.value
-        exact = ice.method in ("separable_exact", "exhaustive_exact")
-        holds = ratio >= rhs - SLACK
-        if not exact and not holds:
-            holds = None  # overestimated minimum entropy: inconclusive
-        rep.claims.append(BoundClaim(
-            "learn_ratio_expressivity_bound", ratio, rhs, holds, True,
-            notes_common + f"E={E} method={ice.method}"))
-    else:
-        rep.claims.append(BoundClaim("learn_ratio_expressivity_bound",
-                                     None, None, None, False,
-                                     notes_common + "needs skills and |A0|>1"))
-
-    # ---- ratio bound without solution separability (min-entropy numerator)
-    if a0 > 1 and is_macro and strict:
-        ice1 = ic_expressive(mdp0, p, 1.0, mode="sup",
-                             separable=bool(separable), d=d0)
-        rhs = _penalty(a0, aplus) * ice1.value
-        exact = ice1.method in ("separable_exact", "exhaustive_exact")
-        holds = ratio >= rhs - SLACK
-        if not exact and not holds:
-            holds = None
-        rep.claims.append(BoundClaim(
-            "learn_ratio_min_entropy_bound", ratio, rhs, holds, True,
-            notes_common + f"method={ice1.method}"))
-    else:
-        rep.claims.append(BoundClaim("learn_ratio_min_entropy_bound",
-                                     None, None, None, False,
-                                     notes_common + "needs strict macro aug"))
-
-    # ---- Length-resolved exploration gap with the KL correction
-    _check_kl_corrected_gap(rep, mdp0, augmented, p, count_table, separable,
-                            is_macro, strict, notes_common, q_at_zero)
-    return rep
-
-
-def _check_near_uniform_exploration(rep, mdp0, augmented, p, delta, d0,
-                                    separable, is_macro, strict, notes, q0,
-                                    je0, jep):
-    name = "macros_hurt_exploration_near_uniform"
-    if not (delta > 0 and separable and is_macro and strict):
-        rep.claims.append(BoundClaim(
-            name, None, None, None, False,
-            notes + "needs delta>0, separable base, strict macro aug"))
-        return
-    # states with a length-1 solution may have no other solutions
-    solvable_pad = np.concatenate([d0.solvable, [False]])
-    has_len1 = (mdp0.successor == mdp0.goal).any(axis=1)
-    has_len1[mdp0.goal] = False
-    longer = (solvable_pad[mdp0.successor]
-              & (mdp0.successor != mdp0.goal)).any(axis=1)
-    if np.any(has_len1 & longer):
-        rep.claims.append(BoundClaim(
-            name, None, None, None, False,
-            notes + "a length-1-solvable state has longer solutions"))
-        return
-    rho = delta / (1.0 - delta) * q0.q
-    rho[mdp0.goal] = 0.0
-    sup = p.support
-    if np.any(rho[sup] <= 0.0):
-        kl = math.inf
-    else:
-        kl = float(np.dot(p.probs[sup],
-                          np.log(p.probs[sup] / rho[sup])))
-    threshold = delta**2 / (8.0 * (mdp0.num_actions + 1) ** 2)
-    if kl > threshold:
-        rep.claims.append(BoundClaim(
-            name, None, None, None, False,
-            notes + f"KL(p||rho)={kl:.3e} > {threshold:.3e}"))
-        return
-    rep.claims.append(BoundClaim(
-        name, jep, je0, jep > je0, True,
-        notes + f"KL(p||rho)={kl:.3e} <= {threshold:.3e}"))
-
-
-def _check_full_coverage_gap(rep, mdp0, augmented, p, d0, count_table, l_max,
-                             separable, is_macro, strict, uniform_lengths,
-                             notes, q_at_zero):
-    name = "explore_gap_full_coverage"
-    pre_fail = None
-    if not (separable and is_macro and strict):
-        pre_fail = "needs separable base and a strict macro augmentation"
-    else:
-        try:
-            counts = count_table()
-        except BudgetExceededError:
-            pre_fail = "per-length counts unavailable within budget"
-    if pre_fail is None:
-        solvable = d0.solvable.copy()
-        solvable[mdp0.goal] = False
-        cmat = counts.counts[:, 1:l_max + 1]
-        if uniform_lengths is None:
-            nz = (cmat > 0).sum(axis=1)
-            uniform_lengths = bool(np.all(nz[solvable] == 1))
-        if not uniform_lengths:
-            pre_fail = "states with solutions of several lengths (up to L)"
-    if pre_fail is None:
-        # every action sequence solves some state (checked per length up to
-        # the shortest length not fully covered)
-        lengths_present = sorted({int(d0.d[s]) for s in np.flatnonzero(solvable)})
-        covered = all(
-            abs(counts.coverage(l) - 1.0) <= 1e-9 for l in lengths_present)
-        if not covered:
-            pre_fail = "length classes are not fully covered by solutions"
-    if pre_fail is None:
-        # p proportional to solution counts within a length class
-        for l in lengths_present:
-            cls = np.flatnonzero(solvable & (d0.d == l))
-            ratios = p.probs[cls] / counts.counts[cls, l]
-            if ratios.size and (ratios.max() - ratios.min()) > 1e-9 * max(
-                    ratios.max(), 1e-300):
-                pre_fail = f"p not proportional to |Sol| in length class {l}"
-                break
-    if pre_fail is not None:
-        rep.claims.append(BoundClaim(name, None, None, None, False,
-                                     notes + pre_fail))
-        return
-    q0, qp = q_at_zero()
-    lhs = (p_exploration_difficulty(augmented.mdp, p, qp)
-           - p_exploration_difficulty(mdp0, p, q0))
-    x = mdp0.num_actions / augmented.mdp.num_actions
-    rhs = x * (1.0 - x)
-    rep.claims.append(BoundClaim(name, lhs, rhs, lhs >= rhs - SLACK, True,
-                                 notes))
+def incompressibility_threshold(num_actions: int) -> float:
+    """(1 / (|A0| + 1)) (1 - 1 / log |A0|): macroactions provably raise the
+    learning difficulty of a base whose 1 - IC is at most this."""
+    return (1.0 / (num_actions + 1)) * (1.0 - 1.0 / math.log(num_actions))
 
 
 def expansion_length_q(augmented: AugmentedMdp, l_max: int) -> np.ndarray:
@@ -348,43 +116,269 @@ def expansion_length_q(augmented: AugmentedMdp, l_max: int) -> np.ndarray:
     return length_dp(augmented.mdp, w, l_max, 1.0 / augmented.mdp.num_actions)
 
 
-def _check_kl_corrected_gap(rep, mdp0, augmented, p, count_table, separable,
-                            is_macro, strict, notes, q_at_zero):
+class _Case:
+    """What the claims on one triple share: eager attributes, and cached
+    properties for the solves only some claims need."""
+
+    def __init__(self, mdp0, augmented, p, delta, separable, uniform_lengths):
+        self.mdp0, self.aug, self.p, self.delta = mdp0, augmented, p, delta
+        self.uniform_lengths, self.notes = uniform_lengths, ""
+        if augmented.goal_pass_mode != GOAL_PASS_DEAD:
+            self.notes = "warning: augmentation not in undefined_is_dead mode; "
+        self.d0 = shortest_solution_lengths(mdp0)
+        self.dplus = shortest_solution_lengths(augmented.mdp)
+        p.validate(mdp0, self.d0.d)
+        self.a0, self.aplus = mdp0.num_actions, augmented.mdp.num_actions
+        self.is_macro = all(z.kind == "macro" for z in augmented.skills)
+        self.strict = augmented.num_skills >= 1
+        self.sep_how = "caller"
+        if separable is None:
+            separable, self.sep_how = determine_separability(mdp0)
+        self.separable = separable
+        self.sep_macro = bool(separable) and self.is_macro
+        jl0 = p_learning_difficulty(mdp0, p, self.d0)
+        self.ratio = p_learning_difficulty(augmented.mdp, p, self.dplus) / jl0
+        # the full-coverage gap check reads solution counts up to this length
+        self.l_full = int(self.d0.d.max()) + 2
+
+    def skip(self, name: str, why: str) -> BoundClaim:
+        return BoundClaim(name, None, None, None, False, self.notes + why)
+
+    def check(self, name, lhs, rhs, holds, notes="") -> BoundClaim:
+        return BoundClaim(name, lhs, rhs, holds, True, self.notes + notes)
+
+    def ratio_check(self, name, ic, notes) -> BoundClaim:
+        """ratio >= penalty * IC; a failure against a greedy upper bound on
+        the minimum entropy is inconclusive, not a violation."""
+        rhs = ((self.aplus * math.log(self.a0))
+               / (self.a0 * math.log(self.aplus))) * ic.value
+        holds = self.ratio >= rhs - SLACK
+        if not holds and ic.method == "greedy_upper_bound":
+            holds = None
+        return self.check(name, self.ratio, rhs, holds, notes)
+
+    @cached_property
+    def icu(self):
+        return ic_unmerged(self.mdp0, self.p, mode="sup", d=self.d0)
+
+    @cached_property
+    def q_delta(self):
+        return solve_q(self.mdp0, self.delta), solve_q(self.aug.mdp, self.delta)
+
+    @cached_property
+    def q_zero(self):
+        return solve_q(self.mdp0, 0.0), solve_q(self.aug.mdp, 0.0)
+
+    @cached_property
+    def density(self) -> float:
+        return solution_density(self.aug.mdp, self.delta, self.q_delta[1])
+
+    @cached_property
+    def j_explore(self):
+        """(J0, J+) at delta."""
+        q0, qp = self.q_delta
+        return (p_exploration_difficulty(self.mdp0, self.p, q0),
+                p_exploration_difficulty(self.aug.mdp, self.p, qp))
+
+    @cached_property
+    def gap_zero(self) -> float:
+        """J+ - J0 at delta = 0."""
+        q0, qp = self.q_zero
+        return (p_exploration_difficulty(self.aug.mdp, self.p, qp)
+                - p_exploration_difficulty(self.mdp0, self.p, q0))
+
+    @cached_property
+    def counts(self):
+        """The one per-length count table of both gap checks."""
+        l_kl = (LENGTH_DP_L_MAX
+                if self.mdp0.num_states <= LENGTH_DP_STATE_CAP else 0)
+        return per_length_counts(self.mdp0, max(self.l_full, l_kl))
+
+
+def _kl(w: np.ndarray, ref: np.ndarray) -> float:
+    """sum w log(w / ref), infinite where ref vanishes."""
+    if np.any(ref <= 0.0):
+        return math.inf
+    return float(np.dot(w, np.log(w / ref)))
+
+
+def _learn_ratio_merged_ic(case):
+    name = "learn_ratio_merged_ic"
+    if case.a0 <= 1:
+        return case.skip(name, "needs |A0| > 1")
+    icm = ic_merged(case.mdp0, case.aug, case.p, mode="sup", d0=case.d0,
+                    d_aug=case.dplus)
+    return case.ratio_check(name, icm, f"H[P+] method={icm.method}")
+
+
+def _learn_ratio_unmerged_ic(case):
+    name = "learn_ratio_unmerged_ic"
+    if not (case.a0 > 1 and case.sep_macro):
+        return case.skip(
+            name, "needs separable base + macro augmentation + |A0|>1")
+    return case.ratio_check(name, case.icu, f"separability: {case.sep_how}")
+
+
+def _macros_hurt_learning(case):
+    name = "macros_hurt_learning_when_incompressible"
+    if not (case.a0 > 1 and case.sep_macro):
+        return case.skip(
+            name, "needs separable base + macro augmentation + |A0|>1")
+    slack_ic = 1.0 - case.icu.value
+    threshold = incompressibility_threshold(case.a0)
+    if not (case.strict and slack_ic <= threshold):
+        return case.skip(name, "incompressibility condition not met")
+    return case.check(name, case.ratio, 1.0, case.ratio > 1.0,
+                      f"1-IC={slack_ic:.3e} <= {threshold:.3e}")
+
+
+def _explore_density_lower_bound(case):
+    name = "explore_density_lower_bound"
+    if case.delta <= 0:
+        return case.skip(name, "needs delta > 0")
+    jep = case.j_explore[1]
+    rhs = case.p.entropy() - math.log(
+        (1.0 - case.delta) / case.delta * case.density)
+    return case.check(name, jep, rhs, jep >= rhs - SLACK,
+                      f"D={case.density:.6g}")
+
+
+def _density_at_most_one(case):
+    name = "density_at_most_one_separable"
+    if case.delta <= 0:
+        return None
+    if not case.sep_macro:
+        return replace(case.skip(name, "not a separable macro augmentation"),
+                       lhs=case.density)
+    return case.check(name, case.density, 1.0, case.density <= 1.0 + SLACK)
+
+
+def _macros_hurt_exploration(case):
+    name = "macros_hurt_exploration_near_uniform"
+    if not (case.delta > 0 and case.sep_macro and case.strict):
+        return case.skip(name, "needs delta>0, separable base, strict macro aug")
+    mdp0, p, delta = case.mdp0, case.p, case.delta
+    # states with a length-1 solution may have no other solutions
+    solvable_pad = np.concatenate([case.d0.solvable, [False]])
+    has_len1 = (mdp0.successor == mdp0.goal).any(axis=1)
+    has_len1[mdp0.goal] = False
+    longer = (solvable_pad[mdp0.successor]
+              & (mdp0.successor != mdp0.goal)).any(axis=1)
+    if np.any(has_len1 & longer):
+        return case.skip(name, "a length-1-solvable state has longer solutions")
+    rho = delta / (1.0 - delta) * case.q_delta[0].q
+    rho[mdp0.goal] = 0.0
+    kl = _kl(p.probs[p.support], rho[p.support])
+    threshold = delta**2 / (8.0 * (mdp0.num_actions + 1) ** 2)
+    if kl > threshold:
+        return case.skip(name, f"KL(p||rho)={kl:.3e} > {threshold:.3e}")
+    je0, jep = case.j_explore
+    return case.check(name, jep, je0, jep > je0,
+                      f"KL(p||rho)={kl:.3e} <= {threshold:.3e}")
+
+
+def _explore_gap_full_coverage(case):
+    name = "explore_gap_full_coverage"
+    if not (case.sep_macro and case.strict):
+        return case.skip(
+            name, "needs separable base and a strict macro augmentation")
+    try:
+        counts = case.counts
+    except BudgetExceededError:
+        return case.skip(name, "per-length counts unavailable within budget")
+    d = case.d0.d
+    solvable = case.d0.solvable.copy()
+    solvable[case.mdp0.goal] = False
+    uniform_lengths = case.uniform_lengths
+    if uniform_lengths is None:
+        nz = (counts.counts[:, 1:case.l_full + 1] > 0).sum(axis=1)
+        uniform_lengths = bool(np.all(nz[solvable] == 1))
+    if not uniform_lengths:
+        return case.skip(name,
+                         "states with solutions of several lengths (up to L)")
+    # every action sequence solves some state (checked per length up to the
+    # shortest length not fully covered)
+    lengths_present = sorted({int(d[s]) for s in np.flatnonzero(solvable)})
+    if not all(abs(counts.coverage(l) - 1.0) <= 1e-9 for l in lengths_present):
+        return case.skip(name,
+                         "length classes are not fully covered by solutions")
+    # p proportional to solution counts within a length class
+    for l in lengths_present:
+        cls = np.flatnonzero(solvable & (d == l))
+        ratios = case.p.probs[cls] / counts.counts[cls, l]
+        if ratios.size and (ratios.max() - ratios.min()) > 1e-9 * max(
+                ratios.max(), 1e-300):
+            return case.skip(
+                name, f"p not proportional to |Sol| in length class {l}")
+    x = case.a0 / case.aplus
+    rhs = x * (1.0 - x)
+    return case.check(name, case.gap_zero, rhs, case.gap_zero >= rhs - SLACK)
+
+
+def _learn_ratio_expressivity_bound(case):
+    name = "learn_ratio_expressivity_bound"
+    if not (case.a0 > 1 and case.strict):
+        return case.skip(name, "needs skills and |A0|>1")
+    E = max(behavior_variety(z, case.mdp0) for z in case.aug.skills)
+    ice = ic_expressive(case.mdp0, case.p, float(E), mode="sup",
+                        separable=bool(case.separable), d=case.d0)
+    return case.ratio_check(name, ice, f"E={E} method={ice.method}")
+
+
+def _learn_ratio_min_entropy_bound(case):
+    name = "learn_ratio_min_entropy_bound"
+    if not (case.a0 > 1 and case.is_macro and case.strict):
+        return case.skip(name, "needs strict macro aug")
+    ice1 = ic_expressive(case.mdp0, case.p, 1.0, mode="sup",
+                         separable=bool(case.separable), d=case.d0)
+    return case.ratio_check(name, ice1, f"method={ice1.method}")
+
+
+def _explore_gap_kl_corrected(case):
     name = "explore_gap_kl_corrected"
-    if not (separable and is_macro and strict):
-        rep.claims.append(BoundClaim(
-            name, None, None, None, False,
-            notes + "needs separable base and a strict macro augmentation"))
-        return
-    if mdp0.num_states > LENGTH_DP_STATE_CAP:
-        rep.claims.append(BoundClaim(
-            name, None, None, None, False,
-            notes + f"gated to at most {LENGTH_DP_STATE_CAP} states"))
-        return
+    if not (case.sep_macro and case.strict):
+        return case.skip(
+            name, "needs separable base and a strict macro augmentation")
+    if case.mdp0.num_states > LENGTH_DP_STATE_CAP:
+        return case.skip(name, f"gated to at most {LENGTH_DP_STATE_CAP} states")
     l_max = LENGTH_DP_L_MAX
-    G = expansion_length_q(augmented, l_max)
-    q0, qp = q_at_zero()
-    sup = p.support
+    G = expansion_length_q(case.aug, l_max)
+    qp = case.q_zero[1]
+    sup = case.p.support
     coverage = G[sup].sum(axis=1) / qp.q[sup]
     if np.any(np.abs(coverage - 1.0) > 1e-9):
-        rep.claims.append(BoundClaim(
-            name, None, None, None, False,
-            notes + f"expansion tail not covered by l_max={l_max}"))
-        return
+        return case.skip(name, f"expansion tail not covered by l_max={l_max}")
     # p-tilde(s, l) = p(s) G(s, l) / q+(s); lambda(l) its length marginal
-    pt = p.probs[sup, None] * G[sup] / qp.q[sup, None]
+    pt = case.p.probs[sup, None] * G[sup] / qp.q[sup, None]
     lam = pt.sum(axis=0)
-    q0t = count_table().counts[sup, :l_max + 1] * (
-        float(mdp0.num_actions) ** -np.arange(l_max + 1))
+    q0t = case.counts.counts[sup, :l_max + 1] * (
+        float(case.a0) ** -np.arange(l_max + 1))
     mask = pt > 0.0
-    if np.any(q0t[mask] <= 0.0):
-        kl = math.inf
-    else:
-        ratio = pt[mask] / (np.broadcast_to(lam, pt.shape)[mask] * q0t[mask])
-        kl = float(np.dot(pt[mask], np.log(ratio)))
-    lhs = (p_exploration_difficulty(augmented.mdp, p, qp)
-           - p_exploration_difficulty(mdp0, p, q0))
-    x = mdp0.num_actions / augmented.mdp.num_actions
+    kl = _kl(pt[mask], np.broadcast_to(lam, pt.shape)[mask] * q0t[mask])
+    x = case.a0 / case.aplus
     rhs = x * (1.0 - x) - kl
-    rep.claims.append(BoundClaim(name, lhs, rhs, lhs >= rhs - SLACK, True,
-                                 notes + f"KL={kl:.3e}"))
+    return case.check(name, case.gap_zero, rhs, case.gap_zero >= rhs - SLACK,
+                      f"KL={kl:.3e}")
+
+
+_CLAIMS = (_learn_ratio_merged_ic, _learn_ratio_unmerged_ic,
+           _macros_hurt_learning, _explore_density_lower_bound,
+           _density_at_most_one, _macros_hurt_exploration,
+           _explore_gap_full_coverage, _learn_ratio_expressivity_bound,
+           _learn_ratio_min_entropy_bound, _explore_gap_kl_corrected)
+
+
+def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
+                  p: StateDistribution, delta: float, *,
+                  separable: bool | None = None,
+                  uniform_length_solutions: bool | None = None
+                  ) -> BoundsReport:
+    """Evaluate every applicable theorem bound on one augmentation triple.
+
+    The augmented MDP should be materialized with the formal
+    ``undefined_is_dead`` convention; the report notes a mismatch otherwise.
+    """
+    case = _Case(mdp0, augmented, p, delta, separable,
+                 uniform_length_solutions)
+    return BoundsReport([c for claim in _CLAIMS
+                         if (c := claim(case)) is not None])

@@ -40,25 +40,27 @@ def p_learning_difficulty(mdp: TabularDsmdp, p: StateDistribution,
     return mdp.num_actions * float(np.dot(p.probs[sup], d.d[sup]))
 
 
+def _support_q(p: StateDistribution, qtable: QTable):
+    """p's support and q on it; QUnderflowError where q underflows."""
+    sup = p.support
+    qs = qtable.q[sup]
+    if np.any(qs < 1e-300):
+        i = int(np.argmin(qs))
+        raise QUnderflowError(int(sup[i]), float(qs[i]))
+    return sup, qs
+
+
 def p_exploration_difficulty(mdp: TabularDsmdp, p: StateDistribution,
                              qtable: QTable) -> float:
     """p-weighted mean of -log q, in nats."""
-    sup = p.support
-    qs = qtable.q[sup]
-    if np.any(qs <= 0.0) or np.any(qs < 1e-300):
-        i = int(np.argmin(qs))
-        raise QUnderflowError(int(sup[i]), float(qs[i]))
+    sup, qs = _support_q(p, qtable)
     return float(-np.dot(p.probs[sup], np.log(qs)))
 
 
 def p_exploration_difficulty_am(mdp: TabularDsmdp, p: StateDistribution,
                                 qtable: QTable) -> float:
     """Arithmetic-mean variant: log E_p[1/q], computed in the log domain."""
-    sup = p.support
-    qs = qtable.q[sup]
-    if np.any(qs <= 0.0) or np.any(qs < 1e-300):
-        i = int(np.argmin(qs))
-        raise QUnderflowError(int(sup[i]), float(qs[i]))
+    sup, qs = _support_q(p, qtable)
     return float(logsumexp(np.log(p.probs[sup]) - np.log(qs)))
 
 

@@ -152,7 +152,8 @@ def enumerate_shortest_solutions(mdp: TabularDsmdp, d: SolutionLengthTable,
                 t = succ[s, a]
                 if dpad[t] == step:
                     stack.append((int(t), prefix + (a,)))
-        if len(sols) >= cap:
+        # each entry still stacked leads to at least one dropped solution
+        if stack:
             cap_hit = True
         out[int(s0)] = sols
     return out, cap_hit
@@ -248,7 +249,7 @@ def _entropy_of(mass) -> float:
 def _canonical_entropy(mdp: TabularDsmdp, d: SolutionLengthTable,
                        p: StateDistribution, assign) -> AssignmentResult:
     """`assign` (max or min entropy) over the support's shortest solutions in
-    `mdp`; cap_hit marks a support state with SOL_CAP or more of them."""
+    `mdp`; cap_hit marks a support state with more than SOL_CAP of them."""
     sup = p.support
     cands, cap_hit = enumerate_shortest_solutions(mdp, d, sup)
     asg = assign(p.probs[sup], [cands[int(s)] for s in sup])

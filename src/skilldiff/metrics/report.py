@@ -84,10 +84,8 @@ def compute_difficulty_report(mdp: TabularDsmdp, p: StateDistribution,
                                    epsilon=epsilon, d=d))
         ics = _ic_dict(ic_unmerged(mdp, p, mode="sup", d=d))
     else:  # incompressibility is undefined for single-action spaces
-        icf = {"value": None, "mode": "fixed_epsilon", "epsilon": epsilon,
-               "clamped": False, "method": None, "cap_hit": False}
-        ics = {"value": None, "mode": "sup", "epsilon": None,
-               "clamped": False, "method": None, "cap_hit": False}
+        icf = _ic_dict(ICValue(None, "fixed_epsilon", epsilon))
+        ics = _ic_dict(ICValue(None, "sup", None))
     icm = None
     if augmented is not None and augmented.base.num_actions > 1:
         icm = _ic_dict(ic_merged(augmented.base, augmented, p, mode="sup"))

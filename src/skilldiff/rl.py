@@ -24,7 +24,7 @@ on (env, p, cfg).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -83,9 +83,15 @@ class RunRecord:
         return [(s[0], s[i]) for s in self.samples]
 
     def to_json_dict(self) -> dict:
-        return {"samples": self.samples, "converged": self.converged,
-                "terminal_env_steps": self.terminal_env_steps,
-                "algorithm": self.algorithm, "seed": self.seed}
+        return asdict(self)
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "RunRecord":
+        """Inverse of ``to_json_dict``; other keys are ignored."""
+        return cls(samples=[tuple(s) for s in d["samples"]],
+                   converged=d["converged"],
+                   terminal_env_steps=d["terminal_env_steps"],
+                   algorithm=d["algorithm"], seed=d["seed"])
 
 
 def measure_sample_complexity(record: RunRecord, criterion: str,

@@ -192,3 +192,50 @@ def test_tightness_round_trip_self_loops():
                 if j >= info.goal_skill_counts[s] and s not in \
                         info.fallback_states:
                     assert aug.mdp.successor[s, mdp.num_actions + j] == s
+
+
+_CLAIM_ORDER = [
+    "learn_ratio_merged_ic", "learn_ratio_unmerged_ic",
+    "macros_hurt_learning_when_incompressible", "explore_density_lower_bound",
+    "density_at_most_one_separable", "macros_hurt_exploration_near_uniform",
+    "explore_gap_full_coverage", "learn_ratio_expressivity_bound",
+    "learn_ratio_min_entropy_bound", "explore_gap_kl_corrected",
+]
+
+
+def _layout(rep):
+    return [(c.name, c.preconditions_met) for c in rep.claims]
+
+
+def test_report_layout_macro_case():
+    rng = np.random.default_rng(40)
+    mdp = random_invertible_mdp(rng, 8, 2)
+    p = random_distribution(rng, mdp)
+    aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
+    rep = bounds_report(mdp, aug, p, 0.1, separable=True)
+    met = [True, True, False, True, True, False, False, True, True, False]
+    assert _layout(rep) == list(zip(_CLAIM_ORDER, met))
+
+
+def test_report_layout_tabular_skill_case():
+    rng = np.random.default_rng(41)
+    mdp = random_invertible_mdp(rng, 8, 2)
+    p = random_distribution(rng, mdp)
+    aug = augment(mdp, random_tabular_skills(rng, mdp), GOAL_PASS_DEAD)
+    rep = bounds_report(mdp, aug, p, 0.1, separable=True)
+    met = [True, False, False, True, False, False, False, True, False, False]
+    assert _layout(rep) == list(zip(_CLAIM_ORDER, met))
+    # the density claim is skipped but still reports the density
+    assert rep.claim("density_at_most_one_separable").lhs > 0.0
+
+
+def test_report_layout_seqcons_case_at_delta_zero():
+    # no density claim at delta = 0: nine claims
+    mdp, p = build_sequence_consume(2, 3)
+    rng = np.random.default_rng(42)
+    aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
+    rep = bounds_report(mdp, aug, p, 0.0, separable=True,
+                        uniform_length_solutions=True)
+    order = [n for n in _CLAIM_ORDER if n != "density_at_most_one_separable"]
+    met = [True, True, False, False, False, True, True, True, True]
+    assert _layout(rep) == list(zip(order, met))

@@ -204,6 +204,21 @@ def test_enumeration_cap_flag():
     assert sols[mdp.goal] == [()]
 
 
+def test_enumeration_cap_flag_only_when_a_solution_is_dropped():
+    chain, _ = build_chain(3)
+    d = shortest_solution_lengths(chain)
+    assert enumerate_shortest_solutions(chain, d, [1], cap=1) == ({1: [(0,)]},
+                                                                  False)
+    # state 2 has exactly four shortest solutions, (0, 0) .. (1, 1)
+    succ = np.array([[3, 3], [0, 0], [1, 1]], dtype=np.int32)
+    mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
+    d = shortest_solution_lengths(mdp)
+    all4 = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for cap, hit in ((3, True), (4, False), (5, False)):
+        sols, cap_hit = enumerate_shortest_solutions(mdp, d, [2], cap=cap)
+        assert sols[2] == all4[:cap] and cap_hit is hit
+
+
 # -- expressive incompressibility ---------------------------------------------
 
 def test_expressive_equals_unmerged_at_e1_separable():

@@ -92,6 +92,13 @@ def test_save_report_with_sidecars(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["log_base"] == "nats"
     assert payload["j_learn"] == pytest.approx(5.0)
+    # one action: both IC values are undefined
+    assert payload["ic_unmerged_fixed"] == {
+        "value": None, "mode": "fixed_epsilon", "epsilon": 0.1,
+        "clamped": False, "method": None, "cap_hit": False}
+    assert payload["ic_unmerged_sup"] == {
+        "value": None, "mode": "sup", "epsilon": None,
+        "clamped": False, "method": None, "cap_hit": False}
 
 
 def test_campaign_pool_path_matches_serial():

@@ -124,3 +124,20 @@ def test_json_with_a_short_successor_list_is_rejected():
     d["successor"] = d["successor"][:-1]
     with pytest.raises(MdpError, match="successor list has 3 entries"):
         TabularDsmdp.from_json_dict(d)
+
+
+def test_run_record_json_round_trip():
+    from skilldiff.rl import RunRecord
+
+    rec = RunRecord(samples=[(0, 0.0, float("nan")), (500, 0.25, 1.5),
+                             (1000, 1.0, 0.0)],
+                    converged=True, terminal_env_steps=1000,
+                    algorithm="q_learning", seed=11)
+    line = json.dumps({"run_id": 3, **rec.to_json_dict()})
+    back = RunRecord.from_json_dict(json.loads(line))
+    assert all(type(s) is tuple for s in back.samples)
+    assert back.samples[1:] == rec.samples[1:]
+    assert back.samples[0][:2] == (0, 0.0) and np.isnan(back.samples[0][2])
+    assert (back.converged, back.terminal_env_steps, back.algorithm,
+            back.seed) == (True, 1000, "q_learning", 11)
+    assert json.dumps(back.to_json_dict()) == json.dumps(rec.to_json_dict())
