@@ -17,10 +17,11 @@ from .experiments import (improvement_scatter, lambda_correlation,
                           mean_log_n, metrics_table, run_rl_campaign,
                           sample_complexities, theorem_campaign, variant_grid,
                           write_csv, GNUPLOT_TEMPLATE)
-from .mdl import Corpus, discover_macroactions
+from .mdl import OBJECTIVES, Corpus, discover_macroactions
 from .metrics import NotConvergedError
 from .rl import RunRecord
-from .skills import MACRO_PRESETS, MacroGenSpec, generate_macro_sets
+from .skills import (MACRO_LAWS, MACRO_PRESETS, MacroGenSpec,
+                     generate_macro_sets)
 
 
 def _load_spec(path: str) -> dict:
@@ -262,9 +263,7 @@ def main(argv=None) -> int:
     b.set_defaults(func=cmd_build_env)
 
     g = sub.add_parser("gen-macros", help="sample random macroaction sets")
-    g.add_argument("--env-kind", required=True,
-                   choices=["cliff_walking", "pickup_world", "n_puzzle",
-                            "pocket_cube"])
+    g.add_argument("--env-kind", required=True, choices=sorted(MACRO_LAWS))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen_macros)
@@ -300,8 +299,9 @@ def main(argv=None) -> int:
 
     d = sub.add_parser("discover", help="mine macroactions from a corpus")
     d.add_argument("--corpus", required=True)
+    # J6 needs the entropy of a state distribution, which a corpus lacks
     d.add_argument("--objective", default="L7",
-                   choices=["L1", "L2", "L3", "L4", "L5", "J6", "L7"])
+                   choices=[o for o in OBJECTIVES if o != "J6"])
     d.add_argument("--labels", help="comma-separated action labels")
     d.add_argument("--base-actions", type=int, default=4)
     d.add_argument("--max-skills", type=int, default=5)

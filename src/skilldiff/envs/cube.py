@@ -142,7 +142,7 @@ def _index_map(table) -> np.ndarray:
             + twist_tab.astype(np.int32)).ravel()
 
 
-def build_pocket_cube(k_max: int = 11, with_scramble: bool = True):
+def build_pocket_cube(k_max: int = 11):
     """Returns (mdp, scramble p, info).  The scramble walk uses the 9-move
     set {F,R,U} x {90,180,270} with no two consecutive turns of the same
     face, K uniform on 1..k_max, conditioned on not being solved."""
@@ -153,11 +153,7 @@ def build_pocket_cube(k_max: int = 11, with_scramble: bool = True):
     succ[goal] = n
     mdp = TabularDsmdp(successor=succ, goal=goal,
                        action_labels=["F", "R", "U"])
-    info = {"raw_moves": raw}
-    if not with_scramble:
-        return mdp, None, info
     moves = [ScrambleMove(successor=raw[f + str(r)], group=gi, label=f + str(r))
              for gi, f in enumerate(("F", "R", "U")) for r in (1, 2, 3)]
     res = scramble_distribution(n, goal, moves, k_max)
-    info["scramble"] = res
-    return mdp, res.distribution, info
+    return mdp, res.distribution, {"raw_moves": raw, "scramble": res}

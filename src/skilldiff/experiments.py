@@ -269,9 +269,11 @@ def improvement_scatter(env_rows: dict[str, dict]) -> list[dict]:
     out = []
     for env, data in sorted(env_rows.items()):
         for measure, c0 in sorted(data["base"].items()):
+            if c0 is None:
+                continue
             ratios = [vv[measure] / c0 for vv in data["variants"].values()
                       if vv.get(measure) is not None]
-            if not ratios or c0 is None:
+            if not ratios:
                 continue
             out.append({"env": env, "measure": measure, "ic": data["ic"],
                         "best_ratio": min(ratios)})

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mdp import shannon_entropy
 from .metrics.incompress import _ic_sup
 from .skills import expand_rewriting, rewrite_min_length
 
@@ -86,12 +87,7 @@ class AbstractedCorpus:
         mass: Counter = Counter()
         for seq, w in zip(self.rewritten, self.weights):
             mass[seq] += w
-        return _entropy(mass.values())
-
-
-def _entropy(vals) -> float:
-    v = np.array([x for x in vals if x > 0.0])
-    return float(-np.dot(v, np.log(v)))
+        return shannon_entropy(list(mass.values()))
 
 
 def abstract_corpus(corpus: Corpus, macros: list[tuple[int, ...]],
@@ -140,11 +136,12 @@ def objective(abstracted: AbstractedCorpus, which: str,
         h = abstracted.sequence_entropy()
         sup_val, _ = _ic_sup(h, 1.0, float(a0))
         return aplus / np.log(aplus) * sup_val
-    if which == "L4":
-        return (_entropy(abstracted.length_distribution.values())
-                + lbar * _entropy(abstracted.action_frequency.values()))
-    if which == "L5":
-        return lbar * _entropy(abstracted.action_frequency.values())
+    if which in ("L4", "L5"):
+        h_action = shannon_entropy(list(abstracted.action_frequency.values()))
+        if which == "L5":
+            return lbar * h_action
+        lengths = list(abstracted.length_distribution.values())
+        return shannon_entropy(lengths) + lbar * h_action
     if which == "L7":
         return lbar * float(np.log(aplus))
     if which == "J6":

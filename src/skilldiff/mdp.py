@@ -179,6 +179,13 @@ def _read_exact(f, size: int, what: str) -> bytes:
     return buf
 
 
+def shannon_entropy(mass) -> float:
+    """-sum m log m in nats over the positive entries of mass."""
+    m = np.asarray(mass, dtype=np.float64)
+    m = m[m > 0.0]
+    return float(-np.dot(m, np.log(m)))
+
+
 @dataclass
 class StateDistribution:
     """Importance distribution p over solvable states, aligned to state indices."""
@@ -198,8 +205,7 @@ class StateDistribution:
 
     def entropy(self) -> float:
         """Shannon entropy of p in nats."""
-        p = self.probs[self.probs > 0.0]
-        return float(-np.dot(p, np.log(p)))
+        return shannon_entropy(self.probs)
 
     def validate(self, mdp: TabularDsmdp, d: np.ndarray | None = None):
         if self.probs.shape != (mdp.num_states,):

@@ -32,7 +32,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ..mdp import (MdpError, SolutionLengthTable, StateDistribution,
-                   TabularDsmdp, shortest_solution_lengths)
+                   TabularDsmdp, shannon_entropy, shortest_solution_lengths)
 from ..skills import AugmentedMdp
 
 SOL_CAP = 64
@@ -181,7 +181,7 @@ def max_entropy_assignment(probs: np.ndarray,
     match = maximum_bipartite_matching(graph, perm_type="column")
     if int((match >= 0).sum()) == n:
         # all states keep distinct solutions: H is exactly H[p]
-        h = float(-np.dot(probs, np.log(probs)))
+        h = shannon_entropy(probs)
         return AssignmentResult(h, "matching_exact")
     best = _exhaustive_entropy(probs, candidates, max)
     if best is not None:
@@ -192,7 +192,7 @@ def max_entropy_assignment(probs: np.ndarray,
     for i in order:
         k = min(candidates[i], key=lambda kk: (mass[kk], kk))
         mass[k] += probs[i]
-    h = _entropy_of(list(mass.values()))
+    h = shannon_entropy(list(mass.values()))
     return AssignmentResult(h, "greedy_lower_bound")
 
 
@@ -215,7 +215,7 @@ def min_entropy_assignment(probs: np.ndarray,
         grabbed = coverage[k_best]
         mass_groups.append(sum(probs[i] for i in grabbed))
         remaining -= set(grabbed)
-    h = _entropy_of(mass_groups)
+    h = shannon_entropy(mass_groups)
     return AssignmentResult(h, "greedy_upper_bound")
 
 
@@ -237,13 +237,7 @@ def _merged_entropy(probs, candidates, choice, kidx, nkeys):
     mass = np.zeros(nkeys)
     for i, c in enumerate(choice):
         mass[kidx[candidates[i][c]]] += probs[i]
-    return _entropy_of(mass)
-
-
-def _entropy_of(mass) -> float:
-    m = np.asarray(mass, dtype=np.float64)
-    m = m[m > 0.0]
-    return float(-np.dot(m, np.log(m)))
+    return shannon_entropy(mass)
 
 
 def _canonical_entropy(mdp: TabularDsmdp, d: SolutionLengthTable,

@@ -60,17 +60,16 @@ def save_report(report: "DifficultyReport", path: str,
 
 
 def compute_difficulty_report(mdp: TabularDsmdp, p: StateDistribution,
-                              delta: float, epsilon: float | None = None,
+                              delta: float,
                               augmented: AugmentedMdp | None = None
                               ) -> DifficultyReport:
     """Compute the standard metric battery.
 
-    epsilon defaults to delta (the fixed-epsilon incompressibility
-    convention).  When `augmented` is given, the merged incompressibility of
+    The fixed-epsilon incompressibility takes epsilon = delta, or 0.02 at
+    delta = 0.  When `augmented` is given, the merged incompressibility of
     its base with respect to the augmented action set is included.
     """
-    if epsilon is None:
-        epsilon = delta if delta > 0 else 0.02
+    epsilon = delta if delta > 0 else 0.02
     d = shortest_solution_lengths(mdp)
     p.validate(mdp, d.d)
     q = solve_q(mdp, delta)

@@ -1,15 +1,22 @@
 """Deterministic skills, macroactions, and skill augmentation of tabular MDPs.
 
 A skill maps states to finite base-action sequences (possibly empty).  A
-macroaction is the constant skill with sequence length >= 2.  Augmenting an
-MDP appends one action column per skill; the successor is the result of
-unrolling the skill's sequence, with two conventions for sequences that cross
-the goal mid-way:
+macroaction is the constant skill with sequence length >= 2; a tabular skill
+stores one sequence per state.  Augmenting an MDP appends one action column
+per skill.  Both kinds follow one convention, from every non-goal state s:
 
-  * ``undefined_is_dead`` -- formal convention: the transition is undefined,
-    represented as a dead transition (the agent has not reached the goal);
-  * ``success`` -- common HRL convention: the agent stops at the goal.
-"""
+  * an empty sequence stays at s and consumes no base action;
+  * a sequence that runs into a dead transition is dead;
+  * a sequence that reaches the goal on its last action lands at the goal;
+  * a sequence that reaches the goal before its last action crosses it, and
+    the goal-pass mode decides:
+      - ``undefined_is_dead`` -- formal convention: the transition is
+        undefined, represented as a dead transition;
+      - ``success`` -- common HRL convention: the agent stops at the goal
+        and consumes only the actions taken up to it.
+
+Otherwise a sequence consumes all of its actions.  The goal row of the
+augmented table is dead and consumes nothing: episodes end at the goal."""
 
 from __future__ import annotations
 
@@ -69,30 +76,6 @@ def macro_from_labels(word: str, base_labels: list[str]) -> Skill:
 
 
 @dataclass
-class UnrollResult:
-    final: int  # state index, or mdp.dead
-    goal_step: int | None  # step (1-based) at which the goal was reached
-
-
-def unroll(base: TabularDsmdp, s: int, seq) -> UnrollResult:
-    """Fold a base-action sequence through the transition table from s.
-
-    Reports the step at which the goal was first reached; folding past the
-    goal is undefined, so the walk stops there.
-    """
-    if s == base.goal:
-        raise MdpError("cannot unroll from the goal")
-    cur = s
-    for k, a in enumerate(seq, start=1):
-        cur = int(base.successor[cur, a])
-        if cur == base.goal:
-            return UnrollResult(final=base.goal, goal_step=k)
-        if cur == base.dead:
-            return UnrollResult(final=base.dead, goal_step=None)
-    return UnrollResult(final=cur, goal_step=None)
-
-
-@dataclass
 class AugmentedMdp:
     """A base MDP plus a skill multiset, with the augmented table materialized."""
 
@@ -116,16 +99,7 @@ def augment(base: TabularDsmdp, skills: list[Skill],
     lengths = np.zeros((n, len(skills)), dtype=np.int32)
     labels = list(base.action_labels)
     for j, z in enumerate(skills):
-        if z.kind == "macro":
-            bad = [a for a in z.macro if not 0 <= a < m0]
-            if bad:
-                raise SkillError(f"skill {z.label!r} references base action "
-                                 f"{bad[0]} out of range")
-            col, length = _unroll_macro_column(base, z.macro, mode)
-        else:
-            col, length = _unroll_tabular_column(base, z, mode)
-        col[base.goal] = base.dead
-        lengths[:, j] = length
+        col, lengths[:, j] = _unroll(base, z, mode)
         cols.append(col[:, None])
         labels.append(z.label)
     table = np.concatenate(cols, axis=1) if skills else base.successor.copy()
@@ -135,58 +109,41 @@ def augment(base: TabularDsmdp, skills: list[Skill],
                         goal_pass_mode=mode, skill_lengths=lengths)
 
 
-def _unroll_macro_column(base: TabularDsmdp, macro, mode):
-    """Vectorized unroll of a constant action sequence from every state."""
-    n = base.num_states
-    succ_pad = base.successor_padded()
-    cur = np.arange(n + 1, dtype=np.int64)
-    goal_step = np.zeros(n + 1, dtype=np.int32)  # 0 = never hit the goal
-    for k, a in enumerate(macro, start=1):
-        cur = succ_pad[cur, a].astype(np.int64)
-        hit = (cur == base.goal) & (goal_step == 0)
-        goal_step[hit] = k
-    cur = cur[:n]
-    goal_step = goal_step[:n]
-    length = np.full(n, len(macro), dtype=np.int32)
-    col = np.where(goal_step > 0, base.goal, cur).astype(np.int32)
-    if mode == GOAL_PASS_DEAD:
-        crossed = (goal_step > 0) & (goal_step < len(macro))
-        col[crossed] = base.dead
+def _unroll(base: TabularDsmdp, z: Skill, mode: str):
+    """(successor column, base actions consumed) of skill z from every state.
+
+    At position k the rows whose sequence is still running take their k-th
+    action: one scalar for a macro, a gather from the arena for a tabular
+    skill.  The goal row of the base is all-dead, so a row that crosses the
+    goal ends dead unless the HRL convention stops it there.
+    """
+    n, goal = base.num_states, base.goal
+    if z.kind == "macro":
+        seq_len = np.full(n, len(z.macro), dtype=np.int64)
+        actions = used = np.asarray(z.macro, dtype=np.int64)
     else:
-        length = np.where(goal_step > 0, goal_step, length).astype(np.int32)
-    return col, length
-
-
-def _unroll_tabular_column(base: TabularDsmdp, z: Skill, mode):
-    n = base.num_states
-    col = np.empty(n, dtype=np.int32)
-    length = np.zeros(n, dtype=np.int32)
-    for s in range(n):
-        if s == base.goal:
-            col[s] = base.dead
-            continue
-        seq = z.sequence(s)
-        if not seq:
-            col[s] = s
-            continue
-        if min(seq) < 0 or max(seq) >= base.num_actions:
-            raise SkillError(f"skill {z.label!r} references an out-of-range "
-                             f"base action at state {s}")
-        r = unroll(base, s, seq)
-        if r.goal_step is not None:
-            if r.goal_step == len(seq):
-                col[s] = base.goal
-                length[s] = len(seq)
-            elif mode == GOAL_PASS_SUCCESS:
-                col[s] = base.goal
-                length[s] = r.goal_step
-            else:
-                col[s] = base.dead
-                length[s] = len(seq)
-        else:
-            col[s] = r.final
-            length[s] = len(seq)
-    return col, length
+        if len(z.offsets) != n + 1:
+            raise SkillError(f"skill {z.label!r} has sequences for "
+                             f"{len(z.offsets) - 1} states, the base has {n}")
+        seq_len = np.diff(z.offsets)
+        actions = z.arena
+        used = np.delete(actions, slice(z.offsets[goal], z.offsets[goal + 1]))
+    bad = used[(used < 0) | (used >= base.num_actions)]
+    if bad.size:
+        raise SkillError(f"skill {z.label!r} references base action "
+                         f"{bad[0]} out of range")
+    seq_len[goal] = 0
+    succ = base.successor_padded()
+    cur = np.arange(n, dtype=np.int32)
+    for k in range(int(seq_len.max(initial=0))):
+        rows = np.flatnonzero(seq_len > k)
+        a = actions[k] if z.kind == "macro" else actions[z.offsets[rows] + k]
+        nxt = succ[cur[rows], a]
+        cur[rows] = nxt
+        if mode == GOAL_PASS_SUCCESS:
+            seq_len[rows[nxt == goal]] = k + 1
+    cur[goal] = base.dead
+    return cur, seq_len
 
 
 def behavior_variety(skill: Skill, mdp: TabularDsmdp) -> int:

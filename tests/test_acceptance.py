@@ -251,7 +251,7 @@ def test_c09_mdl_identities_and_discovery():
                       for L in rng.integers(2, 5,
                                             size=rng.integers(0, 3))]
             ab = abstract_corpus(Corpus(solutions=sols), macros, alphabet)
-            from skilldiff.mdl import _entropy
+            from skilldiff.mdp import shannon_entropy
 
             pa = np.array(list(ab.action_frequency.values()))
             pl = np.array(list(ab.length_distribution.values()))
@@ -259,7 +259,8 @@ def test_c09_mdl_identities_and_discovery():
             l7 = objective(ab, "L7")
             l4 = objective(ab, "L4")
             # identities hold by construction, exactly
-            assert l5 == ab.mean_length * _entropy(ab.action_frequency.values())
+            assert l5 == ab.mean_length * shannon_entropy(
+                list(ab.action_frequency.values()))
             assert l7 == ab.mean_length * float(np.log(ab.num_actions))
             # and against independently written expressions
             assert l5 == pytest.approx(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from skilldiff.cli import main
+from skilldiff.mdl import OBJECTIVES
 from skilldiff.mdp import TabularDsmdp
 
 
@@ -44,8 +45,6 @@ def test_metrics_run_correlate_pipeline(tmp_path):
     assert main(["metrics", "--spec", str(spec_path), "--out", str(out)]) == 0
     rows = json.loads((out / "metrics.json").read_text())
     assert len(rows) == 32
-    # trim the grid for the RL step by rewriting the runs over 3 variants
-    spec["only_first"] = 3
     assert main(["run-rl", "--spec", str(spec_path), "--out", str(out),
                  "--jobs", "1"]) == 0
     assert (out / "runs.jsonl").exists()
@@ -92,3 +91,19 @@ def test_discover_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["macros"]
     assert all(set(m) <= {"R"} for m in payload["macros"])
+
+
+def test_discover_every_offered_objective_exits_zero(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("R R U R R U\nR R U D\n" * 4)
+    for objective in OBJECTIVES:
+        argv = ["discover", "--corpus", str(corpus), "--objective", objective,
+                "--labels", "U,R,D,L", "--max-skills", "2"]
+        if objective == "J6":  # needs entropy_p, which a corpus lacks
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            continue
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["trace"]) == len(payload["macros"]) + 1

@@ -143,6 +143,22 @@ def test_improvement_scatter_rows():
                      "best_ratio": 0.5}]
 
 
+def test_improvement_scatter_skips_a_base_that_never_converged():
+    # the scatter command sets the base's sample complexity to None when a
+    # base seed never crossed the threshold; converged variants are skipped
+    env_rows = {
+        "cliff": {"ic": 0.077,
+                  "base": {"j_learn": 52.0, "sample_complexity": None},
+                  "variants": {"v1": {"j_learn": 26.0,
+                                      "sample_complexity": 1000.0},
+                               "v2": {"j_learn": 130.0,
+                                      "sample_complexity": None}}},
+    }
+    rows = improvement_scatter(env_rows)
+    assert rows == [{"env": "cliff", "measure": "j_learn", "ic": 0.077,
+                     "best_ratio": 0.5}]
+
+
 def test_write_csv_pins_float_format(tmp_path):
     rows = [{"a": 1.23456789012345e-7, "b": "x"}]
     path = tmp_path / "t.csv"

@@ -13,7 +13,11 @@ bounded Brent search over ``_ic_at_logit``.  ``_per_state_greedy_reward`` is
 the planner's ``_greedy_reward`` as it was before one argmax over all states
 replaced an argmax per visited state.  ``_greedy_canonical_solution`` is
 ``canonical_shortest_solution`` as it was before it took the first solution
-of ``enumerate_shortest_solutions``.  They stay here as oracles.  The
+of ``enumerate_shortest_solutions``.  ``_unroll_macro_column`` and
+``_unroll_tabular_column`` (with ``_unroll_one``, the former public
+``skills.unroll``) are the two column builders ``augment`` had before one
+unroll from every state served macros and tabular skills; they match it on
+every non-goal row.  They stay here as oracles.  The
 graph, the lengths, the RL records and the planner results must match bit
 for bit, and so must the scramble DP when no move has a group; with groups
 it sums the contexts in another order and is held to 1e-15.  IC(sup) is
@@ -36,7 +40,7 @@ from skilldiff.envs.scramble import (FRONTIER_SHARE, ScrambleMove,
                                      scramble_distribution)
 from skilldiff.envs.synthetic import build_chain
 from skilldiff.experiments import (VariantSpec, materialize_variant,
-                                   random_invertible_mdp,
+                                   random_invertible_mdp, random_macro_skills,
                                    random_tabular_skills, variant_grid)
 from skilldiff.mdp import (UNSOLVABLE, MdpError, ReverseGraph,
                            SolutionLengthTable, StateDistribution,
@@ -950,3 +954,116 @@ def test_canonical_solution_matches_greedy_descent_oracle():
             assert canonical_shortest_solution(mdp, d, s) == want
             assert sols[s][0] == want
     assert unsolvable > 0
+
+
+# -- skill unroll ---------------------------------------------------------------
+
+def _unroll_one(base, s, seq):
+    """(final state, 1-based step at which the goal was reached or None)."""
+    cur = s
+    for k, a in enumerate(seq, start=1):
+        cur = int(base.successor[cur, a])
+        if cur == base.goal:
+            return base.goal, k
+        if cur == base.dead:
+            return base.dead, None
+    return cur, None
+
+
+def _unroll_macro_column(base, macro, mode):
+    n = base.num_states
+    succ_pad = base.successor_padded()
+    cur = np.arange(n + 1, dtype=np.int64)
+    goal_step = np.zeros(n + 1, dtype=np.int32)  # 0 = never hit the goal
+    for k, a in enumerate(macro, start=1):
+        cur = succ_pad[cur, a].astype(np.int64)
+        hit = (cur == base.goal) & (goal_step == 0)
+        goal_step[hit] = k
+    cur = cur[:n]
+    goal_step = goal_step[:n]
+    length = np.full(n, len(macro), dtype=np.int32)
+    col = np.where(goal_step > 0, base.goal, cur).astype(np.int32)
+    if mode == GOAL_PASS_DEAD:
+        crossed = (goal_step > 0) & (goal_step < len(macro))
+        col[crossed] = base.dead
+    else:
+        length = np.where(goal_step > 0, goal_step, length).astype(np.int32)
+    return col, length
+
+
+def _unroll_tabular_column(base, z, mode):
+    n = base.num_states
+    col = np.empty(n, dtype=np.int32)
+    length = np.zeros(n, dtype=np.int32)
+    for s in range(n):
+        if s == base.goal:
+            col[s] = base.dead
+            continue
+        seq = z.sequence(s)
+        if not seq:
+            col[s] = s
+            continue
+        final, goal_step = _unroll_one(base, s, seq)
+        if goal_step is not None:
+            if goal_step == len(seq):
+                col[s] = base.goal
+                length[s] = len(seq)
+            elif mode == GOAL_PASS_SUCCESS:
+                col[s] = base.goal
+                length[s] = goal_step
+            else:
+                col[s] = base.dead
+                length[s] = len(seq)
+        else:
+            col[s] = final
+            length[s] = len(seq)
+    return col, length
+
+
+def _oracle_augment(base, skills, mode):
+    """(skill columns, skill lengths) built column by column by the oracles."""
+    cols, lengths = [], []
+    for z in skills:
+        if z.kind == "macro":
+            col, length = _unroll_macro_column(base, z.macro, mode)
+        else:
+            col, length = _unroll_tabular_column(base, z, mode)
+        cols.append(col)
+        lengths.append(length)
+    return np.stack(cols, axis=1), np.stack(lengths, axis=1)
+
+
+def test_augment_matches_unroll_column_oracles():
+    rng = np.random.default_rng(61)
+    empty = dead = crossed = 0
+    for t in range(240):
+        if t % 3 == 0:
+            mdp = random_dsmdp(rng, int(rng.integers(2, 41)),
+                               int(rng.integers(1, 4)),
+                               dead_frac=rng.uniform(0.05, 0.5))
+        elif t % 3 == 1:
+            mdp = random_invertible_mdp(rng, int(rng.integers(3, 41)),
+                                        int(rng.integers(1, 4)))
+        else:
+            mdp = _random_table(rng)
+        skills = (random_macro_skills(rng, mdp, max_len=6)
+                  + random_tabular_skills(rng, mdp))
+        rows = np.arange(mdp.num_states) != mdp.goal
+        got = {}
+        for mode in (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS):
+            aug = augment(mdp, skills, mode=mode)
+            cols = aug.mdp.successor[:, mdp.num_actions:]
+            want_cols, want_lengths = _oracle_augment(mdp, skills, mode)
+            assert np.array_equal(cols[rows], want_cols[rows])
+            assert np.array_equal(aug.skill_lengths[rows], want_lengths[rows])
+            assert (cols[mdp.goal] == mdp.dead).all()
+            assert (aug.skill_lengths[mdp.goal] == 0).all()
+            got[mode] = aug
+        # every outcome occurs: empty sequences, runs into dead (the HRL
+        # mode has no dead goal crossings) and goal crossings
+        formal, hrl = got[GOAL_PASS_DEAD], got[GOAL_PASS_SUCCESS]
+        empty += int((formal.skill_lengths[rows] == 0).sum())
+        dead += int((hrl.mdp.successor[rows, mdp.num_actions:]
+                     == mdp.dead).sum())
+        crossed += int((hrl.skill_lengths < formal.skill_lengths).sum())
+    assert min(empty, dead, crossed) > 0

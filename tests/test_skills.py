@@ -7,21 +7,7 @@ from skilldiff.skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS, MACRO_LAWS,
                               MacroGenSpec, Skill, SkillError, augment,
                               behavior_variety, expand_rewriting,
                               generate_macro_sets, macro_from_labels,
-                              rewrite_min_length, unroll)
-
-
-def test_unroll_empty_sequence_is_identity():
-    mdp, _ = build_chain(3)
-    r = unroll(mdp, 2, ())
-    assert r.final == 2 and r.goal_step is None
-
-
-def test_unroll_exact_and_mid_sequence_arrival():
-    mdp, _ = build_chain(3)
-    exact = unroll(mdp, 2, (0, 0))
-    assert exact.final == mdp.goal and exact.goal_step == 2
-    mid = unroll(mdp, 1, (0, 0))
-    assert mid.goal_step == 1
+                              rewrite_min_length)
 
 
 def test_macro_length_at_least_two():
@@ -39,18 +25,50 @@ def test_empty_augmentation_is_identity():
 
 def test_goal_pass_semantics_table():
     mdp, _ = build_chain(3)
-    aa = Skill.from_macro((0, 0), label="aa")
-    dead_mode = augment(mdp, [aa], mode=GOAL_PASS_DEAD)
-    success_mode = augment(mdp, [aa], mode=GOAL_PASS_SUCCESS)
-    # distance-1 state: the goal is crossed after the first of two actions
-    assert dead_mode.mdp.successor[1, 1] == mdp.dead
-    assert success_mode.mdp.successor[1, 1] == mdp.goal
-    # distance-2 state: exact arrival in both modes
-    assert dead_mode.mdp.successor[2, 1] == mdp.goal
-    assert success_mode.mdp.successor[2, 1] == mdp.goal
-    # success mode records the truncated unroll length
-    assert success_mode.skill_lengths[1, 0] == 1
-    assert dead_mode.skill_lengths[1, 0] == 2
+    # the macro "aa" and the tabular skill that plays "aa" in every state
+    for aa in (Skill.from_macro((0, 0), label="aa"),
+               Skill.from_sequences([(0, 0)] * mdp.num_states, label="aa")):
+        dead_mode = augment(mdp, [aa], mode=GOAL_PASS_DEAD)
+        success_mode = augment(mdp, [aa], mode=GOAL_PASS_SUCCESS)
+        # distance-1 state: the goal is crossed after the first of two actions
+        assert dead_mode.mdp.successor[1, 1] == mdp.dead
+        assert success_mode.mdp.successor[1, 1] == mdp.goal
+        # distance-2 state: exact arrival in both modes
+        assert dead_mode.mdp.successor[2, 1] == mdp.goal
+        assert success_mode.mdp.successor[2, 1] == mdp.goal
+        # distance-3 state: the skill falls short and lands at distance 1
+        assert dead_mode.mdp.successor[3, 1] == 1
+        assert success_mode.mdp.successor[3, 1] == 1
+        # success mode records the truncated unroll length
+        assert success_mode.skill_lengths[:, 0].tolist() == [0, 1, 2, 2]
+        assert dead_mode.skill_lengths[:, 0].tolist() == [0, 2, 2, 2]
+        # the goal row is dead
+        assert dead_mode.mdp.successor[0, 1] == mdp.dead
+        assert success_mode.mdp.successor[0, 1] == mdp.dead
+
+
+def test_tabular_skill_with_empty_and_mixed_sequences():
+    mdp, _ = build_chain(4)
+    z = Skill.from_sequences([(0, 0), (), (0, 0, 0), (0, 0, 0), (0,)],
+                             label="mixed")
+    # empty sequence: identity with no base action consumed; crossing after
+    # two of three actions; exact arrival; falling short
+    aug = augment(mdp, [z], mode=GOAL_PASS_DEAD)
+    assert aug.mdp.successor[:, 1].tolist() == [mdp.dead, 1, mdp.dead,
+                                                mdp.goal, 3]
+    assert aug.skill_lengths[:, 0].tolist() == [0, 0, 3, 3, 1]
+    aug = augment(mdp, [z], mode=GOAL_PASS_SUCCESS)
+    assert aug.mdp.successor[:, 1].tolist() == [mdp.dead, 1, mdp.goal,
+                                                mdp.goal, 3]
+    assert aug.skill_lengths[:, 0].tolist() == [0, 0, 2, 3, 1]
+
+
+def test_tabular_skill_must_cover_the_base_states():
+    mdp, _ = build_chain(3)
+    for num_seqs in (mdp.num_states + 2, mdp.num_states - 1):
+        z = Skill.from_sequences([(0, 0)] * num_seqs, label="wrong")
+        with pytest.raises(SkillError, match="states"):
+            augment(mdp, [z])
 
 
 def test_augmented_action_ordering_and_counts():
