@@ -19,12 +19,21 @@ each Q row's max and first argmax in lists and refreshes them only for the
 rows an update touches.  Every draw from the training and
 evaluation streams happens in a fixed order, so a run's record depends only
 on (env, p, cfg).
+
+Every draw comes from `_Draws`, which replays the training and evaluation
+streams from blocks of raw PCG64 words exactly as `np.random.Generator`
+would make them: the same `random`, `integers` and `choice` values from the
+same seed, without a numpy call per step.  Two tests guard that equality:
+`_run_oracle` in tests/test_oracles.py, which makes the same calls on a
+real `Generator`, and the stream-pinning test in tests/test_rl.py.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -191,6 +200,72 @@ def _check_config(cfg: RlConfig, p: StateDistribution) -> None:
                          f"would ever run")
 
 
+_BLOCK = 4096  # raw words per refill
+_MASK32 = 0xFFFFFFFF
+_TWO32 = 1 << 32
+
+
+class _Draws:
+    """The `np.random.Generator` calls `run` makes, on a PCG64 seeded from
+    `seed`, replayed from blocks of raw 64-bit words.
+
+    `random()` is the top 53 bits of one word scaled by 2**-53.
+    `integers(n)` is numpy's 32-bit Lemire draw for n < 2**32: a 32-bit
+    value is the low half of a fresh word, and the high half is kept for the
+    next 32-bit value, across calls as in the bit generator.  A range of one
+    draws nothing.  `integers(0, n, size=k)` is k such draws in a row.
+    `choice(m, p=probs)` is one `random()` searched in the normalised
+    cumulative sum of probs."""
+
+    __slots__ = ("word", "_half")
+
+    def __init__(self, seed):
+        raw = np.random.PCG64(seed).random_raw
+        blocks = iter(lambda: raw(_BLOCK).tolist(), None)
+        self.word = chain.from_iterable(blocks).__next__
+        self._half = None
+
+    def random(self) -> float:
+        return (self.word() >> 11) * 2.0 ** -53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            w = self.word()
+            self._half = w >> 32
+            return w & _MASK32
+        self._half = None
+        return half
+
+    def integers(self, n: int) -> int:
+        if not 1 < n < _TWO32:
+            if n == 1:
+                return 0
+            raise ValueError(f"integers(n) replays 1 <= n < 2**32, got {n}")
+        half = self._half  # `_uint32`, inlined on the hot path
+        if half is None:
+            w = self.word()
+            self._half = w >> 32
+            x = (w & _MASK32) * n
+        else:
+            self._half = None
+            x = half * n
+        if x & _MASK32 < n:  # numpy's cheap pre-test before the modulo
+            threshold = (_TWO32 - n) % n
+            while x & _MASK32 < threshold:
+                x = self._uint32() * n
+        return x >> 32
+
+    def batch(self, n: int, k: int) -> list[int]:
+        """`integers(0, n, size=k)` as a list: k draws of `integers(n)`."""
+        return [self.integers(n) for _ in range(k)]
+
+    def choice(self, probs: np.ndarray) -> int:
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(self.random(), "right"))
+
+
 def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
     """One seeded RL run producing the evaluation time series."""
     algo = cfg.algorithm
@@ -202,20 +277,19 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
     goal, dead, m, gamma = mdp.goal, mdp.dead, mdp.num_actions, cfg.gamma
     alpha, horizon, budget = cfg.alpha, cfg.horizon, cfg.base_action_budget
     rows = mdp.num_states + 1
-    children = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng = np.random.default_rng(children[0])
-    eval_rng_seed = children[1]
+    train_seed, eval_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    draws = _Draws(train_seed)
     v_star, q_star = _ground_truth(mdp, gamma)
     sup = p.support
     sup_list = sup.tolist()
     psup = p.probs[sup]
-    cumsup = np.cumsum(psup)
+    cumsup = np.cumsum(psup).tolist()
 
-    def start(g: np.random.Generator) -> int:
-        if len(sup) == 1:
-            return int(sup[0])
-        i = np.searchsorted(cumsup, g.random(), side="right")
-        return int(sup[min(int(i), len(sup) - 1)])
+    def start(g: _Draws) -> int:
+        if len(sup_list) == 1:
+            return sup_list[0]
+        i = bisect_right(cumsup, g.random())
+        return sup_list[min(i, len(sup_list) - 1)]
 
     # Q rows for q-learning, V for RL value iteration, theta for REINFORCE.
     # No dead step is ever updated, so the dead row stays zero.
@@ -257,14 +331,15 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
     else:
         theta = np.zeros((rows, m))
 
-    def softmax_policy(g: np.random.Generator):
-        return lambda s: int(g.choice(m, p=_softmax(theta[s])))
+    def softmax_policy(g: _Draws):
+        return lambda s: g.choice(_softmax(theta[s]))
 
-    rand, randint = rng.random, rng.integers
+    word, randint = draws.word, draws.integers
 
     def epsilon_greedy(s: int) -> int:
-        if rand() < eps:
-            return int(randint(m))
+        # random() < eps, exactly, on the 53-bit integer behind random()
+        if word() >> 11 < eps_cut:
+            return randint(m)
         return greedy(s)
 
     def episode(s: int, choose):
@@ -284,7 +359,7 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
     n_eval = 1 if len(sup) == 1 else cfg.eval_episodes
 
     def evaluate():
-        ev = np.random.default_rng(eval_rng_seed)
+        ev = _Draws(eval_seed)
         choose = softmax_policy(ev) if algo == REINFORCE else greedy
         total = 0.0
         for _ in range(n_eval):
@@ -296,12 +371,13 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
 
     replay_size = cfg.replay_size
     replay: list = [None] * replay_size  # (state, action) ring buffer
-    replay_fill = 0
     replay_ptr = 0
+    replay_full = False
 
     mult = m if algo == RL_VALUE_ITERATION else 1
-    policy = softmax_policy(rng) if algo == REINFORCE else epsilon_greedy
+    policy = softmax_policy(draws) if algo == REINFORCE else epsilon_greedy
     eps = cfg.eps_start
+    eps_cut = eps * 2.0 ** 53
     best_reward = 0.0
     env_steps = 0
     last_eval = 0
@@ -310,7 +386,7 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
     converged = False
 
     while env_steps < cfg.max_env_steps and not converged:
-        steps, reached, base_used = episode(start(rng), policy)
+        steps, reached, base_used = episode(start(draws), policy)
         env_steps += base_used * mult
         episodes += 1
         if algo == REINFORCE:
@@ -324,13 +400,15 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
             for step in steps:
                 if step[0] != dead:
                     replay[replay_ptr] = step
-                    replay_ptr = (replay_ptr + 1) % replay_size
-                    replay_fill = min(replay_fill + 1, replay_size)
+                    replay_ptr += 1
+                    if replay_ptr == replay_size:
+                        replay_ptr = 0
+                        replay_full = True
+            replay_fill = replay_size if replay_full else replay_ptr
             if (episodes % cfg.update_every == 0
                     and replay_fill >= cfg.batch_size):
                 # the only place the behaviour policy changes
-                for i in rng.integers(0, replay_fill,
-                                      size=cfg.batch_size).tolist():
+                for i in draws.batch(replay_fill, cfg.batch_size):
                     learn(*replay[i])
 
         if env_steps - last_eval >= cfg.eval_every_env_steps:
@@ -339,6 +417,7 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
             samples.append((env_steps, reward, err))
             eps, best_reward = adaptive_epsilon_step(eps, best_reward,
                                                      reward, cfg)
+            eps_cut = eps * 2.0 ** 53
             if cfg.stop_reward is not None and reward >= cfg.stop_reward:
                 converged = True
             if (cfg.stop_value_error is not None and not math.isnan(err)

@@ -5,9 +5,11 @@ against the code they replaced.
 the implementations that ``build_reverse_graph``, ``shortest_solution_lengths``
 and ``scramble_distribution`` had before they became a counting sort, a
 marking BFS and a preimage-gather DP.  ``_run_oracle`` is ``rl.run`` as it
-was before one episode routine served training and evaluation, and
-``_bfs_random_invertible_mdp`` is ``random_invertible_mdp`` as it was before
-it tested solvability with ``solvable_mask``.  ``_grid_ic_sup`` is
+was before one episode routine served training and evaluation and before
+``rl._Draws`` replayed its draws from raw PCG64 blocks: it makes every draw
+through a numpy ``Generator``.  ``_bfs_random_invertible_mdp`` is
+``random_invertible_mdp`` as it was before it tested solvability with
+``solvable_mask``.  ``_grid_ic_sup`` is
 ``incompress._ic_sup`` as it was before one root solve replaced its grid and
 bounded Brent search over ``_ic_at_logit``.  ``_per_state_greedy_reward`` is
 the planner's ``_greedy_reward`` as it was before one argmax over all states
@@ -833,6 +835,16 @@ def test_run_matches_oracle_on_chain(algo):
     _assert_same_run(mdp, p, _cfg(algo, 3))
     _assert_same_run(mdp, p, _cfg(algo, 4, stop_reward=None,
                                   stop_value_error=0.05))
+
+
+@pytest.mark.parametrize("algo", _ALGORITHMS)
+def test_run_matches_oracle_with_one_sample_batches(algo):
+    """Replay batches of one: `integers(0, fill, size=1)`, and with a buffer
+    of one `integers(0, 1, size=1)`, which draws nothing."""
+    mdp, p, _ = build_env(ENV_PRESETS["pickup"])
+    for replay_size in (1, 1000):
+        _assert_same_run(mdp, p, _cfg(algo, 5, batch_size=1,
+                                      replay_size=replay_size))
 
 
 def test_run_matches_oracle_over_long_budgets(cliff_bundle):

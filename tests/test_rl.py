@@ -5,9 +5,9 @@ import pytest
 
 from skilldiff.envs.synthetic import build_chain
 from skilldiff.mdp import StateDistribution, shortest_solution_lengths
-from skilldiff.rl import (NOT_REACHED, RlConfig, RunRecord, protocol_preset,
-                          measure_sample_complexity, planner_value_iteration,
-                          run)
+from skilldiff.rl import (NOT_REACHED, RlConfig, RunRecord, _Draws,
+                          protocol_preset, measure_sample_complexity,
+                          planner_value_iteration, run)
 from skilldiff.skills import GOAL_PASS_SUCCESS, Skill, augment
 
 
@@ -112,6 +112,81 @@ def test_run_rejects_configs_it_cannot_run(algo, field, value):
                   **{field: value})
     with pytest.raises(ValueError, match=field):
         run(mdp, p, cfg)
+
+
+# -- the draw helper against numpy's Generator ---------------------------------
+
+# ranges of one (no draw), the small action counts of the envs, replay fills,
+# and ranges near 2**31 and 2**32 where Lemire's rejection loop runs often
+_SMALL_N = list(range(1, 13)) + [37, 100, 999, 1000]
+_LARGE_N = [2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 2,
+            2**32 - 1]
+
+
+def _one_draw(g, kind, rng):
+    """One call of `kind` on g, a `_Draws` or a `Generator`, with arguments
+    drawn from rng; results as plain Python values."""
+    if kind == "random":
+        return g.random()
+    if kind in ("integers", "batch"):
+        n = int(rng.choice(_SMALL_N) if rng.random() < 0.8
+                else rng.choice(_LARGE_N))
+        if kind == "integers":
+            return int(g.integers(n))
+        k = int(rng.integers(1, 40))
+        if isinstance(g, _Draws):
+            return g.batch(n, k)
+        return g.integers(0, n, size=k).tolist()
+    m = int(rng.integers(1, 9))
+    probs = rng.random(m) ** 3
+    probs[rng.random(m) < 0.2] = 0.0
+    probs = probs / probs.sum() if probs.sum() > 0 else np.full(m, 1 / m)
+    if isinstance(g, _Draws):
+        return g.choice(probs)
+    return int(g.choice(m, p=probs))
+
+
+def test_draws_replay_generator_streams():
+    """`_Draws` and `np.random.default_rng(seed)` give the same values on
+    random interleavings of the four calls `run` makes."""
+    kinds = ["random", "integers", "batch", "choice"]
+    for seed in range(120):
+        script = np.random.default_rng(10_000 + seed)
+        # runs of one kind as well as mixtures, so the buffered 32-bit half
+        # is carried across random() calls and across batches
+        weights = script.dirichlet(np.full(4, 0.5))
+        calls = script.choice(4, size=300, p=weights)
+        args_a = np.random.default_rng(20_000 + seed)
+        args_b = np.random.default_rng(20_000 + seed)
+        ours, ref = _Draws(seed), np.random.default_rng(seed)
+        for c in calls.tolist():
+            got = _one_draw(ours, kinds[c], args_a)
+            want = _one_draw(ref, kinds[c], args_b)
+            assert got == want, (seed, kinds[c])
+            assert type(got) is type(want)
+
+
+def test_draws_cross_raw_blocks():
+    """Long runs of each call kind read several raw blocks in turn."""
+    ours, ref = _Draws(11), np.random.default_rng(11)
+    assert ours.batch(1000, 9001) == ref.integers(0, 1000, size=9001).tolist()
+    assert [ours.random() for _ in range(9000)] == ref.random(9000).tolist()
+    assert ours.batch(7, 3) == ref.integers(0, 7, size=3).tolist()
+
+
+def test_draws_ranges_of_one_draw_nothing():
+    ours, ref = _Draws(5), np.random.default_rng(5)
+    assert [ours.integers(1), ours.batch(1, 3)] == [0, [0, 0, 0]]
+    assert ours.integers(6) == ref.integers(6)
+    assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [0, 2**32, 2**40])
+def test_draws_reject_ranges_outside_32_bits(n):
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _Draws(0).integers(n)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _Draws(0).batch(n, 2)
 
 
 def test_epsilon_schedule_floor():
