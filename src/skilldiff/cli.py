@@ -13,10 +13,11 @@ import numpy as np
 
 from . import __version__
 from .envs import ENV_PRESETS, build_env
-from .experiments import (improvement_scatter, lambda_correlation,
-                          mean_log_n, metrics_table, run_rl_campaign,
-                          sample_complexities, theorem_campaign, variant_grid,
-                          write_csv, GNUPLOT_TEMPLATE)
+from .experiments import (InsufficientDataError, improvement_scatter,
+                          lambda_correlation, mean_log_n, metrics_table,
+                          run_rl_campaign, sample_complexities,
+                          theorem_campaign, variant_grid, write_csv,
+                          GNUPLOT_TEMPLATE)
 from .mdl import OBJECTIVES, Corpus, discover_macroactions
 from .metrics import NotConvergedError
 from .rl import RunRecord
@@ -24,13 +25,10 @@ from .skills import (MACRO_LAWS, MACRO_PRESETS, MacroGenSpec,
                      generate_macro_sets)
 
 
-def _load_spec(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
-def _spec_defaults(spec: dict) -> dict:
-    out = {
+def _read_spec(path: str | None, preset: str | None = None) -> dict:
+    """The run spec: these defaults, then the JSON file at path, then the
+    environment preset."""
+    spec = {
         "env": "cliff",
         "variant_seed": 7,
         "algorithms": ["q_learning"],
@@ -40,8 +38,27 @@ def _spec_defaults(spec: dict) -> dict:
         "rl_overrides": {},
         "criterion": {"which": "reward", "threshold": 0.95},
     }
-    out.update(spec)
-    return out
+    if path:
+        with open(path) as f:
+            spec.update(json.load(f))
+    if preset:
+        spec["env"] = preset
+    return spec
+
+
+def _sample_complexities(run_dir: str) -> dict[str, list]:
+    """variant -> per-seed sample complexity of the runs that run-rl wrote
+    to run_dir, under the criterion of its spec."""
+    crit = _read_spec(os.path.join(run_dir, "spec.json"))["criterion"]
+    with open(os.path.join(run_dir, "manifest.json")) as f:
+        manifest = json.load(f)
+    results = []
+    with open(os.path.join(run_dir, "runs.jsonl")) as f:
+        for line in f:
+            d = json.loads(line)
+            results.append({"variant": manifest[d["run_id"]]["variant"],
+                            "record": RunRecord.from_json_dict(d)})
+    return sample_complexities(results, crit["which"], crit["threshold"])
 
 
 def cmd_build_env(args) -> int:
@@ -75,9 +92,7 @@ def cmd_gen_macros(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    spec = _spec_defaults(_load_spec(args.spec) if args.spec else {})
-    if args.preset:
-        spec["env"] = args.preset
+    spec = _read_spec(args.spec, args.preset)
     variants = variant_grid(spec["env"], seed=spec["variant_seed"])
     rows = metrics_table(spec["env"], variants, delta=spec["delta"])
     os.makedirs(args.out, exist_ok=True)
@@ -91,9 +106,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_run_rl(args) -> int:
-    spec = _spec_defaults(_load_spec(args.spec) if args.spec else {})
-    if args.preset:
-        spec["env"] = args.preset
+    spec = _read_spec(args.spec, args.preset)
     variants = variant_grid(spec["env"], seed=spec["variant_seed"])
     os.makedirs(args.out, exist_ok=True)
 
@@ -122,34 +135,14 @@ def cmd_run_rl(args) -> int:
     return 0
 
 
-def _load_runs(out_dir: str):
-    with open(os.path.join(out_dir, "manifest.json")) as f:
-        manifest = json.load(f)
-    results = []
-    with open(os.path.join(out_dir, "runs.jsonl")) as f:
-        for line in f:
-            d = json.loads(line)
-            m = manifest[d["run_id"]]
-            results.append({"variant": m["variant"],
-                            "algorithm": m["algorithm"],
-                            "seed_index": m["seed_index"],
-                            "record": RunRecord.from_json_dict(d)})
-    return results
-
-
 def cmd_correlate(args) -> int:
-    spec = _spec_defaults(_load_spec(os.path.join(args.out, "spec.json")))
     with open(os.path.join(args.out, "metrics.json")) as f:
         rows = json.load(f)
-    results = _load_runs(args.out)
-    crit = spec["criterion"]
     names = [r["variant"] for r in rows]
     jl = [r["j_learn"] for r in rows]
     je = [r["j_explore"] for r in rows]
     je_am = [r["j_explore_am"] for r in rows]
-    per_variant = sample_complexities(results, crit["which"],
-                                      crit["threshold"])
-    log_n = mean_log_n(per_variant, names)
+    log_n = mean_log_n(_sample_complexities(args.out), names)
     out = {}
     for tag, expl in (("geometric", je), ("arithmetic", je_am)):
         c = lambda_correlation(names, log_n, jl, expl)
@@ -173,13 +166,8 @@ def cmd_scatter(args) -> int:
                     for r in rows if r["variant"] != "base"}
         base_measures = {"j_learn": base["j_learn"],
                          "j_explore": base["j_explore"]}
-        runs_path = os.path.join(sub, "runs.jsonl")
-        if os.path.exists(runs_path):
-            spec = _spec_defaults(_load_spec(os.path.join(sub, "spec.json")))
-            crit = spec["criterion"]
-            per = sample_complexities(_load_runs(sub), crit["which"],
-                                      crit["threshold"])
-            for variant, ns in per.items():
+        if os.path.exists(os.path.join(sub, "runs.jsonl")):
+            for variant, ns in _sample_complexities(sub).items():
                 vals = [n for n in ns if n is not None]
                 n_mean = float(np.mean(vals)) if len(vals) == len(ns) else None
                 if variant == "base":
@@ -233,14 +221,13 @@ def cmd_discover(args) -> int:
     with open(args.corpus) as f:
         text = f.read()
     labels = args.labels.split(",") if args.labels else None
-    if labels:
-        corpus = Corpus.from_label_lines(text, labels)
-        base_n = len(labels)
-    else:
-        sols = [tuple(int(t) for t in line.split())
-                for line in text.splitlines() if line.split()]
-        corpus = Corpus(solutions=sols)
-        base_n = args.base_actions
+    vocabulary = labels or [str(a) for a in range(args.base_actions)]
+    try:
+        corpus = Corpus.from_label_lines(text, vocabulary)
+    except ValueError as e:
+        print(f"skilldiff discover: {e}", file=sys.stderr)
+        return 2
+    base_n = len(vocabulary)
     res = discover_macroactions(corpus, args.objective, base_n,
                                 max_skills=args.max_skills, seed=args.seed)
     words = []
@@ -313,6 +300,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except NotConvergedError as e:
         print(f"solver failed to converge: {e}", file=sys.stderr)
+        return 2
+    except InsufficientDataError as e:
+        print(f"skilldiff {args.command}: {e}", file=sys.stderr)
         return 2
 
 

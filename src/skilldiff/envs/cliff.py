@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mdp import StateDistribution, TabularDsmdp
+from ..mdp import StateDistribution, enumerate_closure
 
 ACTIONS = ["U", "R", "D", "L"]
 DELTAS = {"U": (-1, 0), "R": (0, 1), "D": (1, 0), "L": (0, -1)}
@@ -32,26 +32,8 @@ def build_cliff_walking(height: int = 4, width: int = 12):
             return start
         return (r, c)
 
-    # forward closure from the start
-    order = [start]
-    index = {start: 0}
-    for cell in order:
-        if cell == goal_cell:
-            continue
-        for a in ACTIONS:
-            t = move(cell, a)
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-    n = len(order)
-    goal = index[goal_cell]
-    succ = np.full((n, len(ACTIONS)), n, dtype=np.int32)
-    for cell, s in index.items():
-        if s == goal:
-            continue
-        for j, a in enumerate(ACTIONS):
-            succ[s, j] = index[move(cell, a)]
-    mdp = TabularDsmdp(successor=succ, goal=goal, action_labels=list(ACTIONS))
-    p = np.zeros(n)
-    p[index[start]] = 1.0
-    return mdp, StateDistribution(p), {"cells": order, "start": index[start]}
+    mdp, cells = enumerate_closure([start], goal_cell, ACTIONS, move,
+                                   height * width)
+    p = np.zeros(mdp.num_states)
+    p[0] = 1.0
+    return mdp, StateDistribution(p), {"cells": cells, "start": 0}

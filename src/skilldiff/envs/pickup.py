@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..mdp import BudgetExceededError, MdpError, StateDistribution, TabularDsmdp
+from ..mdp import (MdpError, StateDistribution, enumerate_closure,
+                   shortest_solution_lengths)
 from . import cliff
 
 ACTIONS = ["U", "R", "D", "L", "P"]
@@ -105,8 +106,9 @@ target: ab
 
 
 def build_pickup_world(config: PickupWorldConfig, state_budget: int = 2_000_000):
-    """Forward-closure enumeration from the initial states; returns
-    (mdp, p uniform over solvable initial states, info)."""
+    """Forward-closure enumeration from the initial states, which take the
+    first indices; returns (mdp, p uniform over solvable initial states,
+    info)."""
     config.validate()
     H, W = config.height, config.width
     free = [(r, c) for r in range(H) for c in range(W)
@@ -128,16 +130,6 @@ def build_pickup_world(config: PickupWorldConfig, state_budget: int = 2_000_000)
         return t
 
     GOAL = "goal"
-    index: dict = {}
-    order: list = []
-
-    def intern(state):
-        if state not in index:
-            index[state] = len(order)
-            order.append(state)
-            if len(order) > state_budget:
-                raise BudgetExceededError("pickup world exceeds state budget")
-        return index[state]
 
     def transition(state, a):
         pos, picked = state
@@ -153,41 +145,12 @@ def build_pickup_world(config: PickupWorldConfig, state_budget: int = 2_000_000)
             return GOAL
         return (pos, new_picked)
 
-    for st in starts:
-        intern(st)
-    cursor = 0
-    goal_seen = False
-    while cursor < len(order):
-        state = order[cursor]
-        cursor += 1
-        if state == GOAL:
-            continue
-        for a in ACTIONS:
-            t = transition(state, a)
-            if t == GOAL:
-                goal_seen = True
-            intern(t)
-    if not goal_seen:
-        raise MdpError("target is not realizable from any start")
-
-    n = len(order)
-    goal_id = index[GOAL]
-    succ = np.full((n, len(ACTIONS)), n, dtype=np.int32)
-    for state, s in index.items():
-        if state == GOAL:
-            continue
-        for j, a in enumerate(ACTIONS):
-            succ[s, j] = index[transition(state, a)]
-    mdp = TabularDsmdp(successor=succ, goal=goal_id,
-                       action_labels=list(ACTIONS))
-
-    from ..mdp import shortest_solution_lengths
+    mdp, states = enumerate_closure(starts, GOAL, ACTIONS, transition,
+                                    state_budget)
     d = shortest_solution_lengths(mdp)
-    start_ids = [index[s] for s in starts]
-    solvable_starts = [s for s in start_ids if d.d[s] != -1 and s != goal_id]
-    if not solvable_starts:
-        raise MdpError("no solvable initial state")
-    p = np.zeros(n)
+    start_ids = list(range(len(starts)))
+    solvable_starts = [s for s in start_ids if d.d[s] != -1]
+    p = np.zeros(mdp.num_states)
     p[solvable_starts] = 1.0 / len(solvable_starts)
-    info = {"states": order, "d": d, "start_ids": start_ids}
+    info = {"states": states, "d": d, "start_ids": start_ids}
     return mdp, StateDistribution(p), info

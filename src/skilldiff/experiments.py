@@ -72,26 +72,19 @@ def cell_seed(*parts: int) -> int:
 # -- metric tables ---------------------------------------------------------
 
 def metrics_table(env_preset: str, variants: list[VariantSpec],
-                  delta: float = 1.0 / 50.0,
-                  include_merged: bool = False) -> list[dict]:
+                  delta: float = 1.0 / 50.0) -> list[dict]:
     mdp, p, _ = build_env(ENV_PRESETS[env_preset])
     rows = []
     for v in variants:
-        if v.is_base:
-            rep = compute_difficulty_report(mdp, p, delta)
-        else:
-            aug = materialize_variant(mdp, v, GOAL_PASS_DEAD)
-            rep = compute_difficulty_report(
-                aug.mdp, p, delta, augmented=aug if include_merged else None)
+        env = mdp if v.is_base else materialize_variant(mdp, v,
+                                                        GOAL_PASS_DEAD).mdp
+        rep = compute_difficulty_report(env, p, delta)
         row = {"variant": v.name, "macros": "|".join(v.macros)}
         # the table keeps its columns; the q error bound is in the report
         row.update({k: val for k, val in asdict(rep).items()
                     if not isinstance(val, dict) and k != "q_error_bound"})
         row["ic_fixed"] = rep.ic_unmerged_fixed["value"]
         row["ic_sup"] = rep.ic_unmerged_sup["value"]
-        if rep.ic_merged:
-            row["ic_merged"] = rep.ic_merged["value"]
-            row["ic_merged_method"] = rep.ic_merged["method"]
         rows.append(row)
     return rows
 
@@ -131,7 +124,8 @@ def _run_cell(args) -> dict:
     (env_preset, variant, v_idx, algo, seed_idx, root_seed, overrides) = args
     mdp, p = _cached_env(env_preset)
     cfg = replace(protocol_preset(algo), **overrides)
-    cfg = cfg.with_seed(cell_seed(root_seed, v_idx, _ALGO_IDS[algo], seed_idx))
+    cfg = replace(cfg, seed=cell_seed(root_seed, v_idx, _ALGO_IDS[algo],
+                                      seed_idx))
     if variant.is_base:
         env = mdp
     else:

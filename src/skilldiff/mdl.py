@@ -47,11 +47,16 @@ class Corpus:
 
     @classmethod
     def from_label_lines(cls, text: str, action_labels: list[str]) -> "Corpus":
-        """One solution per line, whitespace-separated action labels."""
+        """One solution per line, whitespace-separated action labels.
+        Raises ValueError naming the first token that is not a label."""
         index = {lab: i for i, lab in enumerate(action_labels)}
         sols = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             toks = line.split()
+            for t in toks:
+                if t not in index:
+                    raise ValueError(f"line {lineno}: token {t!r} is not one "
+                                     f"of the {len(index)} action labels")
             if toks:
                 sols.append(tuple(index[t] for t in toks))
         return cls(solutions=sols)

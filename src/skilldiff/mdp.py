@@ -7,6 +7,8 @@ goal state and an implicit absorbing dead pseudo-state.  The dead state is
 which drops dead entries and picks the dense or sparse form by size; the
 reverse graph is the sparse operator's transpose, built by a counting sort.
 Walks that may sit in the dead state gather from ``successor_padded``.
+Grid worlds given as a transition function on their own states are
+numbered and tabulated by ``enumerate_closure``.
 """
 
 from __future__ import annotations
@@ -239,6 +241,43 @@ class SolutionLengthTable:
         if np.any(self.d[sup] == UNSOLVABLE):
             raise MdpError("support contains an unsolvable state")
         return float(np.dot(p.probs[sup], self.d[sup]))
+
+
+def enumerate_closure(starts, goal, actions: list[str], step,
+                      state_budget: int) -> tuple[TabularDsmdp, list]:
+    """The MDP of the states reachable from ``starts`` under
+    ``step(state, action)``, and its states in index order.
+
+    States are numbered in discovery order, starts first, and ``step`` is
+    called once per (state, action) of every state but the goal, which is
+    never expanded.  Raises ``BudgetExceededError`` once more than
+    ``state_budget`` states are found and ``MdpError`` when no start
+    reaches ``goal``.
+    """
+    index: dict = {}
+    states: list = []
+
+    def intern(state) -> int:
+        i = index.get(state)
+        if i is None:
+            i = index[state] = len(states)
+            states.append(state)
+            if len(states) > state_budget:
+                raise BudgetExceededError(
+                    f"forward closure exceeds the state budget {state_budget}")
+        return i
+
+    for state in starts:
+        intern(state)
+    rows = [None if state == goal else [intern(step(state, a)) for a in actions]
+            for state in states]
+    if goal not in index:
+        raise MdpError("no start reaches the goal")
+    n = len(states)
+    rows[index[goal]] = [n] * len(actions)
+    mdp = TabularDsmdp(successor=np.array(rows, dtype=np.int32),
+                       goal=index[goal], action_labels=list(actions))
+    return mdp, states
 
 
 # Largest MDP with a dense operator, and with a direct start in ``solver``.

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -67,9 +67,6 @@ class RlConfig:
     stop_reward: float | None = 0.95
     stop_value_error: float | None = None
     seed: int = 0
-
-    def with_seed(self, seed: int) -> "RlConfig":
-        return replace(self, seed=seed)
 
 
 def protocol_preset(algorithm: str, *, seed: int = 0,
@@ -106,25 +103,19 @@ class RunRecord:
 def measure_sample_complexity(record: RunRecord, criterion: str,
                               threshold: float):
     """Mean env-step count over all crossings of the threshold in the
-    qualifying direction (above for reward, below for value error)."""
-    series = record.series(criterion)
-    crossings = []
-    if criterion == "reward":
-        prev = -math.inf
-        for steps, v in series:
-            if prev < threshold <= v:
-                crossings.append(steps)
-            prev = v
-    elif criterion == "value_error":
-        prev = math.inf
-        for steps, v in series:
-            if math.isnan(v):
-                continue
-            if prev > threshold >= v:
-                crossings.append(steps)
-            prev = v
-    else:
+    qualifying direction (above for reward, below for value error); NaN
+    samples are skipped."""
+    sign = {"reward": 1.0, "value_error": -1.0}.get(criterion)
+    if sign is None:
         raise ValueError(f"unknown criterion {criterion!r}")
+    crossings = []
+    prev = -math.inf
+    for steps, v in record.series(criterion):
+        if math.isnan(v):
+            continue
+        if prev < sign * threshold <= sign * v:
+            crossings.append(steps)
+        prev = sign * v
     if not crossings:
         return NOT_REACHED
     return float(np.mean(crossings))
@@ -158,10 +149,10 @@ def _softmax(row: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _successor_values(t, v, goal: int, dead: int, gamma: float) -> np.ndarray:
-    """Bootstrap target of each successor in t: 1 at the goal, 0 at dead and
-    gamma * v elsewhere."""
-    return np.where(t == goal, 1.0, gamma * v[t] * (t != dead))
+def _successor_values(t, v, goal: int, gamma: float) -> np.ndarray:
+    """Bootstrap target of each successor in t: 1 at the goal and gamma * v
+    elsewhere; v holds the dead state's 0 at its last index."""
+    return np.where(t == goal, 1.0, gamma * v[t])
 
 
 def _ground_truth(mdp: TabularDsmdp, gamma: float):
@@ -314,8 +305,7 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
         v = [0.0] * rows
 
         def successor_values(s: int) -> list[float]:
-            # `_successor_values` for one state; V(dead) stays 0, so dead
-            # needs no mask
+            # `_successor_values` for one state
             return [1.0 if t == goal else gamma * v[t] for t in succ[s]]
 
         def greedy(s: int) -> int:
@@ -464,9 +454,8 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
     v_star, _ = _ground_truth(mdp, gamma)
     sup = p.support if p is not None else None
 
-    v = np.zeros(n + 1)
-    v[mdp.goal] = 1.0
-    qtab = np.zeros((n + 1, m))
+    v = np.zeros(n + 1)  # v[n] is the dead state's, always 0
+    qtab = np.zeros((n, m))
     first_one = np.full(n, -1, dtype=np.int64) if track_first_exact else None
     if track_first_exact:
         first_one[mdp.goal] = 0
@@ -475,20 +464,14 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
     want_err = stop_value_error is not None
 
     for sweep in range(1, max_sweeps + 1):
+        targets = _successor_values(succ, v, mdp.goal, gamma)
         if variant == "state":
-            targets = _successor_values(succ, v, mdp.goal, mdp.dead, gamma)
-            vnew = (1.0 - alpha) * v[:n] + alpha * targets.max(axis=1)
-            vnew[mdp.goal] = 1.0
-            v[:n] = vnew
-            cur_v = v[:n]
+            v[:n] = (1.0 - alpha) * v[:n] + alpha * targets.max(axis=1)
+            v[mdp.goal] = 1.0
         else:
-            mx = np.concatenate([qtab[:n].max(axis=1), [0.0]])
-            mx[mdp.goal] = 1.0
-            targets = _successor_values(succ, mx, mdp.goal, mdp.dead, gamma)
-            qnew = (1.0 - alpha) * qtab[:n] + alpha * targets
-            qnew[mdp.goal] = 0.0
-            qtab[:n] = qnew
-            cur_v = qtab[:n].max(axis=1)
+            qtab = (1.0 - alpha) * qtab + alpha * targets
+            v[:n] = qtab.max(axis=1)
+        cur_v = v[:n]
         if track_first_exact:
             hit = (first_one == -1) & (cur_v == 1.0)
             first_one[hit] = sweep
@@ -497,7 +480,7 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
             if err <= stop_value_error:
                 sweeps_to["value_error"] = sweep
         if want_reward and "reward" not in sweeps_to and sup is not None:
-            r = _greedy_reward(mdp, succ, cur_v, p, gamma, horizon)
+            r = _greedy_reward(mdp, succ, v, p, gamma, horizon)
             if r >= stop_reward:
                 sweeps_to["reward"] = sweep
         done_err = (not want_err) or ("value_error" in sweeps_to)
@@ -505,19 +488,16 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
         if done_err and done_rew and (first_one is None
                                       or (first_one != -1).all()):
             break
-    table = v[:n] if variant == "state" else qtab[:n]
+    table = v[:n] if variant == "state" else qtab
     return PlannerResult(sweeps_to=sweeps_to, first_value_one=first_one,
                          table=table, sweeps_run=sweep)
 
 
-def _greedy_reward(mdp, succ, values, p, gamma, horizon):
-    """Expected reward over p of the policy greedy in values: one argmax
-    over every state's successor values, then a walk along the greedy
-    successors."""
-    vpad = np.concatenate([values, [0.0]])
-    vpad[mdp.goal] = 1.0
-    greedy = _successor_values(succ, vpad, mdp.goal, mdp.dead,
-                               gamma).argmax(axis=1)
+def _greedy_reward(mdp, succ, v, p, gamma, horizon):
+    """Expected reward over p of the policy greedy in v (the dead state's 0
+    last): one argmax over every state's successor values, then a walk
+    along the greedy successors."""
+    greedy = _successor_values(succ, v, mdp.goal, gamma).argmax(axis=1)
     nxt = np.take_along_axis(succ, greedy[:, None], axis=1)[:, 0].tolist()
     total = 0.0
     for s0 in p.support.tolist():

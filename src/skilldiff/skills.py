@@ -167,30 +167,22 @@ def rewrite_min_length(solution, macros: list[tuple[int, ...]],
     """
     sol = tuple(int(a) for a in solution)
     n = len(sol)
-    INF = n + 2
-    cost = [INF] * (n + 1)
-    cost[n] = 0
+    # backward pass: cost[i] tokens rewrite sol[i:], starting with choice[i]
+    cost = [0] * (n + 1)
+    choice = [None] * n
     for i in range(n - 1, -1, -1):
-        cost[i] = 1 + cost[i + 1]
-        for mac in macros:
+        best = (1 + cost[i + 1], -1, sol[i])  # (tokens, -length, token)
+        for j, mac in enumerate(macros):
             L = len(mac)
-            if i + L <= n and sol[i:i + L] == mac and 1 + cost[i + L] < cost[i]:
-                cost[i] = 1 + cost[i + L]
+            if L and sol[i:i + L] == mac:
+                best = min(best, (1 + cost[i + L], -L, num_base_actions + j))
+        cost[i], choice[i] = best[0], (-best[1], best[2])
     out = []
     i = 0
     while i < n:
-        # candidate edges on a shortest path, longest consume first
-        best_len, best_token = 1, sol[i]
-        for j, mac in enumerate(macros):
-            L = len(mac)
-            if i + L <= n and sol[i:i + L] == mac and 1 + cost[i + L] == cost[i]:
-                token = num_base_actions + j
-                if L > best_len or (L == best_len and token < best_token):
-                    best_len, best_token = L, token
-        if best_len == 1 and 1 + cost[i + 1] != cost[i]:
-            raise AssertionError("rewriting DP is inconsistent")
-        out.append(best_token)
-        i += best_len
+        length, token = choice[i]
+        out.append(token)
+        i += length
     return out
 
 

@@ -107,3 +107,41 @@ def test_discover_every_offered_objective_exits_zero(tmp_path, capsys):
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["trace"]) == len(payload["macros"]) + 1
+
+
+@pytest.mark.parametrize("text,extra,bad", [
+    ("R R U\nR X U\n", ["--labels", "U,R,D,L"], "line 2: token 'X'"),
+    ("1 1 0\n0 4 1\n", ["--base-actions", "4"], "line 2: token '4'"),
+])
+def test_discover_rejects_unknown_tokens(tmp_path, capsys, text, extra, bad):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text)
+    assert main(["discover", "--corpus", str(corpus), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("skilldiff discover: " + bad)
+    assert err.count("\n") == 1
+
+
+def test_correlate_with_too_few_converged_variants_exits_2(tmp_path, capsys):
+    out = tmp_path / "exp"
+    os.makedirs(out)
+    names = ["base", "v1", "v2"]
+    rows = [{"variant": v, "j_learn": 10.0 * (i + 1), "j_explore": 1.0 + i,
+             "j_explore_am": 2.0 + i} for i, v in enumerate(names)]
+    (out / "metrics.json").write_text(json.dumps(rows))
+    (out / "spec.json").write_text(json.dumps({"env": "cliff"}))
+    (out / "manifest.json").write_text(json.dumps(
+        [{"run_id": i, "variant": v, "algorithm": "q_learning",
+          "seed_index": 0} for i, v in enumerate(names)]))
+    # only the base run's reward ever crosses the 0.95 threshold
+    runs = [{"run_id": i, "samples": [[2000, 0.5, 0.1],
+                                      [4000, 1.0 if i == 0 else 0.5, 0.1]],
+             "converged": i == 0, "terminal_env_steps": 4000,
+             "algorithm": "q_learning", "seed": i}
+            for i in range(len(names))]
+    (out / "runs.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in runs))
+    assert main(["correlate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("skilldiff correlate: need at least 3 converged "
+                   "variants, have 1\n")

@@ -9,7 +9,8 @@ from skilldiff.envs.pickup import (DEFAULT_PICKUP_CONFIG, PickupWorldConfig,
 from skilldiff.envs.scramble import ScrambleMove, scramble_distribution
 from skilldiff.envs.synthetic import (build_chain, build_sequence_consume,
                                       sequence_state_index)
-from skilldiff.mdp import (MdpError, check_invertible_transitions,
+from skilldiff.mdp import (BudgetExceededError, MdpError,
+                           check_invertible_transitions,
                            check_solution_separable_bruteforce,
                            shortest_solution_lengths)
 from skilldiff.metrics import per_length_counts
@@ -61,6 +62,12 @@ def test_cliff_optimal_macro_is_full_solution(cliff_bundle):
     aug = augment(mdp, [mac], mode=GOAL_PASS_SUCCESS)
     d = shortest_solution_lengths(aug.mdp)
     assert d.d[info["start"]] == 1
+
+
+def test_cliff_without_a_path_to_the_goal_is_rejected():
+    # one row: every cell between the start and the goal is cliff
+    with pytest.raises(MdpError, match="no start reaches the goal"):
+        build_cliff_walking(height=1, width=5)
 
 
 # -- sliding puzzle -----------------------------------------------------------
@@ -249,6 +256,14 @@ def test_pickup_unrealizable_target():
         build_pickup_world(PickupWorldConfig(
             width=3, height=1, walls=set(), objects=[("a", (0, 0))],
             target=["b"]))
+
+
+def test_pickup_state_budget():
+    cfg = parse_pickup_config(DEFAULT_PICKUP_CONFIG)
+    n = build_pickup_world(cfg)[0].num_states
+    assert build_pickup_world(cfg, state_budget=n)[0].num_states == n
+    with pytest.raises(BudgetExceededError):
+        build_pickup_world(cfg, state_budget=n - 1)
 
 
 def test_pickup_grid_size_cap():

@@ -13,15 +13,20 @@ through a numpy ``Generator``.  ``_bfs_random_invertible_mdp`` is
 ``incompress._ic_sup`` as it was before one root solve replaced its grid and
 bounded Brent search over ``_ic_at_logit``.  ``_per_state_greedy_reward`` is
 the planner's ``_greedy_reward`` as it was before one argmax over all states
-replaced an argmax per visited state.  ``_greedy_canonical_solution`` is
+replaced an argmax per visited state.  ``_cliff_closure`` and
+``_pickup_closure`` are the cliff and pickup builders as they were before
+``mdp.enumerate_closure`` numbered and tabulated both, and
+``_two_pass_rewrite`` is ``skills.rewrite_min_length`` as it was before one
+backward pass recorded each position's token: a cost DP and a forward pass
+that re-derived each choice.  ``_greedy_canonical_solution`` is
 ``canonical_shortest_solution`` as it was before it took the first solution
 of ``enumerate_shortest_solutions``.  ``_unroll_macro_column`` and
 ``_unroll_tabular_column`` (with ``_unroll_one``, the former public
 ``skills.unroll``) are the two column builders ``augment`` had before one
 unroll from every state served macros and tabular skills; they match it on
 every non-goal row.  They stay here as oracles.  The
-graph, the lengths, the RL records and the planner results must match bit
-for bit, and so must the scramble DP when no move has a group; with groups
+graph, the lengths, the RL records, the planner results, the cliff and
+pickup MDPs and the rewritings must match bit for bit, and so must the scramble DP when no move has a group; with groups
 it sums the contexts in another order and is held to 1e-15.  IC(sup) is
 held to 1e-12 relative.
 """
@@ -36,7 +41,12 @@ from scipy.optimize import minimize_scalar
 
 from skilldiff import rl
 from skilldiff.envs import ENV_PRESETS, build_env
+from skilldiff.envs import cliff
+from skilldiff.envs.cliff import build_cliff_walking
 from skilldiff.envs.npuzzle import _factorials, perm_rank
+from skilldiff.envs.pickup import (ACTIONS as PICKUP_ACTIONS,
+                                   DEFAULT_PICKUP_CONFIG, PickupWorldConfig,
+                                   build_pickup_world, parse_pickup_config)
 from skilldiff.envs.scramble import (FRONTIER_SHARE, ScrambleMove,
                                      ScrambleResult, _preimage_tables,
                                      scramble_distribution)
@@ -55,7 +65,8 @@ from skilldiff.rl import (Q_LEARNING, REINFORCE, RL_VALUE_ITERATION,
                           adaptive_epsilon_step, planner_value_iteration,
                           protocol_preset, run)
 from skilldiff.skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS,
-                              AugmentedMdp, Skill, augment)
+                              AugmentedMdp, Skill, augment,
+                              rewrite_min_length)
 
 from conftest import random_dsmdp
 
@@ -873,17 +884,14 @@ def test_run_matches_oracle_over_long_budgets(cliff_bundle):
 
 # -- planner greedy reward ----------------------------------------------------
 
-def _per_state_greedy_reward(mdp, succ, values, p, gamma, horizon):
-    vpad = np.concatenate([values, [0.0]])
-    vpad[mdp.goal] = 1.0
+def _per_state_greedy_reward(mdp, succ, v, p, gamma, horizon):
     total = 0.0
     for s0 in p.support:
         s = int(s0)
         r = 0.0
         for step in range(1, horizon + 1):
             t = succ[s]
-            a = int(np.argmax(_successor_values(t, vpad, mdp.goal, mdp.dead,
-                                                gamma)))
+            a = int(np.argmax(_successor_values(t, v, mdp.goal, gamma)))
             s2 = int(t[a])
             if s2 == mdp.goal:
                 r = gamma ** (step - 1)
@@ -1079,3 +1087,230 @@ def test_augment_matches_unroll_column_oracles():
                      == mdp.dead).sum())
         crossed += int((hrl.skill_lengths < formal.skill_lengths).sum())
     assert min(empty, dead, crossed) > 0
+
+
+# -- explicit environments ------------------------------------------------------
+
+def _cliff_closure(height, width):
+    bottom = height - 1
+    start = (bottom, 0)
+    goal_cell = (bottom, width - 1)
+    cliff_cells = {(bottom, c) for c in range(1, width - 1)}
+
+    def move(cell, a):
+        dr, dc = cliff.DELTAS[a]
+        r, c = cell[0] + dr, cell[1] + dc
+        if not (0 <= r < height and 0 <= c < width):
+            return cell
+        if (r, c) in cliff_cells:
+            return start
+        return (r, c)
+
+    order = [start]
+    index = {start: 0}
+    for cell in order:
+        if cell == goal_cell:
+            continue
+        for a in cliff.ACTIONS:
+            t = move(cell, a)
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+    n = len(order)
+    goal = index[goal_cell]
+    succ = np.full((n, len(cliff.ACTIONS)), n, dtype=np.int32)
+    for cell, s in index.items():
+        if s == goal:
+            continue
+        for j, a in enumerate(cliff.ACTIONS):
+            succ[s, j] = index[move(cell, a)]
+    mdp = TabularDsmdp(successor=succ, goal=goal,
+                       action_labels=list(cliff.ACTIONS))
+    p = np.zeros(n)
+    p[index[start]] = 1.0
+    return mdp, StateDistribution(p), {"cells": order, "start": index[start]}
+
+
+def _pickup_closure(config):
+    config.validate()
+    H, W = config.height, config.width
+    free = [(r, c) for r in range(H) for c in range(W)
+            if (r, c) not in config.walls]
+    obj_kind = [k for k, _ in config.objects]
+    obj_cell = [cell for _, cell in config.objects]
+    target = tuple(config.target)
+    if config.agent_start is not None:
+        starts = [(config.agent_start, ())]
+    else:
+        starts = [(cell, ()) for cell in free]
+
+    def move(cell, a):
+        dr, dc = cliff.DELTAS[a]
+        t = (cell[0] + dr, cell[1] + dc)
+        if not (0 <= t[0] < H and 0 <= t[1] < W) or t in config.walls:
+            return cell
+        return t
+
+    GOAL = "goal"
+    index: dict = {}
+    order: list = []
+
+    def intern(state):
+        if state not in index:
+            index[state] = len(order)
+            order.append(state)
+        return index[state]
+
+    def transition(state, a):
+        pos, picked = state
+        if a != "P":
+            return (move(pos, a), picked)
+        here = [i for i in range(len(config.objects))
+                if obj_cell[i] == pos and i not in picked]
+        if not here:
+            return state
+        new_picked = picked + (here[0],)
+        if tuple(obj_kind[j] for j in new_picked) == target:
+            return GOAL
+        return (pos, new_picked)
+
+    for st in starts:
+        intern(st)
+    cursor = 0
+    goal_seen = False
+    while cursor < len(order):
+        state = order[cursor]
+        cursor += 1
+        if state == GOAL:
+            continue
+        for a in PICKUP_ACTIONS:
+            t = transition(state, a)
+            if t == GOAL:
+                goal_seen = True
+            intern(t)
+    if not goal_seen:
+        raise MdpError("target is not realizable from any start")
+    n = len(order)
+    goal_id = index[GOAL]
+    succ = np.full((n, len(PICKUP_ACTIONS)), n, dtype=np.int32)
+    for state, s in index.items():
+        if state == GOAL:
+            continue
+        for j, a in enumerate(PICKUP_ACTIONS):
+            succ[s, j] = index[transition(state, a)]
+    mdp = TabularDsmdp(successor=succ, goal=goal_id,
+                       action_labels=list(PICKUP_ACTIONS))
+    d = shortest_solution_lengths(mdp)
+    start_ids = [index[s] for s in starts]
+    solvable_starts = [s for s in start_ids if d.d[s] != -1 and s != goal_id]
+    if not solvable_starts:
+        raise MdpError("no solvable initial state")
+    p = np.zeros(n)
+    p[solvable_starts] = 1.0 / len(solvable_starts)
+    return mdp, StateDistribution(p), {"states": order, "d": d,
+                                       "start_ids": start_ids}
+
+
+def _assert_same_env(got, want):
+    (mdp, p, info), (mdp0, p0, info0) = got, want
+    _assert_same_arrays(mdp.successor, mdp0.successor)
+    assert mdp.goal == mdp0.goal
+    assert mdp.action_labels == mdp0.action_labels
+    _assert_same_arrays(p.probs, p0.probs)
+    assert info.keys() == info0.keys()
+    for key in info:
+        if key == "d":
+            _assert_same_arrays(info[key].d, info0[key].d)
+        else:
+            assert info[key] == info0[key]
+
+
+@pytest.mark.parametrize("height,width", [(2, 2), (3, 5), (4, 12), (5, 7)])
+def test_cliff_matches_closure_oracle(height, width):
+    _assert_same_env(build_cliff_walking(height, width),
+                     _cliff_closure(height, width))
+
+
+def _random_pickup_config(rng):
+    h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    cells = [(r, c) for r in range(h) for c in range(w)]
+    order = rng.permutation(len(cells))
+    n_walls = int(rng.integers(0, len(cells) // 3 + 1))
+    walls = {cells[i] for i in order[:n_walls]}
+    free = [cells[i] for i in order[n_walls:]]
+    n_obj = int(rng.integers(1, min(4, len(free)) + 1))
+    objects = [("abc"[int(rng.integers(0, 3))], free[i])
+               for i in range(n_obj)]
+    kinds = [k for k, _ in objects]
+    target = [kinds[i] for i in rng.permutation(n_obj)[
+        :int(rng.integers(1, n_obj + 1))]]
+    start = free[int(rng.integers(len(free)))] if rng.random() < 0.3 else None
+    return PickupWorldConfig(width=w, height=h, walls=walls, objects=objects,
+                             target=target, agent_start=start)
+
+
+def test_pickup_matches_closure_oracle():
+    cfg = parse_pickup_config(DEFAULT_PICKUP_CONFIG)
+    _assert_same_env(build_pickup_world(cfg), _pickup_closure(cfg))
+    rng = np.random.default_rng(71)
+    built = unrealizable = 0
+    for _ in range(80):
+        cfg = _random_pickup_config(rng)
+        try:
+            want = _pickup_closure(cfg)
+        except MdpError:
+            unrealizable += 1
+            with pytest.raises(MdpError):
+                build_pickup_world(cfg)
+            continue
+        _assert_same_env(build_pickup_world(cfg), want)
+        built += 1
+    assert built >= 50 and unrealizable > 0
+
+
+# -- minimum-length rewriting ---------------------------------------------------
+
+def _two_pass_rewrite(solution, macros, num_base_actions):
+    sol = tuple(int(a) for a in solution)
+    n = len(sol)
+    INF = n + 2
+    cost = [INF] * (n + 1)
+    cost[n] = 0
+    for i in range(n - 1, -1, -1):
+        cost[i] = 1 + cost[i + 1]
+        for mac in macros:
+            L = len(mac)
+            if i + L <= n and sol[i:i + L] == mac and 1 + cost[i + L] < cost[i]:
+                cost[i] = 1 + cost[i + L]
+    out = []
+    i = 0
+    while i < n:
+        best_len, best_token = 1, sol[i]
+        for j, mac in enumerate(macros):
+            L = len(mac)
+            if i + L <= n and sol[i:i + L] == mac and 1 + cost[i + L] == cost[i]:
+                token = num_base_actions + j
+                if L > best_len or (L == best_len and token < best_token):
+                    best_len, best_token = L, token
+        if best_len == 1 and 1 + cost[i + 1] != cost[i]:
+            raise AssertionError("rewriting DP is inconsistent")
+        out.append(best_token)
+        i += best_len
+    return out
+
+
+def test_rewrite_matches_two_pass_oracle():
+    rng = np.random.default_rng(81)
+    empty = rewritten = 0
+    for _ in range(400):
+        base = int(rng.integers(1, 5))
+        sol = tuple(rng.integers(0, base, size=int(rng.integers(0, 25))).tolist())
+        # macros of length 0 to 5: an empty macro is never chosen
+        macros = [tuple(rng.integers(0, base,
+                                     size=int(rng.integers(0, 6))).tolist())
+                  for _ in range(int(rng.integers(0, 6)))]
+        got = rewrite_min_length(sol, macros, base)
+        assert got == _two_pass_rewrite(sol, macros, base)
+        empty += not sol
+        rewritten += any(t >= base for t in got)
+    assert empty > 0 and rewritten > 100
