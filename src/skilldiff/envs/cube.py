@@ -148,12 +148,13 @@ def build_pocket_cube(k_max: int = 11):
     face, K uniform on 1..k_max, conditioned on not being solved."""
     raw = {label: _index_map(tab) for label, tab in move_tables().items()}
     n = NUM_CUBE_STATES
-    succ = np.stack([raw["F1"], raw["R1"], raw["U1"]], axis=1)
     goal = solved_index()
-    succ[goal] = n
-    mdp = TabularDsmdp(successor=succ, goal=goal,
-                       action_labels=["F", "R", "U"])
     moves = [ScrambleMove(successor=raw[f + str(r)], group=gi, label=f + str(r))
              for gi, f in enumerate(("F", "R", "U")) for r in (1, 2, 3)]
     res = scramble_distribution(n, goal, moves, k_max)
-    return mdp, res.distribution, {"raw_moves": raw, "scramble": res}
+    # stacked after the DP, so this (n, 3) copy is not alive at its peak
+    succ = np.stack([raw["F1"], raw["R1"], raw["U1"]], axis=1)
+    succ[goal] = n
+    mdp = TabularDsmdp(successor=succ, goal=goal,
+                       action_labels=["F", "R", "U"])
+    return mdp, res.distribution, {"scramble": res}

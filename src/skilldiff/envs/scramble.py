@@ -6,12 +6,16 @@ solved".  This is computed exactly by dynamic programming over
 (state, last-move-group) and averaging the K-step marginals, then
 conditioning on not being at the goal.
 
-The DP pulls rather than scatters.  Each move's legal entries are inverted
-once into int32 preimage tables (one per preimage a target can have, so an
-injective move has one); an entry of n means "no preimage" and gathers the
-zero kept at index n of every mass vector.  A step divides each context's
-mass by its legal-move count, sums the contexts, and lets every move gather
-the mass that may enter it: the total, less its own group's share.
+The DP pulls rather than scatters: every move gathers, for each target,
+the mass of its sources through n-entry int32 tables.  A move that is legal
+on every state and is undone by a move of the set (itself included), as
+every cube turn is, gathers through that inverse move's own successor
+array.  Any other move's legal entries are inverted once into preimage
+tables (one per preimage a target can have, so an injective move has one);
+an entry of n means "no preimage" and gathers the zero kept at index n of
+every mass vector.  A step divides each context's mass by its legal-move
+count, sums the contexts, and lets every move gather the mass that may enter
+it: the total, less its own group's share.
 
 The walk starts at one state, so its early steps touch few (frontier
 search: Korf, Zhang, Thayer & Hohwald 2005, JACM 52(5)).  A sorted
@@ -91,17 +95,22 @@ def scramble_distribution(
     C = len(groups) + 1  # context: last move's group; last slot = "none"
     ctx = [gindex[m.group] if m.group is not None else C - 1 for m in moves]
 
+    succs = [_checked_successor(mv, n) for mv in moves]
     # legal-move counts per (context, state); a group's context excludes it
     counts = np.zeros((C, n), dtype=np.min_scalar_type(len(moves)))
-    tables = [[] for _ in range(C)]  # preimage tables of the moves per group
+    tables = [[] for _ in range(C)]  # gather tables of the moves per group
     states = np.arange(n, dtype=np.int32)
-    for mv, g in zip(moves, ctx):
-        legal = _legal_entries(mv, states)
+    for t, g in zip(succs, ctx):
+        legal = (t != n) & (t != states)
         for c in range(C):
             if c != g or g == C - 1:
                 counts[c] += legal
-        if legal.any():
-            tables[g].append(_preimage_tables(mv.successor, legal, n))
+        inverse = _inverse_successor(t, succs, states) if legal.all() else None
+        if inverse is not None:
+            tables[g].append([inverse])
+        elif legal.any():
+            tables[g].append([table[:n] for table
+                              in _preimage_tables(t, legal, n)])
     stuck = [np.flatnonzero(row == 0) for row in counts]  # mass stays put
     np.maximum(counts, 1, out=counts)
 
@@ -120,8 +129,8 @@ def scramble_distribution(
     reached[goal] = True
     for k in range(k_max):
         if front is not None:
-            for mv in moves:
-                reached[np.asarray(mv.successor)[front]] = True
+            for t in succs:
+                reached[t[front]] = True
             nxt = np.flatnonzero(reached[:n])
             if len(nxt) > FRONTIER_SHARE * n:
                 front = None
@@ -185,17 +194,16 @@ def _dense_step(w, counts, stuck, tables, total, entering, acc):
         else:  # a group's own share may not enter it again
             pool = np.subtract(total, w[g], out=w[g])
         for first, *extra in tables[g]:
-            np.take(pool, first, out=entering, mode="clip")  # unbuffered
+            # entering[n] stays zero; under "clip" take is unbuffered
+            np.take(pool, first, out=entering[:-1], mode="clip")
             for table in extra:
-                entering += pool[table]
+                entering[:-1] += pool[table]
             acc += entering
         w[g] = acc
 
 
-def _legal_entries(mv: ScrambleMove, states: np.ndarray) -> np.ndarray:
-    """Bool mask of the states where mv moves to another live state; states
-    is arange(n)."""
-    n = len(states)
+def _checked_successor(mv: ScrambleMove, n: int) -> np.ndarray:
+    """mv's successor array, after checking its shape and range."""
     t = np.asarray(mv.successor)
     if t.shape != (n,):
         raise ValueError(f"scramble move {mv.label!r} has successor shape "
@@ -203,7 +211,20 @@ def _legal_entries(mv: ScrambleMove, states: np.ndarray) -> np.ndarray:
     if int(t.min()) < 0 or int(t.max()) > n:
         raise ValueError(f"scramble move {mv.label!r} has a successor "
                          f"outside [0, {n}]")
-    return (t != n) & (t != states)
+    return t
+
+
+def _inverse_successor(t: np.ndarray, succs: list[np.ndarray],
+                       states: np.ndarray) -> np.ndarray | None:
+    """The first successor array s in succs with s[t] == states, or None.
+
+    t is legal on every state; such an s makes t a fixed-point-free
+    permutation and is its one preimage table without the pad entry.  One
+    entry is probed before the full check."""
+    for s in succs:
+        if s[t[0]] == 0 and np.array_equal(s[t], states):
+            return s
+    return None
 
 
 def _preimage_tables(successor: np.ndarray, legal: np.ndarray,

@@ -76,13 +76,16 @@ def metrics_table(env_preset: str, variants: list[VariantSpec],
     mdp, p, _ = build_env(ENV_PRESETS[env_preset])
     rows = []
     for v in variants:
-        env = mdp if v.is_base else materialize_variant(mdp, v,
-                                                        GOAL_PASS_DEAD).mdp
-        rep = compute_difficulty_report(env, p, delta)
+        aug = None if v.is_base else materialize_variant(mdp, v,
+                                                         GOAL_PASS_DEAD)
+        rep = compute_difficulty_report(aug.mdp if aug else mdp, p, delta)
         row = {"variant": v.name, "macros": "|".join(v.macros)}
-        # the table keeps its columns; the q error bound is in the report
+        # the table keeps its columns; the q error bound is in the report and
+        # the table computes no merged IC
         row.update({k: val for k, val in asdict(rep).items()
-                    if not isinstance(val, dict) and k != "q_error_bound"})
+                    if not isinstance(val, dict)
+                    and k not in ("q_error_bound", "ic_merged")})
+        row["goal_pass_mode"] = aug.goal_pass_mode if aug else None
         row["ic_fixed"] = rep.ic_unmerged_fixed["value"]
         row["ic_sup"] = rep.ic_unmerged_sup["value"]
         rows.append(row)

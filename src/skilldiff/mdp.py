@@ -185,7 +185,7 @@ def shannon_entropy(mass) -> float:
     """-sum m log m in nats over the positive entries of mass."""
     m = np.asarray(mass, dtype=np.float64)
     m = m[m > 0.0]
-    return float(-np.dot(m, np.log(m)))
+    return float(0.0 - np.dot(m, np.log(m)))  # +0.0, not -0.0, at a point mass
 
 
 @dataclass

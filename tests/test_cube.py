@@ -99,9 +99,8 @@ def test_full_cube_properties(cube_bundle):
     assert mdp.num_states == NUM_CUBE_STATES == 3_674_160
     assert p.support_size == NUM_CUBE_STATES - 1
     assert p.probs[mdp.goal] == 0.0
-    raw = info["raw_moves"]
     for f in "FRU":
-        col = raw[f + "1"]
+        col = _index_map(move_tables()[f + "1"])
         # each generator is a bijection on the orbit
         assert len(np.unique(col)) == len(col)
     # scramble marginals are exact distributions before conditioning
@@ -109,9 +108,9 @@ def test_full_cube_properties(cube_bundle):
 
 
 def test_cube_agent_table_matches_raw_moves(cube_bundle):
-    mdp, _, info = cube_bundle
-    raw = info["raw_moves"]
+    mdp, _, _ = cube_bundle
     rng = np.random.default_rng(4)
     idx = rng.integers(1, mdp.num_states, size=1000)  # skip the goal row
     for a, f in enumerate("FRU"):
-        assert np.array_equal(mdp.successor[idx, a], raw[f + "1"][idx])
+        col = _index_map(move_tables()[f + "1"])
+        assert np.array_equal(mdp.successor[idx, a], col[idx])

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -103,6 +104,21 @@ def test_metrics_table_consistency(cliff_bundle):
     assert lemma["variant"] == "cliff/lemma"
     assert lemma["mean_d"] == pytest.approx(1.0)
     assert lemma["j_learn"] == pytest.approx(5.0)  # 5 actions x distance 1
+
+
+def test_metrics_csv_has_no_column_empty_on_every_row(tmp_path):
+    rows = metrics_table("cliff", variant_grid("cliff", seed=7)[:3])
+    path = tmp_path / "metrics.csv"
+    write_csv(rows, str(path))
+    with open(path, newline="") as f:
+        header, *body = list(csv.reader(f))
+    assert "ic_merged" not in header
+    empty = [k for i, k in enumerate(header) if all(r[i] == "" for r in body)]
+    assert empty == []
+    # augmented variants are materialized with the goal as a dead end
+    assert [r["goal_pass_mode"] for r in rows] == [None] + [GOAL_PASS_DEAD] * 2
+    entropy = header.index("entropy_p")
+    assert [r[entropy] for r in body] == ["0"] * 3  # a point mass, not "-0"
 
 
 def test_small_rl_campaign_and_complexities():

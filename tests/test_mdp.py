@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from skilldiff.mdp import (BudgetExceededError, MdpError, StateDistribution,
                            TabularDsmdp, build_reverse_graph,
                            check_invertible_transitions,
                            check_solution_separable_bruteforce,
-                           shortest_solution_lengths, solvable_mask)
+                           shannon_entropy, shortest_solution_lengths,
+                           solvable_mask)
 from skilldiff.envs.synthetic import build_chain
 
 from conftest import random_dsmdp
@@ -174,6 +177,11 @@ def test_distribution_validation():
     ent = StateDistribution(np.array([0.0, 0.5, 0.25, 0.25]))
     assert ent.entropy() == pytest.approx(-(0.5 * np.log(0.5)
                                             + 0.5 * np.log(0.25)))
+
+
+def test_entropy_of_a_point_mass_is_positive_zero():
+    h = shannon_entropy([1.0])
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0  # not -0.0
 
 
 def test_goal_row_must_be_dead():

@@ -20,7 +20,10 @@ replaced an argmax per visited state.  ``_cliff_closure`` and
 backward pass recorded each position's token: a cost DP and a forward pass
 that re-derived each choice.  ``_greedy_canonical_solution`` is
 ``canonical_shortest_solution`` as it was before it took the first solution
-of ``enumerate_shortest_solutions``.  ``_unroll_macro_column`` and
+of ``enumerate_shortest_solutions``.  ``_dense_scramble`` is the scramble DP
+as it was before it ran on a frontier and before a move undone by a move of
+its set gathered through that move's successor array: it builds preimage
+tables for every move.  ``_unroll_macro_column`` and
 ``_unroll_tabular_column`` (with ``_unroll_one``, the former public
 ``skills.unroll``) are the two column builders ``augment`` had before one
 unroll from every state served macros and tabular skills; they match it on
@@ -41,7 +44,8 @@ from scipy.optimize import minimize_scalar
 
 from skilldiff import rl
 from skilldiff.envs import ENV_PRESETS, build_env
-from skilldiff.envs import cliff
+from skilldiff.envs import cliff, scramble
+from skilldiff.envs.cube import _index_map, move_tables as cube_move_tables
 from skilldiff.envs.cliff import build_cliff_walking
 from skilldiff.envs.npuzzle import _factorials, perm_rank
 from skilldiff.envs.pickup import (ACTIONS as PICKUP_ACTIONS,
@@ -488,6 +492,157 @@ def test_frontier_scramble_matches_dense_oracle(grouped):
         else:
             sparse_only += 1
     assert switched >= 30 and sparse_only >= 30
+
+
+def _cycle_power(label, L, k):
+    """The k-th power of the permutation that steps every run of L
+    consecutive places one place on, cyclically; label[i] is the state at
+    place i."""
+    i = np.arange(len(label))
+    t = np.empty(len(label), dtype=np.int32)
+    t[label] = label[i - i % L + (i % L + k) % L]
+    return t
+
+
+def _closed_moves(rng, n, grouped):
+    """Fixed-point-free permutations with their inverses and powers.
+
+    Each generator cycles runs of L places (L = 2, 3, 4, 6 or 12, which
+    divide n, or a ring of all n) under its own random labelling; the set
+    holds its powers 1..L-1, or 1, 2, L-2 and L-1 when L > 4, so every move's
+    inverse is in the set and no move fixes a state.  L = 2 is a
+    self-inverse move.  With ``grouped`` a generator's powers share a group,
+    as a cube face's turns do, or have none."""
+    moves = []
+    for j in range(int(rng.integers(1, 4))):
+        L = int(rng.choice([2, 3, 4, 6, 12, n]))
+        label = rng.permutation(n)
+        group = j if grouped and rng.random() < 0.8 else None
+        powers = range(1, L) if L <= 4 else sorted({1, 2, L - 2, L - 1})
+        moves += [ScrambleMove(successor=_cycle_power(label, L, k),
+                               group=group, label=f"g{j}^{k}") for k in powers]
+    rng.shuffle(moves)
+    return moves
+
+
+def _tables_built(monkeypatch):
+    """Record the successor array of every move that builds preimage
+    tables."""
+    built = []
+
+    def spy(successor, legal, n):
+        built.append(successor)
+        return _preimage_tables(successor, legal, n)
+
+    monkeypatch.setattr(scramble, "_preimage_tables", spy)
+    return built
+
+
+def _assert_matches_fallback_and_oracle(monkeypatch, n, goal, moves, k_max):
+    """scramble_distribution equals the dense oracle on p, the step marginal
+    sums and the goal mass, and the preimage-table path on all of those and
+    on step_states.  Returns the result."""
+    res = scramble_distribution(n, goal, moves, k_max)
+    res0 = _dense_scramble(n, goal, moves, k_max)
+    with monkeypatch.context() as mp:
+        mp.setattr(scramble, "_inverse_successor", lambda *args: None)
+        res1 = scramble_distribution(n, goal, moves, k_max)
+    for other in (res0, res1):
+        assert np.array_equal(res.distribution.probs,
+                              other.distribution.probs)
+        assert np.array_equal(res.step_marginal_sums, other.step_marginal_sums)
+        assert res.goal_mass_removed == other.goal_mass_removed
+    assert np.array_equal(res.step_states, res1.step_states)
+    return res
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_inverse_scramble_matches_dense_oracle(grouped, monkeypatch):
+    # every move pulls through its inverse's successor array; small walks
+    # stay on the frontier, the others switch to dense steps
+    rng = np.random.default_rng(57 + grouped)
+    switched = sparse_only = 0
+    for _ in range(120):
+        n = 12 * int(rng.integers(1, 120))
+        goal = int(rng.integers(n))
+        moves = _closed_moves(rng, n, grouped)
+        k_max = int(rng.integers(1, 30))
+        res = _assert_matches_fallback_and_oracle(monkeypatch, n, goal,
+                                                  moves, k_max)
+        if np.any(res.step_states == n):
+            switched += 1
+        else:
+            sparse_only += 1
+    assert switched >= 30 and sparse_only >= 30
+
+
+def test_inverse_scramble_builds_no_preimage_tables(monkeypatch):
+    rng = np.random.default_rng(59)
+    built = _tables_built(monkeypatch)
+    for grouped in (False, True):
+        for _ in range(30):
+            n = 12 * int(rng.integers(1, 40))
+            moves = _closed_moves(rng, n, grouped)
+            scramble_distribution(n, int(rng.integers(n)), moves, 6)
+    assert built == []
+
+
+def test_self_inverse_scramble_move_pulls_through_itself(monkeypatch):
+    rng = np.random.default_rng(60)
+    flip = ScrambleMove(successor=_cycle_power(rng.permutation(10), 2, 1))
+    built = _tables_built(monkeypatch)
+    res = scramble_distribution(10, 3, [flip], 5)
+    assert built == []
+    _assert_matches_fallback_and_oracle(monkeypatch, 10, 3, [flip], 5)
+    # the walk alternates between the goal and its partner
+    assert np.count_nonzero(res.distribution.probs) == 1
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_scramble_without_inverse_or_with_fixed_points_falls_back(
+        grouped, monkeypatch):
+    # a fixed-point-free permutation whose inverse is not in the set, and a
+    # permutation with a fixed point whose inverse is, each build preimage
+    # tables; the moves around them still pull through their inverses
+    rng = np.random.default_rng(61 + grouped)
+    for _ in range(60):
+        n = 12 * int(rng.integers(1, 60))
+        moves = _closed_moves(rng, n, grouped)
+        odd = _cycle_power(rng.permutation(n), 3, 1)
+        fixed = rng.permutation(n).astype(np.int32)
+        s = int(rng.integers(n))  # swap s into place: a fixed point
+        j = int(np.flatnonzero(fixed == s)[0])
+        fixed[j], fixed[s] = fixed[s], s
+        inverse = np.argsort(fixed).astype(np.int32)
+        extra = [ScrambleMove(successor=odd, label="odd"),
+                 ScrambleMove(successor=fixed, label="fixed"),
+                 ScrambleMove(successor=inverse, label="inverse")]
+        if grouped:
+            extra[1].group = extra[2].group = 7
+        moves = moves + extra
+        goal = int(rng.integers(n))
+        k_max = int(rng.integers(1, 20))
+        built = _tables_built(monkeypatch)
+        scramble_distribution(n, goal, moves, k_max)
+        assert [id(t) for t in built] == [id(mv.successor) for mv in extra]
+        monkeypatch.undo()
+        _assert_matches_fallback_and_oracle(monkeypatch, n, goal, moves,
+                                            k_max)
+
+
+def test_cube_scramble_preimage_tables_are_the_inverse_moves(cube_bundle):
+    n = cube_bundle[0].num_states
+    maps = {label: _index_map(tab) for label, tab in cube_move_tables().items()}
+    states = np.arange(n, dtype=np.int32)
+    for label, t in maps.items():
+        inverse = maps[label[0] + str(4 - int(label[1]))]
+        legal = t != states
+        assert legal.all()
+        tables = _preimage_tables(t, legal, n)
+        assert len(tables) == 1 and tables[0][n] == n
+        assert np.array_equal(tables[0][:n], inverse)
+        found = scramble._inverse_successor(t, list(maps.values()), states)
+        assert np.array_equal(found, inverse)
 
 
 def test_perm_rank_matches_outer_product_oracle():
