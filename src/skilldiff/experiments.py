@@ -5,14 +5,15 @@ theorem campaign."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .envs import ENV_PRESETS, build_env
-from .mdp import (StateDistribution, TabularDsmdp, shortest_solution_lengths,
-                  solvable_mask)
+from .mdp import (StateDistribution, TabularDsmdp, pull_solution_lengths,
+                  shortest_solution_lengths)
 from .metrics import (bounds_report, compute_difficulty_report, solve_q,
                       incompressibility_threshold, p_exploration_difficulty,
                       p_learning_difficulty, tightness_augmentation,
@@ -290,7 +291,7 @@ def random_invertible_mdp(rng: np.random.Generator, num_states: int,
         for a in range(num_actions):
             succ[:, a] = rng.permutation(num_states)
         succ[0] = num_states  # goal row
-        if solvable_mask(succ, 0).all():
+        if pull_solution_lengths(succ, 0).solvable.all():
             return TabularDsmdp(
                 successor=succ, goal=0,
                 action_labels=[f"a{i}" for i in range(num_actions)])
@@ -363,17 +364,18 @@ class CampaignSummary:
     inconclusive: int = 0
     skipped: int = 0
     violations: list[str] = field(default_factory=list)
-    held_by_claim: dict = field(default_factory=dict)
+    held_by_claim: Counter = field(default_factory=Counter)
+    checked_by_claim: Counter = field(default_factory=Counter)
 
     def absorb(self, tag: str, report):
         self.cases += 1
         for c in report.claims:
+            self.checked_by_claim[c.name] += c.preconditions_met
             if not c.preconditions_met:
                 self.skipped += 1
             elif c.holds is True:
                 self.holds += 1
-                self.held_by_claim[c.name] = \
-                    self.held_by_claim.get(c.name, 0) + 1
+                self.held_by_claim[c.name] += 1
             elif c.holds is None:
                 self.inconclusive += 1
             else:

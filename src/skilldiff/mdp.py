@@ -3,9 +3,11 @@
 A tabular MDP here is a dense successor table over states 0..n-1 with a single
 goal state and an implicit absorbing dead pseudo-state.  The dead state is
 *not* part of the state array; internally it is addressed as index
-``num_states``.  Sums over successors go through ``transition_matrix``,
-which drops dead entries and picks the dense or sparse form by size; the
-reverse graph is the sparse operator's transpose, built by a counting sort.
+``num_states``.  Sums over successors go through ``transition_matrix``.
+``DIRECT_MAX_STATES`` splits small MDPs from large: up to it the operator
+is dense, the BFS pulls through the successor table and ``solver`` starts q
+from a direct solve; above it the operator is CSR and the BFS runs over the
+reverse graph, the operator's transpose built by a counting sort.
 Walks that may sit in the dead state gather from ``successor_padded``.
 Grid worlds given as a transition function on their own states are
 numbered and tabulated by ``enumerate_closure``.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -280,7 +283,7 @@ def enumerate_closure(starts, goal, actions: list[str], step,
     return mdp, states
 
 
-# Largest MDP with a dense operator, and with a direct start in ``solver``.
+# Largest MDP with a dense operator, a pull BFS and a direct q start.
 DIRECT_MAX_STATES = 200
 
 
@@ -311,26 +314,6 @@ def _csr_transition_matrix(successor: np.ndarray) -> csr_matrix:
     np.cumsum(live.sum(axis=1), out=indptr[1:])
     indices = successor[live]
     return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-
-
-def solvable_mask(successor: np.ndarray, goal: int) -> np.ndarray:
-    """Bool [n]: the states from which some action sequence reaches goal.
-
-    A boolean pull over a successor table whose dead index is its row
-    count: a state becomes solvable once one of its successors is, repeated
-    until no state changes.  The same set as
-    ``shortest_solution_lengths(...).solvable``, without a reverse graph.
-    """
-    n = successor.shape[0]
-    ok = np.zeros(n + 1, dtype=bool)  # ok[n] is the dead state
-    ok[goal] = True
-    count = 1
-    while True:
-        ok[:n] |= ok[successor].any(axis=1)
-        new_count = int(np.count_nonzero(ok))
-        if new_count == count:
-            return ok[:n]
-        count = new_count
 
 
 class ReverseGraph:
@@ -369,12 +352,12 @@ def build_reverse_graph(mdp: TabularDsmdp) -> ReverseGraph:
 def shortest_solution_lengths(
     mdp: TabularDsmdp, rev: ReverseGraph | None = None
 ) -> SolutionLengthTable:
-    """BFS over the reverse graph from the goal.
-
-    Each level marks the unreached predecessors of the frontier; the next
-    frontier is read back from the marks, so it comes out sorted without a
-    sort.
-    """
+    """BFS from the goal: ``pull_solution_lengths`` up to
+    ``DIRECT_MAX_STATES`` states, where ``rev`` is not read.  Above, each
+    level marks the unreached predecessors of the frontier in ``rev``; the
+    next frontier is read back from the marks, so it comes out sorted."""
+    if mdp.num_states <= DIRECT_MAX_STATES:
+        return pull_solution_lengths(mdp.successor, mdp.goal)
     if rev is None:
         rev = build_reverse_graph(mdp)
     d = np.full(mdp.num_states, UNSOLVABLE, dtype=np.int32)
@@ -389,6 +372,23 @@ def shortest_solution_lengths(
         d[preds[d[preds] == UNSOLVABLE]] = level
         frontier = np.flatnonzero(d == level)
     return SolutionLengthTable(d=d)
+
+
+def pull_solution_lengths(successor: np.ndarray,
+                          goal: int) -> SolutionLengthTable:
+    """``shortest_solution_lengths`` of a raw successor table, by pulling:
+    level l is the unreached states with a successor at level l - 1.  A
+    level costs O(n |A|), so large MDPs take the reverse-graph BFS."""
+    n = successor.shape[0]
+    d = np.full(n, UNSOLVABLE, dtype=np.int32)
+    d[goal] = 0
+    frontier = np.arange(n + 1) == goal  # the dead state stays False
+    for level in count(1):
+        fresh = frontier[successor].any(axis=1) & (d == UNSOLVABLE)
+        if not fresh.any():
+            return SolutionLengthTable(d=d)
+        d[fresh] = level
+        frontier[:n] = fresh
 
 
 def _gather_ragged(rev: ReverseGraph, targets: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ Merged and expressive IC take their entropy from canonical shortest
 solutions: each support state's shortest solutions (at most SOL_CAP, in
 lexicographic order) are enumerated and one is assigned per state to
 maximize (merged) or minimize (expressive) the entropy of the merged mass.
-The exact search over all assignments runs up to EXHAUSTIVE_SUPPORT support
-states and EXHAUSTIVE_BUDGET assignments; beyond that a greedy bound is
-reported, tagged by AssignmentResult.method.
+The maximum is H[p] when a Kuhn augmenting-path search gives every state a
+solution of its own; otherwise, as for the minimum, an exact search over
+all assignments runs up to EXHAUSTIVE_SUPPORT support states and
+EXHAUSTIVE_BUDGET assignments, and beyond that a greedy bound is reported,
+tagged by AssignmentResult.method.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ..mdp import (MdpError, SolutionLengthTable, StateDistribution,
                    TabularDsmdp, shannon_entropy, shortest_solution_lengths)
@@ -135,8 +135,8 @@ def enumerate_shortest_solutions(mdp: TabularDsmdp, d: SolutionLengthTable,
     """All shortest solutions per state as action tuples in lexicographic
     order, by DFS over d-decreasing edges, truncated at `cap` per state.  The
     goal's one solution is (); an unsolvable state has none."""
-    dpad = d.padded()
-    succ = mdp.successor
+    dpad = d.padded().tolist()
+    succ = mdp.successor.tolist()
     out: dict[int, list[tuple[int, ...]]] = {}
     cap_hit = False
     for s0 in states:
@@ -149,9 +149,9 @@ def enumerate_shortest_solutions(mdp: TabularDsmdp, d: SolutionLengthTable,
                 continue
             step = dpad[s] - 1
             for a in range(mdp.num_actions - 1, -1, -1):
-                t = succ[s, a]
+                t = succ[s][a]
                 if dpad[t] == step:
-                    stack.append((int(t), prefix + (a,)))
+                    stack.append((t, prefix + (a,)))
         # each entry still stacked leads to at least one dropped solution
         if stack:
             cap_hit = True
@@ -171,29 +171,42 @@ def max_entropy_assignment(probs: np.ndarray,
                            candidates: list[list]) -> AssignmentResult:
     """Max-entropy choice of canonical solutions: one candidate per state,
     states sharing the chosen solution merge their mass."""
-    keys = sorted({k for cand in candidates for k in cand})
-    kidx = {k: i for i, k in enumerate(keys)}
-    n = len(candidates)
-    rows = np.repeat(np.arange(n), [len(c) for c in candidates])
-    cols = np.array([kidx[k] for c in candidates for k in c], dtype=np.int64)
-    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                       shape=(n, len(keys)))
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    if int((match >= 0).sum()) == n:
+    if _every_state_matched(candidates):
         # all states keep distinct solutions: H is exactly H[p]
-        h = shannon_entropy(probs)
-        return AssignmentResult(h, "matching_exact")
+        return AssignmentResult(shannon_entropy(probs), "matching_exact")
     best = _exhaustive_entropy(probs, candidates, max)
     if best is not None:
         return AssignmentResult(best, "exhaustive_exact")
     # greedy: heaviest states first, prefer the least-loaded solution
     order = np.argsort(-probs, kind="stable")
-    mass = dict.fromkeys(keys, 0.0)
+    mass = dict.fromkeys(sorted({k for cand in candidates for k in cand}), 0.0)
     for i in order:
         k = min(candidates[i], key=lambda kk: (mass[kk], kk))
         mass[k] += probs[i]
     h = shannon_entropy(list(mass.values()))
     return AssignmentResult(h, "greedy_lower_bound")
+
+
+def _every_state_matched(candidates: list[list]) -> bool:
+    """Kuhn's augmenting paths, kept on a stack because one can pass every
+    state; a state with no path now has none later, so it ends the test."""
+    owner: dict = {}  # candidate -> the state holding it
+    for root, cands in enumerate(candidates):
+        seen, path = set(), [(root, None, iter(cands))]  # state, key, untried
+        while path:
+            k = next((k for k in path[-1][2] if k not in seen), None)
+            if k is None:
+                path.pop()
+            elif k in owner:
+                seen.add(k)
+                path.append((owner[k], k, iter(candidates[owner[k]])))
+            else:  # a free key: each state on the path takes the next key
+                for state, via, _ in reversed(path):
+                    owner[k], k = state, via
+                break
+        else:
+            return False
+    return True
 
 
 def min_entropy_assignment(probs: np.ndarray,

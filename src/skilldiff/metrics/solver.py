@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mdp import (DIRECT_MAX_STATES, TabularDsmdp, solvable_mask,
+from ..mdp import (DIRECT_MAX_STATES, TabularDsmdp, pull_solution_lengths,
                    transition_matrix)
 
 _EPS = np.finfo(np.float64).eps
@@ -99,9 +99,7 @@ def _direct_start(P: np.ndarray, successor: np.ndarray, goal: int,
     With a ``rounding`` allowance, also solve B t = 1 (B = I - cP_SS) and
     return the bound ||t||_inf / (1 - ||1 - B t||_inf) on ||B^-1||_inf, or
     inf when the check fails; without one, return inf.  An empty S gives 0."""
-    solvable = solvable_mask(successor, goal)
-    solvable[goal] = False
-    S = np.flatnonzero(solvable)
+    S = np.flatnonzero(pull_solution_lengths(successor, goal).d > 0)
     if len(S) == 0:
         return 0.0
     B = -coef * P.take(S, 0).take(S, 1)

@@ -73,8 +73,8 @@ def tightness_augmentation(mdp0: TabularDsmdp, p: StateDistribution,
     f[sup] = delta * p.probs[sup] / (delta - (1.0 - delta) * p.probs[sup])
     counts = np.floor(K * f).astype(np.int64)
 
-    goal_seq = {int(s): canonical_shortest_solution(mdp0, d, int(s))
-                for s in sup}
+    sols, _ = enumerate_shortest_solutions(mdp0, d, sup, cap=1)
+    goal_seq = {s: found[0] for s, found in sols.items()}
     self_seq: dict[int, tuple[int, ...] | None] = {}
     fallback = []
     for s in range(n):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -191,7 +191,8 @@ def _check_config(cfg: RlConfig, p: StateDistribution) -> None:
                          f"would ever run")
 
 
-_BLOCK = 4096  # raw words per refill
+# raw words per refill, the first small: each evaluation starts a fresh _Draws
+_FIRST_BLOCK, _BLOCK = 256, 4096
 _MASK32 = 0xFFFFFFFF
 _TWO32 = 1 << 32
 
@@ -212,7 +213,8 @@ class _Draws:
 
     def __init__(self, seed):
         raw = np.random.PCG64(seed).random_raw
-        blocks = iter(lambda: raw(_BLOCK).tolist(), None)
+        sizes = chain([_FIRST_BLOCK], repeat(_BLOCK))
+        blocks = (raw(k).tolist() for k in sizes)
         self.word = chain.from_iterable(blocks).__next__
         self._half = None
 

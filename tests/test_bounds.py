@@ -58,6 +58,18 @@ def test_small_campaign_has_no_violations():
     }
 
 
+def test_campaign_counts_checked_claims_at_seed_7():
+    s = theorem_campaign(seed=7)
+    assert s.cases == 450 and len(s.checked_by_claim) == 10
+    for claim, held in s.held_by_claim.items():
+        assert held <= s.checked_by_claim[claim]
+    assert sum(s.checked_by_claim.values()) == \
+        s.holds + s.inconclusive + len(s.violations)
+    # no random case meets the preconditions of the two "macros hurt" claims
+    assert s.checked_by_claim["macros_hurt_learning_when_incompressible"] == 0
+    assert s.checked_by_claim["macros_hurt_exploration_near_uniform"] == 0
+
+
 def test_density_exploration_bound_on_tabular_skills():
     rng = np.random.default_rng(22)
     for _ in range(10):

@@ -7,8 +7,7 @@ from skilldiff.mdp import (BudgetExceededError, MdpError, StateDistribution,
                            TabularDsmdp, build_reverse_graph,
                            check_invertible_transitions,
                            check_solution_separable_bruteforce,
-                           shannon_entropy, shortest_solution_lengths,
-                           solvable_mask)
+                           shannon_entropy, shortest_solution_lengths)
 from skilldiff.envs.synthetic import build_chain
 
 from conftest import random_dsmdp
@@ -72,22 +71,6 @@ def test_bellman_recurrence_on_random_mdps():
             if s == mdp.goal or not d.solvable[s]:
                 continue
             assert d.d[s] == 1 + best[s]
-
-
-def test_solvable_mask_is_the_bfs_solvable_set():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        n = int(rng.integers(1, 40))
-        mdp = random_dsmdp(rng, n, int(rng.integers(1, 5)),
-                           dead_frac=float(rng.uniform(0.0, 0.8)))
-        goal = int(rng.integers(0, n))  # move the goal off state 0
-        succ = mdp.successor.copy()
-        succ[0], succ[goal] = succ[goal].copy(), succ[0].copy()
-        mdp = TabularDsmdp(successor=succ, goal=goal,
-                           action_labels=mdp.action_labels)
-        mask = solvable_mask(mdp.successor, mdp.goal)
-        assert mask.dtype == bool and mask.shape == (n,)
-        assert np.array_equal(mask, shortest_solution_lengths(mdp).solvable)
 
 
 def test_d_invariant_under_state_relabeling():

@@ -4,12 +4,21 @@ against the code they replaced.
 ``_argsort_reverse_graph``, ``_unique_bfs`` and ``_bincount_scramble`` are
 the implementations that ``build_reverse_graph``, ``shortest_solution_lengths``
 and ``scramble_distribution`` had before they became a counting sort, a
-marking BFS and a preimage-gather DP.  ``_run_oracle`` is ``rl.run`` as it
+marking BFS and a preimage-gather DP; ``_unique_bfs`` is also the
+reverse-graph BFS that MDPs of at most ``DIRECT_MAX_STATES`` states ran
+before they took the pull BFS.  ``_solvable_mask`` is the former
+``mdp.solvable_mask``, which ``solve_q`` and ``random_invertible_mdp`` used
+before they read ``pull_solution_lengths(...).solvable``.
+``_scalar_enumerate_shortest_solutions`` is ``enumerate_shortest_solutions``
+as it was before it read the tables as Python lists, and
+``_scipy_every_state_matched`` is the perfect-matching test that
+``max_entropy_assignment`` ran through ``scipy.sparse.csgraph`` before
+Kuhn's search.  ``_run_oracle`` is ``rl.run`` as it
 was before one episode routine served training and evaluation and before
 ``rl._Draws`` replayed its draws from raw PCG64 blocks: it makes every draw
 through a numpy ``Generator``.  ``_bfs_random_invertible_mdp`` is
-``random_invertible_mdp`` as it was before it tested solvability with
-``solvable_mask``.  ``_grid_ic_sup`` is
+``random_invertible_mdp`` as it was before it tested solvability without a
+reverse graph.  ``_grid_ic_sup`` is
 ``incompress._ic_sup`` as it was before one root solve replaced its grid and
 bounded Brent search over ``_ic_at_logit``.  ``_per_state_greedy_reward`` is
 the planner's ``_greedy_reward`` as it was before one argmax over all states
@@ -28,7 +37,8 @@ tables for every move.  ``_unroll_macro_column`` and
 ``skills.unroll``) are the two column builders ``augment`` had before one
 unroll from every state served macros and tabular skills; they match it on
 every non-goal row.  They stay here as oracles.  The
-graph, the lengths, the RL records, the planner results, the cliff and
+graph, the lengths, the solvable sets, the enumerated solutions, the
+matching verdicts, the RL records, the planner results, the cliff and
 pickup MDPs and the rewritings must match bit for bit, and so must the scramble DP when no move has a group; with groups
 it sums the contexts in another order and is held to 1e-15.  IC(sup) is
 held to 1e-12 relative.
@@ -41,6 +51,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from skilldiff import rl
 from skilldiff.envs import ENV_PRESETS, build_env
@@ -58,11 +70,15 @@ from skilldiff.envs.synthetic import build_chain
 from skilldiff.experiments import (VariantSpec, materialize_variant,
                                    random_invertible_mdp, random_macro_skills,
                                    random_tabular_skills, variant_grid)
-from skilldiff.mdp import (UNSOLVABLE, MdpError, ReverseGraph,
-                           SolutionLengthTable, StateDistribution,
-                           TabularDsmdp, _gather_ragged, build_reverse_graph,
+from skilldiff.mdp import (DIRECT_MAX_STATES, UNSOLVABLE, MdpError,
+                           ReverseGraph, SolutionLengthTable,
+                           StateDistribution, TabularDsmdp, _gather_ragged,
+                           build_reverse_graph, pull_solution_lengths,
                            shortest_solution_lengths)
-from skilldiff.metrics.incompress import _ic_sup, enumerate_shortest_solutions
+from skilldiff.metrics.incompress import (SOL_CAP, _every_state_matched,
+                                          _ic_sup,
+                                          enumerate_shortest_solutions,
+                                          max_entropy_assignment)
 from skilldiff.metrics.tightness import canonical_shortest_solution
 from skilldiff.rl import (Q_LEARNING, REINFORCE, RL_VALUE_ITERATION,
                           RunRecord, _ground_truth, _successor_values,
@@ -327,6 +343,166 @@ def test_reverse_graph_and_bfs_on_puzzle8_match_oracles(puzzle_bundle):
         _assert_same_arrays(getattr(rev, name), getattr(rev0, name))
     _assert_same_arrays(shortest_solution_lengths(mdp, rev).d,
                         _unique_bfs(mdp, rev0).d)
+
+
+def test_pull_bfs_does_not_read_rev_below_the_cutoff():
+    # a reverse graph without edges would leave every state but the goal
+    # unsolvable if the BFS read it
+    rng = np.random.default_rng(52)
+    reached = 0
+    for _ in range(50):
+        mdp = _random_table(rng)
+        n = mdp.num_states
+        empty = ReverseGraph(np.zeros(n + 1, dtype=np.int64),
+                             np.empty(0, dtype=np.int32),
+                             np.empty(0, dtype=np.int32))
+        want = _unique_bfs(mdp, _argsort_reverse_graph(mdp)).d
+        _assert_same_arrays(shortest_solution_lengths(mdp, empty).d, want)
+        reached += int((want > 0).sum())
+    assert reached > 0
+
+
+@pytest.mark.parametrize("n", [DIRECT_MAX_STATES - 1, DIRECT_MAX_STATES,
+                               DIRECT_MAX_STATES + 1])
+def test_pull_bfs_matches_reverse_graph_oracle_around_the_cutoff(n):
+    # dead entries, and ten trap states that only reach each other, so
+    # some states are unsolvable; n + 1 takes the reverse-graph BFS
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        m = int(rng.integers(1, 6))
+        succ = rng.integers(0, n, size=(n, m)).astype(np.int32)
+        succ[rng.random(succ.shape) < rng.uniform(0.0, 0.5)] = n
+        trap = rng.choice(n, size=10, replace=False)
+        succ[trap] = rng.choice(trap, size=(10, m))
+        goal = int(rng.choice(np.setdiff1d(np.arange(n), trap)))
+        succ[goal] = n
+        mdp = TabularDsmdp(successor=succ, goal=goal,
+                           action_labels=[f"a{i}" for i in range(m)])
+        want = _unique_bfs(mdp, _argsort_reverse_graph(mdp)).d
+        assert np.all(want[trap] == UNSOLVABLE)
+        _assert_same_arrays(shortest_solution_lengths(mdp).d, want)
+        _assert_same_arrays(pull_solution_lengths(succ, goal).d, want)
+
+
+def _solvable_mask(successor, goal):
+    n = successor.shape[0]
+    ok = np.zeros(n + 1, dtype=bool)  # ok[n] is the dead state
+    ok[goal] = True
+    count = 1
+    while True:
+        ok[:n] |= ok[successor].any(axis=1)
+        new_count = int(np.count_nonzero(ok))
+        if new_count == count:
+            return ok[:n]
+        count = new_count
+
+
+def test_solvable_mask_is_the_bfs_solvable_set():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        mdp = random_dsmdp(rng, n, int(rng.integers(1, 5)),
+                           dead_frac=float(rng.uniform(0.0, 0.8)))
+        goal = int(rng.integers(0, n))  # move the goal off state 0
+        succ = mdp.successor.copy()
+        succ[0], succ[goal] = succ[goal].copy(), succ[0].copy()
+        mdp = TabularDsmdp(successor=succ, goal=goal,
+                           action_labels=mdp.action_labels)
+        mask = _solvable_mask(mdp.successor, mdp.goal)
+        assert mask.dtype == bool and mask.shape == (n,)
+        assert np.array_equal(mask, shortest_solution_lengths(mdp).solvable)
+        assert np.array_equal(
+            mask, pull_solution_lengths(mdp.successor, mdp.goal).solvable)
+
+
+# -- solution enumeration and matching ------------------------------------------
+
+def _scalar_enumerate_shortest_solutions(mdp, d, states, cap=SOL_CAP):
+    dpad = d.padded()
+    succ = mdp.successor
+    out = {}
+    cap_hit = False
+    for s0 in states:
+        sols = []
+        stack = [(int(s0), ())]
+        while stack and len(sols) < cap:
+            s, prefix = stack.pop()
+            if dpad[s] == 0:
+                sols.append(prefix)
+                continue
+            step = dpad[s] - 1
+            for a in range(mdp.num_actions - 1, -1, -1):
+                t = succ[s, a]
+                if dpad[t] == step:
+                    stack.append((int(t), prefix + (a,)))
+        if stack:
+            cap_hit = True
+        out[int(s0)] = sols
+    return out, cap_hit
+
+
+def test_enumerator_matches_numpy_scalar_oracle():
+    rng = np.random.default_rng(53)
+    tables = [_random_table(rng) for _ in range(100)]
+    for _ in range(50):  # augmented tables: many shortest solutions
+        mdp = random_invertible_mdp(rng, int(rng.integers(5, 30)), 3)
+        tables.append(augment(mdp, random_macro_skills(rng, mdp)).mdp)
+        tables.append(augment(mdp, random_tabular_skills(rng, mdp)).mdp)
+    hit = {True: 0, False: 0}
+    for mdp in tables:
+        d = shortest_solution_lengths(mdp)
+        states = rng.permutation(mdp.num_states)
+        for cap in (1, 2, 5, SOL_CAP):
+            got = enumerate_shortest_solutions(mdp, d, states, cap)
+            assert got == _scalar_enumerate_shortest_solutions(
+                mdp, d, states, cap)
+            assert all(type(a) is int for sols in got[0].values()
+                       for sol in sols for a in sol)
+            hit[got[1]] += 1
+    assert min(hit.values()) > 0
+
+
+def _scipy_every_state_matched(candidates):
+    keys = sorted({k for cand in candidates for k in cand})
+    kidx = {k: i for i, k in enumerate(keys)}
+    n = len(candidates)
+    rows = np.repeat(np.arange(n), [len(c) for c in candidates])
+    cols = np.array([kidx[k] for c in candidates for k in c], dtype=np.int64)
+    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                       shape=(n, len(keys)))
+    match = maximum_bipartite_matching(graph, perm_type="column")
+    return int((match >= 0).sum()) == n
+
+
+def test_matching_matches_scipy_oracle():
+    rng = np.random.default_rng(54)
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        n = int(rng.integers(1, 16))
+        nkeys = int(rng.integers(1, 2 * n + 1))
+        cands = [sorted({(int(k),) for k in rng.integers(
+                    0, nkeys, size=int(rng.integers(1, 4)))})
+                 for _ in range(n)]
+        want = _scipy_every_state_matched(cands)
+        assert _every_state_matched(cands) is want
+        probs = rng.dirichlet(np.ones(n))
+        asg = max_entropy_assignment(probs, cands)
+        assert (asg.method == "matching_exact") is want
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 100
+
+
+@pytest.mark.parametrize("perfect", [True, False])
+def test_matching_augments_along_a_path_through_every_state(perfect):
+    # state i < n - 1 first takes (i,); the last state wants only (0,), so
+    # its augmenting path passes every state, too deep for a recursive
+    # search; without (n - 1,) there is none
+    n = 3000
+    cands = [[(i,), (i + 1,)] for i in range(n - 1)] + [[(0,)]]
+    if not perfect:
+        cands[n - 2] = [(n - 2,)]
+    assert _scipy_every_state_matched(cands) is perfect
+    assert _every_state_matched(cands) is perfect
 
 
 # -- scramble DP ----------------------------------------------------------------
