@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..mdp import (MdpError, StateDistribution, enumerate_closure,
-                   shortest_solution_lengths)
+from ..mdp import MdpError, StateDistribution, enumerate_closure
 from . import cliff
 
 ACTIONS = ["U", "R", "D", "L", "P"]
@@ -147,10 +146,10 @@ def build_pickup_world(config: PickupWorldConfig, state_budget: int = 2_000_000)
 
     mdp, states = enumerate_closure(starts, GOAL, ACTIONS, transition,
                                     state_budget)
-    d = shortest_solution_lengths(mdp)
     start_ids = list(range(len(starts)))
-    solvable_starts = [s for s in start_ids if d.d[s] != -1]
+    solvable = mdp.solution_lengths.solvable
+    solvable_starts = [s for s in start_ids if solvable[s]]
     p = np.zeros(mdp.num_states)
     p[solvable_starts] = 1.0 / len(solvable_starts)
-    info = {"states": states, "d": d, "start_ids": start_ids}
+    info = {"states": states, "start_ids": start_ids}
     return mdp, StateDistribution(p), info

@@ -12,8 +12,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .envs import ENV_PRESETS, build_env
-from .mdp import (StateDistribution, TabularDsmdp, pull_solution_lengths,
-                  shortest_solution_lengths)
+from .mdp import StateDistribution, TabularDsmdp
 from .metrics import (bounds_report, compute_difficulty_report, solve_q,
                       incompressibility_threshold, p_exploration_difficulty,
                       p_learning_difficulty, tightness_augmentation,
@@ -291,10 +290,10 @@ def random_invertible_mdp(rng: np.random.Generator, num_states: int,
         for a in range(num_actions):
             succ[:, a] = rng.permutation(num_states)
         succ[0] = num_states  # goal row
-        if pull_solution_lengths(succ, 0).solvable.all():
-            return TabularDsmdp(
-                successor=succ, goal=0,
-                action_labels=[f"a{i}" for i in range(num_actions)])
+        mdp = TabularDsmdp(successor=succ, goal=0,
+                           action_labels=[f"a{i}" for i in range(num_actions)])
+        if mdp.solution_lengths.solvable.all():
+            return mdp
     raise RuntimeError("failed to sample a fully solvable invertible MDP")
 
 
@@ -424,8 +423,7 @@ def tradeoff_demonstration(delta: float = 0.2, K: int = 600) -> dict:
     augmentation raises learning difficulty while lowering exploration
     difficulty."""
     mdp, p = build_star_base(6)
-    d = shortest_solution_lengths(mdp)
-    ic = ic_unmerged(mdp, p, mode="sup", d=d)
+    ic = ic_unmerged(mdp, p, mode="sup")
     cond_rhs = incompressibility_threshold(mdp.num_actions)
     aug, info = tightness_augmentation(mdp, p, delta, K)
     q0 = solve_q(mdp, delta)
@@ -434,7 +432,7 @@ def tradeoff_demonstration(delta: float = 0.2, K: int = 600) -> dict:
         "condition_met": bool(1.0 - ic.value <= cond_rhs),
         "ic": ic.value,
         "j_learn_ratio": p_learning_difficulty(aug.mdp, p)
-        / p_learning_difficulty(mdp, p, d),
+        / p_learning_difficulty(mdp, p),
         "j_explore_ratio": p_exploration_difficulty(aug.mdp, p, qp)
         / p_exploration_difficulty(mdp, p, q0),
         "fallback_self_states": len(info.fallback_states),

@@ -9,6 +9,10 @@ is dense, the BFS pulls through the successor table and ``solver`` starts q
 from a direct solve; above it the operator is CSR and the BFS runs over the
 reverse graph, the operator's transpose built by a counting sort.
 Walks that may sit in the dead state gather from ``successor_padded``.
+An MDP's successor table is a read-only view of the array it was built
+from, so the MDP is fixed once built, and its shortest-solution lengths d
+are computed once, on first use of ``TabularDsmdp.solution_lengths``; every
+metric reads them from there.
 Grid worlds given as a transition function on their own states are
 numbered and tabulated by ``enumerate_closure``.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 
 import numpy as np
@@ -51,13 +56,17 @@ class TabularDsmdp:
     is a skill augmentation (== num_actions for base environments).
     """
 
-    successor: np.ndarray  # int32 [num_states, num_actions]
+    # int32 [num_states, num_actions]; a read-only view of the array passed
+    # in, which stays writable
+    successor: np.ndarray
     goal: int
     action_labels: list[str]
     base_action_count: int = 0
 
     def __post_init__(self):
-        self.successor = np.ascontiguousarray(self.successor, dtype=np.int32)
+        self.successor = np.ascontiguousarray(self.successor,
+                                              dtype=np.int32).view()
+        self.successor.flags.writeable = False
         if self.base_action_count == 0:
             self.base_action_count = self.num_actions
         self.validate()
@@ -90,6 +99,14 @@ class TabularDsmdp:
             raise MdpError("successor entries must lie in [0, num_states]")
         if not np.all(self.successor[self.goal] == self.dead):
             raise MdpError("goal row must be stored as all-dead")
+
+    @cached_property
+    def solution_lengths(self) -> "SolutionLengthTable":
+        """Shortest-solution lengths d, from one BFS on first access; the
+        table is read-only, like ``successor``."""
+        table = shortest_solution_lengths(self)
+        table.d.flags.writeable = False
+        return table
 
     def successor_padded(self) -> np.ndarray:
         """Successor table plus a dead row, so gathers never go out of range."""
@@ -403,13 +420,11 @@ def _gather_ragged(rev: ReverseGraph, targets: np.ndarray) -> np.ndarray:
     return rev.preds[np.repeat(starts, counts) + within]
 
 
-def check_invertible_transitions(mdp: TabularDsmdp,
-                                 d: SolutionLengthTable | None = None) -> bool:
+def check_invertible_transitions(mdp: TabularDsmdp) -> bool:
     """True iff no two distinct states share (action, successor) with a
     solvable-or-goal successor.  Implemented by bucketing (a, successor)."""
-    if d is None:
-        d = shortest_solution_lengths(mdp)
-    solvable_pad = np.concatenate([d.solvable, [False]])  # dead is not solvable
+    # the dead state is not solvable
+    solvable_pad = np.concatenate([mdp.solution_lengths.solvable, [False]])
     keep = mdp.successor != mdp.dead
     keep[mdp.goal] = False
     keep &= solvable_pad[mdp.successor]

@@ -38,8 +38,7 @@ import numpy as np
 
 from ..mdp import (BudgetExceededError, StateDistribution, TabularDsmdp,
                    check_invertible_transitions,
-                   check_solution_separable_bruteforce,
-                   shortest_solution_lengths)
+                   check_solution_separable_bruteforce)
 from ..skills import GOAL_PASS_DEAD, AugmentedMdp, behavior_variety
 from .difficulty import (length_dp, p_exploration_difficulty,
                          p_learning_difficulty, per_length_counts,
@@ -125,8 +124,7 @@ class _Case:
         self.uniform_lengths, self.notes = uniform_lengths, ""
         if augmented.goal_pass_mode != GOAL_PASS_DEAD:
             self.notes = "warning: augmentation not in undefined_is_dead mode; "
-        self.d0 = shortest_solution_lengths(mdp0)
-        self.dplus = shortest_solution_lengths(augmented.mdp)
+        self.d0 = mdp0.solution_lengths
         p.validate(mdp0, self.d0.d)
         self.a0, self.aplus = mdp0.num_actions, augmented.mdp.num_actions
         self.is_macro = all(z.kind == "macro" for z in augmented.skills)
@@ -136,8 +134,8 @@ class _Case:
             separable, self.sep_how = determine_separability(mdp0)
         self.separable = separable
         self.sep_macro = bool(separable) and self.is_macro
-        jl0 = p_learning_difficulty(mdp0, p, self.d0)
-        self.ratio = p_learning_difficulty(augmented.mdp, p, self.dplus) / jl0
+        self.ratio = (p_learning_difficulty(augmented.mdp, p)
+                      / p_learning_difficulty(mdp0, p))
         # the full-coverage gap check reads solution counts up to this length
         self.l_full = int(self.d0.d.max()) + 2
 
@@ -159,7 +157,7 @@ class _Case:
 
     @cached_property
     def icu(self):
-        return ic_unmerged(self.mdp0, self.p, mode="sup", d=self.d0)
+        return ic_unmerged(self.mdp0, self.p, mode="sup")
 
     @cached_property
     def q_delta(self):
@@ -206,8 +204,7 @@ def _learn_ratio_merged_ic(case):
     name = "learn_ratio_merged_ic"
     if case.a0 <= 1:
         return case.skip(name, "needs |A0| > 1")
-    icm = ic_merged(case.mdp0, case.aug, case.p, mode="sup", d0=case.d0,
-                    d_aug=case.dplus)
+    icm = ic_merged(case.mdp0, case.aug, case.p, mode="sup")
     return case.ratio_check(name, icm, f"H[P+] method={icm.method}")
 
 
@@ -321,7 +318,7 @@ def _learn_ratio_expressivity_bound(case):
         return case.skip(name, "needs skills and |A0|>1")
     E = max(behavior_variety(z, case.mdp0) for z in case.aug.skills)
     ice = ic_expressive(case.mdp0, case.p, float(E), mode="sup",
-                        separable=bool(case.separable), d=case.d0)
+                        separable=bool(case.separable))
     return case.ratio_check(name, ice, f"E={E} method={ice.method}")
 
 
@@ -330,7 +327,7 @@ def _learn_ratio_min_entropy_bound(case):
     if not (case.a0 > 1 and case.is_macro and case.strict):
         return case.skip(name, "needs strict macro aug")
     ice1 = ic_expressive(case.mdp0, case.p, 1.0, mode="sup",
-                         separable=bool(case.separable), d=case.d0)
+                         separable=bool(case.separable))
     return case.ratio_check(name, ice1, f"method={ice1.method}")
 
 

@@ -8,8 +8,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ..mdp import (BudgetExceededError, MdpError, SolutionLengthTable,
-                   StateDistribution, TabularDsmdp, shortest_solution_lengths,
-                   transition_matrix)
+                   StateDistribution, TabularDsmdp, transition_matrix)
 from .solver import QTable
 
 
@@ -30,9 +29,10 @@ class DeltaZeroError(MdpError):
 
 def p_learning_difficulty(mdp: TabularDsmdp, p: StateDistribution,
                           d: SolutionLengthTable | None = None) -> float:
-    """|A| times the p-weighted mean shortest-solution length."""
+    """|A| times the p-weighted mean shortest-solution length; d defaults
+    to the MDP's own."""
     if d is None:
-        d = shortest_solution_lengths(mdp)
+        d = mdp.solution_lengths
     sup = p.support
     if np.any(~d.solvable[sup]):
         bad = sup[~d.solvable[sup]][0]

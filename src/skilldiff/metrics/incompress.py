@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ..mdp import (MdpError, SolutionLengthTable, StateDistribution,
-                   TabularDsmdp, shannon_entropy, shortest_solution_lengths)
+                   TabularDsmdp, shannon_entropy)
 from ..skills import AugmentedMdp
 
 SOL_CAP = 64
@@ -120,22 +120,23 @@ def _ic_with_mode(H, Ed, a_eff, mode, epsilon,
 def ic_unmerged(mdp: TabularDsmdp, p: StateDistribution, mode: str = "sup",
                 epsilon: float | None = None,
                 d: SolutionLengthTable | None = None) -> ICValue:
+    """Unmerged IC; d defaults to the MDP's own."""
     if mdp.num_actions <= 1:
         raise DegenerateDenominatorError("unmerged IC needs |A| > 1")
     if d is None:
-        d = shortest_solution_lengths(mdp)
+        d = mdp.solution_lengths
     return _ic_with_mode(p.entropy(), d.expected(p), float(mdp.num_actions),
                          mode, epsilon)
 
 
 # -- canonical-solution entropy machinery ---------------------------------
 
-def enumerate_shortest_solutions(mdp: TabularDsmdp, d: SolutionLengthTable,
-                                 states, cap: int = SOL_CAP):
+def enumerate_shortest_solutions(mdp: TabularDsmdp, states,
+                                 cap: int = SOL_CAP):
     """All shortest solutions per state as action tuples in lexicographic
     order, by DFS over d-decreasing edges, truncated at `cap` per state.  The
     goal's one solution is (); an unsolvable state has none."""
-    dpad = d.padded().tolist()
+    dpad = mdp.solution_lengths.padded().tolist()
     succ = mdp.successor.tolist()
     out: dict[int, list[tuple[int, ...]]] = {}
     cap_hit = False
@@ -236,8 +237,8 @@ def _exhaustive_entropy(probs, candidates, pick) -> float | None:
     """pick (max or min) of the merged entropy over every choice of one
     candidate per state; None beyond EXHAUSTIVE_SUPPORT states or
     EXHAUSTIVE_BUDGET choices."""
-    sizes = np.prod([len(c) for c in candidates], dtype=np.float64)
-    if len(candidates) > EXHAUSTIVE_SUPPORT or sizes > EXHAUSTIVE_BUDGET:
+    if (len(candidates) > EXHAUSTIVE_SUPPORT
+            or math.prod(len(c) for c in candidates) > EXHAUSTIVE_BUDGET):
         return None
     keys = sorted({k for cand in candidates for k in cand})
     kidx = {k: i for i, k in enumerate(keys)}
@@ -253,47 +254,39 @@ def _merged_entropy(probs, candidates, choice, kidx, nkeys):
     return shannon_entropy(mass)
 
 
-def _canonical_entropy(mdp: TabularDsmdp, d: SolutionLengthTable,
-                       p: StateDistribution, assign) -> AssignmentResult:
+def _canonical_entropy(mdp: TabularDsmdp, p: StateDistribution,
+                       assign) -> AssignmentResult:
     """`assign` (max or min entropy) over the support's shortest solutions in
     `mdp`; cap_hit marks a support state with more than SOL_CAP of them."""
     sup = p.support
-    cands, cap_hit = enumerate_shortest_solutions(mdp, d, sup)
+    cands, cap_hit = enumerate_shortest_solutions(mdp, sup)
     asg = assign(p.probs[sup], [cands[int(s)] for s in sup])
     asg.cap_hit = cap_hit
     return asg
 
 
-def merged_solution_entropy(augmented: AugmentedMdp, p: StateDistribution,
-                            d_aug: SolutionLengthTable | None = None
-                            ) -> AssignmentResult:
+def merged_solution_entropy(augmented: AugmentedMdp,
+                            p: StateDistribution) -> AssignmentResult:
     """H[P+]: max-entropy canonical shortest solutions in the augmented MDP."""
-    if d_aug is None:
-        d_aug = shortest_solution_lengths(augmented.mdp)
-    if np.any(~d_aug.solvable[p.support]):
+    if np.any(~augmented.mdp.solution_lengths.solvable[p.support]):
         raise MdpError("support unsolvable in the augmented MDP")
-    return _canonical_entropy(augmented.mdp, d_aug, p, max_entropy_assignment)
+    return _canonical_entropy(augmented.mdp, p, max_entropy_assignment)
 
 
 def ic_merged(mdp0: TabularDsmdp, augmented: AugmentedMdp,
               p: StateDistribution, mode: str = "sup",
-              epsilon: float | None = None,
-              d0: SolutionLengthTable | None = None,
-              d_aug: SolutionLengthTable | None = None) -> ICValue:
+              epsilon: float | None = None) -> ICValue:
     """Merged p-incompressibility of the base w.r.t. the augmented action set."""
     if mdp0.num_actions <= 1:
         raise DegenerateDenominatorError("merged IC needs |A0| > 1")
-    if d0 is None:
-        d0 = shortest_solution_lengths(mdp0)
-    asg = merged_solution_entropy(augmented, p, d_aug=d_aug)
-    return _ic_with_mode(asg.entropy, d0.expected(p), float(mdp0.num_actions),
-                         mode, epsilon, asg)
+    asg = merged_solution_entropy(augmented, p)
+    return _ic_with_mode(asg.entropy, mdp0.solution_lengths.expected(p),
+                         float(mdp0.num_actions), mode, epsilon, asg)
 
 
 def ic_expressive(mdp: TabularDsmdp, p: StateDistribution, expressivity: float,
                   mode: str = "sup", epsilon: float | None = None,
-                  separable: bool | None = None,
-                  d: SolutionLengthTable | None = None) -> ICValue:
+                  separable: bool | None = None) -> ICValue:
     """E-expressive p-incompressibility: min-entropy canonical solutions in
     the numerator, |A| * E in the denominator.
 
@@ -306,12 +299,10 @@ def ic_expressive(mdp: TabularDsmdp, p: StateDistribution, expressivity: float,
         raise ValueError("expressivity must be >= 1")
     if mdp.num_actions <= 1:
         raise DegenerateDenominatorError("expressive IC needs |A| > 1")
-    if d is None:
-        d = shortest_solution_lengths(mdp)
     if separable:
         asg = AssignmentResult(p.entropy(), "separable_exact")
     else:
-        asg = _canonical_entropy(mdp, d, p, min_entropy_assignment)
-    return _ic_with_mode(asg.entropy, d.expected(p),
+        asg = _canonical_entropy(mdp, p, min_entropy_assignment)
+    return _ic_with_mode(asg.entropy, mdp.solution_lengths.expected(p),
                          float(mdp.num_actions) * float(expressivity),
                          mode, epsilon, asg)

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..mdp import StateDistribution, TabularDsmdp, shortest_solution_lengths
+from ..mdp import StateDistribution, TabularDsmdp
 from ..skills import AugmentedMdp
 from .difficulty import (p_exploration_difficulty, p_exploration_difficulty_am,
                          p_learning_difficulty, solution_density)
@@ -70,18 +70,17 @@ def compute_difficulty_report(mdp: TabularDsmdp, p: StateDistribution,
     its base with respect to the augmented action set is included.
     """
     epsilon = delta if delta > 0 else 0.02
-    d = shortest_solution_lengths(mdp)
-    p.validate(mdp, d.d)
+    p.validate(mdp, mdp.solution_lengths.d)
     q = solve_q(mdp, delta)
-    jl = p_learning_difficulty(mdp, p, d)
+    jl = p_learning_difficulty(mdp, p)
     je = p_exploration_difficulty(mdp, p, q)
     jam = p_exploration_difficulty_am(mdp, p, q)
     dens = solution_density(mdp, delta, q) if delta > 0 else float("nan")
-    mean_d = d.expected(p)
+    mean_d = mdp.solution_lengths.expected(p)
     if mdp.num_actions > 1:
         icf = _ic_dict(ic_unmerged(mdp, p, mode="fixed_epsilon",
-                                   epsilon=epsilon, d=d))
-        ics = _ic_dict(ic_unmerged(mdp, p, mode="sup", d=d))
+                                   epsilon=epsilon))
+        ics = _ic_dict(ic_unmerged(mdp, p, mode="sup"))
     else:  # incompressibility is undefined for single-action spaces
         icf = _ic_dict(ICValue(None, "fixed_epsilon", epsilon))
         ics = _ic_dict(ICValue(None, "sup", None))

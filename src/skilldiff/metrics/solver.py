@@ -11,7 +11,8 @@ live-successor count matrix and b the goal column of cP.
 
 MDPs of at most ``mdp.DIRECT_MAX_STATES`` states, whose operator ``mdp``
 makes dense, start from a direct solve: one ``np.linalg.solve`` of
-(I - cP_SS) q_S = b_S over the solvable non-goal states S, with q = 0
+(I - cP_SS) q_S = b_S over the solvable non-goal states S, read from the
+MDP's cached ``solution_lengths``, with q = 0
 elsewhere (so unsolvable states stay exactly 0, and the system is
 nonsingular even at delta = 0).  At delta = 0 the same call also solves
 (I - cP_SS) t = 1.  Larger MDPs start from q = 0 (only the goal at 1).  Both
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mdp import (DIRECT_MAX_STATES, TabularDsmdp, pull_solution_lengths,
-                   transition_matrix)
+from ..mdp import DIRECT_MAX_STATES, TabularDsmdp, transition_matrix
 
 _EPS = np.finfo(np.float64).eps
 
@@ -76,7 +76,7 @@ def solve_q(mdp: TabularDsmdp, delta: float, tol: float = 1e-12,
     P = transition_matrix(mdp.successor)
     t_gain = math.inf
     if n <= DIRECT_MAX_STATES:
-        t_gain = _direct_start(P, mdp.successor, goal, coef, q,
+        t_gain = _direct_start(P, mdp, coef, q,
                                rounding if delta == 0 else None)
     gain = (1.0 - delta) / delta if delta > 0 else t_gain
     residual = np.inf
@@ -91,20 +91,19 @@ def solve_q(mdp: TabularDsmdp, delta: float, tol: float = 1e-12,
     raise NotConvergedError(max_iter, residual, tol)
 
 
-def _direct_start(P: np.ndarray, successor: np.ndarray, goal: int,
-                  coef: float, q: np.ndarray,
-                  rounding: float | None) -> float:
+def _direct_start(P: np.ndarray, mdp: TabularDsmdp, coef: float,
+                  q: np.ndarray, rounding: float | None) -> float:
     """Write the direct solution over the solvable non-goal states S into q.
 
     With a ``rounding`` allowance, also solve B t = 1 (B = I - cP_SS) and
     return the bound ||t||_inf / (1 - ||1 - B t||_inf) on ||B^-1||_inf, or
     inf when the check fails; without one, return inf.  An empty S gives 0."""
-    S = np.flatnonzero(pull_solution_lengths(successor, goal).d > 0)
+    S = np.flatnonzero(mdp.solution_lengths.d > 0)
     if len(S) == 0:
         return 0.0
     B = -coef * P.take(S, 0).take(S, 1)
     B.flat[::len(S) + 1] += 1.0
-    b = coef * P[S, goal]
+    b = coef * P[S, mdp.goal]
     if rounding is None:
         q[S] = np.linalg.solve(B, b)
         return math.inf

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mdp import (MdpError, SolutionLengthTable, StateDistribution,
-                   TabularDsmdp, shortest_solution_lengths)
+from ..mdp import MdpError, StateDistribution, TabularDsmdp
 from ..skills import GOAL_PASS_DEAD, AugmentedMdp, Skill, augment
 from .incompress import enumerate_shortest_solutions
 
@@ -34,10 +33,9 @@ class TightnessInfo:
     f: np.ndarray
 
 
-def canonical_shortest_solution(mdp: TabularDsmdp, d: SolutionLengthTable,
-                                s: int) -> tuple[int, ...]:
+def canonical_shortest_solution(mdp: TabularDsmdp, s: int) -> tuple[int, ...]:
     """Lexicographically first shortest solution; () for the goal."""
-    sols = enumerate_shortest_solutions(mdp, d, [s], cap=1)[0][int(s)]
+    sols = enumerate_shortest_solutions(mdp, [s], cap=1)[0][int(s)]
     if not sols:
         raise MdpError(f"state {s} has no shortest solution")
     return sols[0]
@@ -57,12 +55,9 @@ def find_round_trip(mdp: TabularDsmdp, s: int) -> tuple[int, int] | None:
 
 def tightness_augmentation(mdp0: TabularDsmdp, p: StateDistribution,
                            delta: float, K: int,
-                           mode: str = GOAL_PASS_DEAD,
-                           d: SolutionLengthTable | None = None
+                           mode: str = GOAL_PASS_DEAD
                            ) -> tuple[AugmentedMdp, TightnessInfo]:
-    if d is None:
-        d = shortest_solution_lengths(mdp0)
-    p.validate(mdp0, d.d)
+    p.validate(mdp0, mdp0.solution_lengths.d)
     pmax = float(p.probs.max())
     if delta <= pmax:
         raise DeltaTooSmallError(
@@ -73,7 +68,7 @@ def tightness_augmentation(mdp0: TabularDsmdp, p: StateDistribution,
     f[sup] = delta * p.probs[sup] / (delta - (1.0 - delta) * p.probs[sup])
     counts = np.floor(K * f).astype(np.int64)
 
-    sols, _ = enumerate_shortest_solutions(mdp0, d, sup, cap=1)
+    sols, _ = enumerate_shortest_solutions(mdp0, sup, cap=1)
     goal_seq = {s: found[0] for s, found in sols.items()}
     self_seq: dict[int, tuple[int, ...] | None] = {}
     fallback = []

@@ -37,7 +37,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .mdp import StateDistribution, TabularDsmdp, shortest_solution_lengths
+from .mdp import StateDistribution, TabularDsmdp
 from .skills import AugmentedMdp
 
 NOT_REACHED = None
@@ -158,7 +158,7 @@ def _successor_values(t, v, goal: int, gamma: float) -> np.ndarray:
 def _ground_truth(mdp: TabularDsmdp, gamma: float):
     """(v*, q*) of the run and the planner: gamma^(d-1) per state and gamma^d
     per successor where solvable, else 0; v*(goal) = 1, q*(goal, .) = 0."""
-    d = shortest_solution_lengths(mdp)
+    d = mdp.solution_lengths
     v_star = np.zeros(mdp.num_states)
     solv = d.solvable
     v_star[solv] = gamma ** (d.d[solv] - 1.0)

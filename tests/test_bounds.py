@@ -8,7 +8,8 @@ from skilldiff.experiments import (build_star_base, tradeoff_demonstration,
                                    random_distribution, random_invertible_mdp,
                                    random_macro_skills, random_tabular_skills,
                                    theorem_campaign)
-from skilldiff.mdp import StateDistribution, shortest_solution_lengths
+from skilldiff.mdp import (StateDistribution, TabularDsmdp,
+                           shortest_solution_lengths)
 from skilldiff.metrics import (bounds_report, determine_separability,
                                expansion_length_q, ic_unmerged, solve_q,
                                tightness_augmentation, DeltaTooSmallError,
@@ -27,6 +28,27 @@ def test_trivial_augmentation_ratio_is_one():
     assert c.holds
 
 
+def test_bounds_report_runs_one_bfs_per_mdp(monkeypatch):
+    # every claim, the separability check and the q solves read d from the
+    # base's and the augmented MDP's own caches
+    rng = np.random.default_rng(23)
+    drawn = random_invertible_mdp(rng, 12, 2)
+    mdp = TabularDsmdp(successor=drawn.successor, goal=drawn.goal,
+                       action_labels=drawn.action_labels)  # empty cache
+    p = random_distribution(rng, mdp)
+    aug = augment(mdp, random_macro_skills(rng, mdp), mode=GOAL_PASS_DEAD)
+    seen = []
+    monkeypatch.setattr(
+        "skilldiff.mdp.shortest_solution_lengths",
+        lambda m, *a: seen.append(m) or shortest_solution_lengths(m, *a))
+    rep = bounds_report(mdp, aug, p, 0.1, separable=None)
+    assert len(seen) == 2
+    assert seen[0] is mdp and seen[1] is aug.mdp
+    for name in ("learn_ratio_merged_ic", "learn_ratio_unmerged_ic",
+                 "learn_ratio_min_entropy_bound"):
+        assert rep.claim(name).preconditions_met
+
+
 def test_determine_separability_paths():
     rng = np.random.default_rng(21)
     inv = random_invertible_mdp(rng, 8, 2)
@@ -34,8 +56,6 @@ def test_determine_separability_paths():
     assert ok is True and how == "invertible_transitions"
     # shared length-1 solution: disproof by brute force
     succ = np.array([[3, 3], [0, 3], [0, 3]], dtype=np.int32)
-    from skilldiff.mdp import TabularDsmdp
-
     bad = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
     ok, how = determine_separability(bad)
     assert ok is False

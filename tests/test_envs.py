@@ -220,7 +220,7 @@ def test_pickup_parse_and_build():
     cfg = parse_pickup_config(DEFAULT_PICKUP_CONFIG)
     assert cfg.target == ["a", "b"]
     mdp, p, info = build_pickup_world(cfg)
-    d = info["d"]
+    d = mdp.solution_lengths
     # uniform over solvable empty-handed starts
     sup = p.support
     assert np.allclose(p.probs[sup], p.probs[sup][0])
@@ -236,7 +236,7 @@ target: ab
 """
     cfg = parse_pickup_config(text)
     mdp, p, info = build_pickup_world(cfg)
-    d = info["d"]
+    d = mdp.solution_lengths
     states = info["states"]
     idx = {s: i for i, s in enumerate(states)}
     # exactly one goal state even though two (a, b) orders exist

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from skilldiff.metrics import (DegenerateDenominatorError, ic_expressive,
                                merged_solution_entropy,
                                min_entropy_assignment, solve_q,
                                enumerate_shortest_solutions)
+from skilldiff.metrics.incompress import _exhaustive_entropy
 from skilldiff.metrics.tightness import tightness_augmentation
 from skilldiff.skills import GOAL_PASS_DEAD, Skill, augment
 
@@ -101,6 +104,18 @@ def test_max_entropy_exhaustive_oracle():
     assert res.entropy == pytest.approx(best)
 
 
+def test_exhaustive_search_declines_a_large_support_without_overflow():
+    # 2,000 states of two candidates each: the count product 2^2000 is beyond
+    # float64, and the support size alone already rules the search out
+    n = 2000
+    probs = np.full(n, 1.0 / n)
+    cands = [[2 * i, 2 * i + 1] for i in range(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _exhaustive_entropy(probs, cands, max) is None
+        assert _exhaustive_entropy(probs, cands, min) is None
+
+
 def test_min_entropy_merges_everything_possible():
     probs = np.array([0.5, 0.3, 0.2])
     res = min_entropy_assignment(probs, [["x", "y"], ["x"], ["x", "z"]])
@@ -136,7 +151,7 @@ def test_single_skill_to_goal_gives_zero_merged_ic():
     mdp = TabularDsmdp(successor=base, goal=0, action_labels=["a", "b"])
     p = StateDistribution(np.array([0.0, 0.0, 0.4, 0.3, 0.3]))
     d = shortest_solution_lengths(mdp)
-    seqs = [canonical_shortest_solution(mdp, d, s) if d.solvable[s] and
+    seqs = [canonical_shortest_solution(mdp, s) if d.solvable[s] and
             s != mdp.goal else () for s in range(mdp.num_states)]
     z = Skill.from_sequences(seqs, label="solve")
     aug = augment(mdp, [z], mode=GOAL_PASS_DEAD)
@@ -198,24 +213,21 @@ def test_enumeration_cap_flag():
 
     rng = np.random.default_rng(16)
     mdp = random_invertible_mdp(rng, 10, 3)
-    d = shortest_solution_lengths(mdp)
-    sols, cap_hit = enumerate_shortest_solutions(mdp, d, range(10), cap=1)
+    sols, cap_hit = enumerate_shortest_solutions(mdp, range(10), cap=1)
     assert all(len(v) == 1 for v in sols.values())
     assert sols[mdp.goal] == [()]
 
 
 def test_enumeration_cap_flag_only_when_a_solution_is_dropped():
     chain, _ = build_chain(3)
-    d = shortest_solution_lengths(chain)
-    assert enumerate_shortest_solutions(chain, d, [1], cap=1) == ({1: [(0,)]},
-                                                                  False)
+    assert enumerate_shortest_solutions(chain, [1], cap=1) == ({1: [(0,)]},
+                                                               False)
     # state 2 has exactly four shortest solutions, (0, 0) .. (1, 1)
     succ = np.array([[3, 3], [0, 0], [1, 1]], dtype=np.int32)
     mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
-    d = shortest_solution_lengths(mdp)
     all4 = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for cap, hit in ((3, True), (4, False), (5, False)):
-        sols, cap_hit = enumerate_shortest_solutions(mdp, d, [2], cap=cap)
+        sols, cap_hit = enumerate_shortest_solutions(mdp, [2], cap=cap)
         assert sols[2] == all4[:cap] and cap_hit is hit
 
 

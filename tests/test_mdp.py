@@ -42,6 +42,18 @@ def test_reverse_graph_edge_count_equals_non_dead_transitions():
         assert rg.num_edges == expected
 
 
+def test_successor_is_a_read_only_view_of_the_callers_array():
+    succ = np.array([[3, 3], [0, 3], [1, 0]], dtype=np.int32)
+    mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
+    assert np.shares_memory(mdp.successor, succ)  # a view, not a copy
+    with pytest.raises(ValueError):
+        mdp.successor[1, 1] = 2
+    with pytest.raises(ValueError):
+        mdp.solution_lengths.d[2] = 1
+    assert succ.flags.writeable
+    assert mdp.successor.tolist() == [[3, 3], [0, 3], [1, 0]]
+
+
 def test_bfs_chain_lengths():
     mdp, _ = build_chain(3)
     d = shortest_solution_lengths(mdp)
@@ -108,9 +120,8 @@ def test_collisions_on_unsolvable_targets_are_allowed():
     # both states map to an unsolvable state under action b: still invertible
     succ = np.array([[4, 4], [0, 3], [1, 3], [4, 4]], dtype=np.int32)
     mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
-    d = shortest_solution_lengths(mdp)
-    assert d.d[3] == -1
-    assert check_invertible_transitions(mdp, d)
+    assert mdp.solution_lengths.d[3] == -1
+    assert check_invertible_transitions(mdp)
 
 
 def test_separable_chain():

@@ -147,12 +147,10 @@ def test_density_mass_skill_augmentation():
     # one skill sending every solvable state straight to the goal pushes the
     # density toward delta * |solvable|
     from skilldiff.metrics import canonical_shortest_solution
-    from skilldiff.mdp import shortest_solution_lengths
     from skilldiff.skills import Skill, augment
 
     mdp, _ = build_chain(10)
-    d = shortest_solution_lengths(mdp)
-    seqs = [canonical_shortest_solution(mdp, d, s) if s != mdp.goal else ()
+    seqs = [canonical_shortest_solution(mdp, s) if s != mdp.goal else ()
             for s in range(mdp.num_states)]
     skills = [Skill.from_sequences(seqs, label=f"solve{j}")
               for j in range(60)]

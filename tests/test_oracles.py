@@ -8,7 +8,7 @@ marking BFS and a preimage-gather DP; ``_unique_bfs`` is also the
 reverse-graph BFS that MDPs of at most ``DIRECT_MAX_STATES`` states ran
 before they took the pull BFS.  ``_solvable_mask`` is the former
 ``mdp.solvable_mask``, which ``solve_q`` and ``random_invertible_mdp`` used
-before they read ``pull_solution_lengths(...).solvable``.
+before they read the solvable set of a BFS.
 ``_scalar_enumerate_shortest_solutions`` is ``enumerate_shortest_solutions``
 as it was before it read the tables as Python lists, and
 ``_scipy_every_state_matched`` is the perfect-matching test that
@@ -384,6 +384,28 @@ def test_pull_bfs_matches_reverse_graph_oracle_around_the_cutoff(n):
         _assert_same_arrays(pull_solution_lengths(succ, goal).d, want)
 
 
+def test_cached_solution_lengths_match_a_fresh_bfs():
+    # random tables, and tables either side of the cut-off with dead
+    # entries; the first access fills the cache, later ones return it
+    rng = np.random.default_rng(54)
+    tables = [_random_table(rng) for _ in range(100)]
+    for n in (DIRECT_MAX_STATES - 1, DIRECT_MAX_STATES, DIRECT_MAX_STATES + 1):
+        for _ in range(5):
+            succ = rng.integers(0, n, size=(n, 3)).astype(np.int32)
+            succ[rng.random(succ.shape) < 0.4] = n
+            goal = int(rng.integers(n))
+            succ[goal] = n
+            tables.append(TabularDsmdp(successor=succ, goal=goal,
+                                       action_labels=["a", "b", "c"]))
+    unsolvable = 0
+    for mdp in tables:
+        d = mdp.solution_lengths
+        assert mdp.solution_lengths is d
+        _assert_same_arrays(d.d, shortest_solution_lengths(mdp).d)
+        unsolvable += int((~d.solvable).sum())
+    assert unsolvable > 0
+
+
 def _solvable_mask(successor, goal):
     n = successor.shape[0]
     ok = np.zeros(n + 1, dtype=bool)  # ok[n] is the dead state
@@ -453,7 +475,7 @@ def test_enumerator_matches_numpy_scalar_oracle():
         d = shortest_solution_lengths(mdp)
         states = rng.permutation(mdp.num_states)
         for cap in (1, 2, 5, SOL_CAP):
-            got = enumerate_shortest_solutions(mdp, d, states, cap)
+            got = enumerate_shortest_solutions(mdp, states, cap)
             assert got == _scalar_enumerate_shortest_solutions(
                 mdp, d, states, cap)
             assert all(type(a) is int for sols in got[0].values()
@@ -1290,19 +1312,19 @@ def test_canonical_solution_matches_greedy_descent_oracle():
     unsolvable = 0
     for mdp in tables:
         d = shortest_solution_lengths(mdp)
-        sols, _ = enumerate_shortest_solutions(mdp, d, range(mdp.num_states))
+        sols, _ = enumerate_shortest_solutions(mdp, range(mdp.num_states))
         for s in range(mdp.num_states):
             assert sols[s] == sorted(sols[s])
             if not d.solvable[s]:
                 unsolvable += 1
                 assert sols[s] == []
-                for fn in (canonical_shortest_solution,
-                           _greedy_canonical_solution):
-                    with pytest.raises(MdpError):
-                        fn(mdp, d, s)
+                with pytest.raises(MdpError):
+                    canonical_shortest_solution(mdp, s)
+                with pytest.raises(MdpError):
+                    _greedy_canonical_solution(mdp, d, s)
                 continue
             want = _greedy_canonical_solution(mdp, d, s)
-            assert canonical_shortest_solution(mdp, d, s) == want
+            assert canonical_shortest_solution(mdp, s) == want
             assert sols[s][0] == want
     assert unsolvable > 0
 
@@ -1538,7 +1560,7 @@ def _pickup_closure(config):
         raise MdpError("no solvable initial state")
     p = np.zeros(n)
     p[solvable_starts] = 1.0 / len(solvable_starts)
-    return mdp, StateDistribution(p), {"states": order, "d": d,
+    return mdp, StateDistribution(p), {"states": order,
                                        "start_ids": start_ids}
 
 
@@ -1548,12 +1570,11 @@ def _assert_same_env(got, want):
     assert mdp.goal == mdp0.goal
     assert mdp.action_labels == mdp0.action_labels
     _assert_same_arrays(p.probs, p0.probs)
+    _assert_same_arrays(mdp.solution_lengths.d,
+                        shortest_solution_lengths(mdp0).d)
     assert info.keys() == info0.keys()
     for key in info:
-        if key == "d":
-            _assert_same_arrays(info[key].d, info0[key].d)
-        else:
-            assert info[key] == info0[key]
+        assert info[key] == info0[key]
 
 
 @pytest.mark.parametrize("height,width", [(2, 2), (3, 5), (4, 12), (5, 7)])

@@ -211,8 +211,7 @@ def test_delta_zero_gain_bounds_the_exact_inverse_norm(cliff_bundle):
              for _ in range(15)]
     for mdp in mdps + [cliff_bundle[0]]:
         m = mdp.num_actions
-        gain = _direct_start(transition_matrix(mdp.successor),
-                             mdp.successor, mdp.goal, 1.0 / m,
+        gain = _direct_start(transition_matrix(mdp.successor), mdp, 1.0 / m,
                              np.zeros(mdp.num_states),
                              (m + 2) * np.finfo(np.float64).eps)
         assert gain >= max(exact_solve(mdp, 0.0)[1])
