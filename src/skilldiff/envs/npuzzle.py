@@ -90,66 +90,53 @@ def build_n_puzzle(n: int = 3, vacuous: str = "noop", k_max: int = 31,
             if 0 <= rr < n and 0 <= qq < n:
                 swap_cell[c, a] = rr * n + qq
 
-    # BFS from the goal over legal moves, enumerating the reachable orbit
-    states = goal_perm[None, :].copy()
-    ids = np.full(int(_factorials(k)[0] * k), -1, dtype=np.int32)  # k! slots
-    ids[perm_rank(states)] = 0
-    frontier = states
-    all_states = [goal_perm.copy()]
-    count = 1
-    while len(frontier):
-        nxt = []
-        for a in range(4):
-            moved = _apply_blank_move(frontier, swap_cell, a)
-            if moved is None:
-                continue
-            nxt.append(moved)
-        if not nxt:
-            break
-        cand = np.concatenate(nxt, axis=0)
-        ranks = perm_rank(cand)
-        uniq_ranks, first = np.unique(ranks, return_index=True)
-        cand = cand[first]
-        fresh = ids[uniq_ranks] == -1
-        cand = cand[fresh]
-        uniq_ranks = uniq_ranks[fresh]
-        if len(cand) == 0:
-            break
-        ids[uniq_ranks] = np.arange(count, count + len(cand), dtype=np.int32)
-        count += len(cand)
-        all_states.append(cand)
-        frontier = cand
-        if count > state_budget:
-            raise BudgetExceededError("puzzle orbit exceeds the state budget")
-    states = np.concatenate([s.reshape(-1, k) for s in all_states], axis=0)
-    N = len(states)
-
-    # successor table + raw scramble move maps
-    succ = np.full((N, 4), N, dtype=np.int32)
-    raw_moves = np.empty((4, N), dtype=np.int32)
-    arange = np.arange(N, dtype=np.int32)
-    for a in range(4):
-        moved = _apply_blank_move(states, swap_cell, a, keep_all=True)
-        legal = moved[1]
-        cols = np.where(legal, ids[perm_rank(moved[0])],
-                        arange if vacuous == "noop" else N)
-        raw_moves[a] = np.where(legal, cols, arange)  # scramble: no-op stays
-        succ[:, a] = cols
-    goal_id = int(ids[perm_rank(goal_perm[None, :])[0]])
-    succ[goal_id] = N
-    mdp = TabularDsmdp(successor=succ, goal=goal_id,
-                       action_labels=list(ACTIONS))
+    # an illegal move stays put in the scramble, and goes dead in "death"
+    raw_moves, legal = _orbit_moves(goal_perm, swap_cell, state_budget)
+    N = raw_moves.shape[1]
+    succ = np.where(legal | (vacuous == "noop"), raw_moves, N).T.copy()
+    succ[0] = N  # the goal row
+    mdp = TabularDsmdp(successor=succ, goal=0, action_labels=list(ACTIONS))
 
     moves = [ScrambleMove(successor=raw_moves[a], group=None, label=ACTIONS[a])
              for a in range(4)]
-    res = scramble_distribution(N, goal_id, moves, k_max)
+    res = scramble_distribution(N, 0, moves, k_max)
     info = {"orbit_size": N, "scramble": res}
     return mdp, res.distribution, info
 
 
-def _apply_blank_move(states: np.ndarray, swap_cell, a, keep_all=False):
-    """Swap the blank with the adjacent tile; rows where the move is illegal
-    are dropped (or flagged when keep_all)."""
+def _orbit_moves(goal_perm: np.ndarray, swap_cell, state_budget: int):
+    """(successor ids, legal), both [4, N], by BFS over the orbit's N states
+    from the goal (id 0).  An illegal move leaves a row, and so its id,
+    unchanged; once a level's fresh states are numbered, in sorted-rank
+    order, all its rows' successors have ids, and the levels join in id order.
+    """
+    k = len(goal_perm)
+    ids = np.full(int(_factorials(k)[0] * k), -1, dtype=np.int32)  # k! slots
+    frontier = goal_perm[None, :]
+    ids[perm_rank(frontier)] = 0
+    cols, legal = [], []
+    count = 1
+    while len(frontier):
+        moved, ok = zip(*(_apply_blank_move(frontier, swap_cell, a)
+                          for a in range(4)))
+        cand = np.concatenate(moved, axis=0)
+        cand_ranks = perm_rank(cand)
+        uniq_ranks, first = np.unique(cand_ranks, return_index=True)
+        fresh = ids[uniq_ranks] == -1
+        num_fresh = int(fresh.sum())
+        ids[uniq_ranks[fresh]] = count + np.arange(num_fresh, dtype=np.int32)
+        count += num_fresh
+        cols.append(ids[cand_ranks].reshape(4, -1))
+        legal.append(np.stack(ok))
+        frontier = cand[first[fresh]]
+        if count > state_budget:
+            raise BudgetExceededError("puzzle orbit exceeds the state budget")
+    return np.concatenate(cols, axis=1), np.concatenate(legal, axis=1)
+
+
+def _apply_blank_move(states: np.ndarray, swap_cell, a):
+    """(moved rows, legal): each row with the blank swapped with its
+    neighbour in direction a; a row where the move is illegal is unchanged."""
     B, k = states.shape
     blank = np.argmax(states == 0, axis=1)
     tgt = swap_cell[blank, a]
@@ -159,8 +146,4 @@ def _apply_blank_move(states: np.ndarray, swap_cell, a, keep_all=False):
     t = np.where(legal, tgt, blank)
     out[rows, blank] = out[rows, t]
     out[rows, t] = 0
-    if keep_all:
-        return out, legal
-    if not legal.any():
-        return None
-    return out[legal]
+    return out, legal

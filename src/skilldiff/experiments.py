@@ -401,7 +401,7 @@ def theorem_campaign(seed: int = 0, n_macro_cases: int = 200,
             mdp = random_invertible_mdp(rng, n, m)
             p = random_distribution(rng, mdp)
             aug = augment(mdp, make_skills(rng, mdp), mode=GOAL_PASS_DEAD)
-            rep = bounds_report(mdp, aug, p, delta, separable=True)
+            rep = bounds_report(aug, p, delta)
             summary.absorb(f"{kind}[{i}]", rep)
             if progress:
                 progress(i, kind)
@@ -410,8 +410,7 @@ def theorem_campaign(seed: int = 0, n_macro_cases: int = 200,
     for i in range(n_seqcons_sets):
         aug = augment(seq_mdp, random_macro_skills(rng, seq_mdp),
                       mode=GOAL_PASS_DEAD)
-        rep = bounds_report(seq_mdp, aug, seq_p, 0.0, separable=True,
-                            uniform_length_solutions=True)
+        rep = bounds_report(aug, seq_p, 0.0)
         summary.absorb(f"seqcons[{i}]", rep)
         if progress:
             progress(i, "seqcons")

@@ -12,7 +12,8 @@ Walks that may sit in the dead state gather from ``successor_padded``.
 An MDP's successor table is a read-only view of the array it was built
 from, so the MDP is fixed once built, and its shortest-solution lengths d
 are computed once, on first use of ``TabularDsmdp.solution_lengths``; every
-metric reads them from there.
+metric reads them from there.  A pickled or copied MDP is rebuilt through
+the constructor, so it holds the same invariants.
 Grid worlds given as a transition function on their own states are
 numbered and tabulated by ``enumerate_closure``.
 """
@@ -70,6 +71,10 @@ class TabularDsmdp:
         if self.base_action_count == 0:
             self.base_action_count = self.num_actions
         self.validate()
+
+    def __reduce__(self):  # pickle and deepcopy rebuild through __init__
+        return (TabularDsmdp, (self.successor, self.goal, self.action_labels,
+                               self.base_action_count))
 
     @property
     def num_states(self) -> int:
@@ -230,6 +235,8 @@ class StateDistribution:
         return shannon_entropy(self.probs)
 
     def validate(self, mdp: TabularDsmdp, d: np.ndarray | None = None):
+        """Raise MdpError unless p is a distribution over solvable states
+        other than the goal; d defaults to ``mdp.solution_lengths.d``."""
         if self.probs.shape != (mdp.num_states,):
             raise MdpError("distribution length must equal num_states")
         if np.any(self.probs < 0.0):
@@ -238,7 +245,9 @@ class StateDistribution:
             raise MdpError(f"probabilities sum to {self.probs.sum()!r}, not 1")
         if self.probs[mdp.goal] > 0.0:
             raise MdpError("no weight allowed on the goal")
-        if d is not None and np.any(d[self.support] == UNSOLVABLE):
+        if d is None:
+            d = mdp.solution_lengths.d
+        if np.any(d[self.support] == UNSOLVABLE):
             raise MdpError("support contains an unsolvable state")
 
 

@@ -1,10 +1,16 @@
 """Executable checks of the difficulty/incompressibility bounds.
 
-Each claim is evaluated numerically on a concrete (base, augmentation, p)
-triple: preconditions are verified from the MDP itself where possible, the
-two sides of the inequality are computed, and the verdict is recorded with a
-small slack, SLACK.  Claims whose preconditions cannot be established are
-reported as skipped rather than assumed.
+Each claim is evaluated numerically on a concrete augmentation and p, over
+the augmentation's own base: the two sides of the inequality are computed,
+and the verdict is recorded with a small slack, SLACK.  Every precondition
+is decided from the base, never taken from the caller.  Solution
+separability comes from ``determine_separability``, and claim 2's note names
+how: ``invertible_transitions`` proves it, ``violation_at_len_<k>`` refutes
+it, and ``separable_up_to_<k>`` or ``unverified`` leave it unproved.  One
+solution length per state is read from the per-length solution counts up to
+max d + 2, where a second solution would already show.  Claims whose
+preconditions cannot be established are reported as skipped rather than
+assumed.
 
 A report lists its claims in this order, each checked only under its
 precondition ("separable macro": a separable base and macro skills only;
@@ -119,21 +125,18 @@ class _Case:
     """What the claims on one triple share: eager attributes, and cached
     properties for the solves only some claims need."""
 
-    def __init__(self, mdp0, augmented, p, delta, separable, uniform_lengths):
-        self.mdp0, self.aug, self.p, self.delta = mdp0, augmented, p, delta
-        self.uniform_lengths, self.notes = uniform_lengths, ""
+    def __init__(self, augmented, p, delta):
+        self.mdp0 = mdp0 = augmented.base
+        self.aug, self.p, self.delta, self.notes = augmented, p, delta, ""
         if augmented.goal_pass_mode != GOAL_PASS_DEAD:
             self.notes = "warning: augmentation not in undefined_is_dead mode; "
         self.d0 = mdp0.solution_lengths
-        p.validate(mdp0, self.d0.d)
+        p.validate(mdp0)
         self.a0, self.aplus = mdp0.num_actions, augmented.mdp.num_actions
         self.is_macro = all(z.kind == "macro" for z in augmented.skills)
         self.strict = augmented.num_skills >= 1
-        self.sep_how = "caller"
-        if separable is None:
-            separable, self.sep_how = determine_separability(mdp0)
-        self.separable = separable
-        self.sep_macro = bool(separable) and self.is_macro
+        self.separable, self.sep_how = determine_separability(mdp0)
+        self.sep_macro = bool(self.separable) and self.is_macro
         self.ratio = (p_learning_difficulty(augmented.mdp, p)
                       / p_learning_difficulty(mdp0, p))
         # the full-coverage gap check reads solution counts up to this length
@@ -204,7 +207,7 @@ def _learn_ratio_merged_ic(case):
     name = "learn_ratio_merged_ic"
     if case.a0 <= 1:
         return case.skip(name, "needs |A0| > 1")
-    icm = ic_merged(case.mdp0, case.aug, case.p, mode="sup")
+    icm = ic_merged(case.aug, case.p, mode="sup")
     return case.ratio_check(name, icm, f"H[P+] method={icm.method}")
 
 
@@ -286,11 +289,10 @@ def _explore_gap_full_coverage(case):
     d = case.d0.d
     solvable = case.d0.solvable.copy()
     solvable[case.mdp0.goal] = False
-    uniform_lengths = case.uniform_lengths
-    if uniform_lengths is None:
-        nz = (counts.counts[:, 1:case.l_full + 1] > 0).sum(axis=1)
-        uniform_lengths = bool(np.all(nz[solvable] == 1))
-    if not uniform_lengths:
+    # exact at l_full: a state with a second solution has one of length at
+    # most max d + 1 (through a successor t with d(t) >= d(s))
+    nz = (counts.counts[:, 1:case.l_full + 1] > 0).sum(axis=1)
+    if np.any(nz[solvable] != 1):
         return case.skip(name,
                          "states with solutions of several lengths (up to L)")
     # every action sequence solves some state (checked per length up to the
@@ -365,17 +367,14 @@ _CLAIMS = (_learn_ratio_merged_ic, _learn_ratio_unmerged_ic,
            _learn_ratio_min_entropy_bound, _explore_gap_kl_corrected)
 
 
-def bounds_report(mdp0: TabularDsmdp, augmented: AugmentedMdp,
-                  p: StateDistribution, delta: float, *,
-                  separable: bool | None = None,
-                  uniform_length_solutions: bool | None = None
-                  ) -> BoundsReport:
-    """Evaluate every applicable theorem bound on one augmentation triple.
+def bounds_report(augmented: AugmentedMdp, p: StateDistribution,
+                  delta: float) -> BoundsReport:
+    """Evaluate every applicable theorem bound on ``augmented``, its base
+    and p; the base's preconditions are decided from the base itself.
 
     The augmented MDP should be materialized with the formal
     ``undefined_is_dead`` convention; the report notes a mismatch otherwise.
     """
-    case = _Case(mdp0, augmented, p, delta, separable,
-                 uniform_length_solutions)
+    case = _Case(augmented, p, delta)
     return BoundsReport([c for claim in _CLAIMS
                          if (c := claim(case)) is not None])

@@ -273,10 +273,11 @@ def merged_solution_entropy(augmented: AugmentedMdp,
     return _canonical_entropy(augmented.mdp, p, max_entropy_assignment)
 
 
-def ic_merged(mdp0: TabularDsmdp, augmented: AugmentedMdp,
-              p: StateDistribution, mode: str = "sup",
-              epsilon: float | None = None) -> ICValue:
-    """Merged p-incompressibility of the base w.r.t. the augmented action set."""
+def ic_merged(augmented: AugmentedMdp, p: StateDistribution,
+              mode: str = "sup", epsilon: float | None = None) -> ICValue:
+    """Merged p-incompressibility of the augmentation's base with respect to
+    the augmented action set: H[P+] over the base's E_p[d] and |A0|."""
+    mdp0 = augmented.base
     if mdp0.num_actions <= 1:
         raise DegenerateDenominatorError("merged IC needs |A0| > 1")
     asg = merged_solution_entropy(augmented, p)

@@ -1,4 +1,4 @@
-"""One-stop difficulty report for a (MDP, p, delta) triple."""
+"""One-stop difficulty report for a base or augmented MDP, p and delta."""
 
 from __future__ import annotations
 
@@ -59,18 +59,20 @@ def save_report(report: "DifficultyReport", path: str,
             np.save(f"{path}.{key}.npy", np.asarray(arr))
 
 
-def compute_difficulty_report(mdp: TabularDsmdp, p: StateDistribution,
-                              delta: float,
-                              augmented: AugmentedMdp | None = None
-                              ) -> DifficultyReport:
-    """Compute the standard metric battery.
+def compute_difficulty_report(env: TabularDsmdp | AugmentedMdp,
+                              p: StateDistribution,
+                              delta: float) -> DifficultyReport:
+    """Compute the standard metric battery of a base or augmented MDP.
 
     The fixed-epsilon incompressibility takes epsilon = delta, or 0.02 at
-    delta = 0.  When `augmented` is given, the merged incompressibility of
-    its base with respect to the augmented action set is included.
+    delta = 0.  For an augmentation, the merged incompressibility of its
+    base with respect to the augmented action set is included, with the
+    augmentation's goal-pass mode.
     """
+    aug = env if isinstance(env, AugmentedMdp) else None
+    mdp = aug.mdp if aug else env
     epsilon = delta if delta > 0 else 0.02
-    p.validate(mdp, mdp.solution_lengths.d)
+    p.validate(mdp)
     q = solve_q(mdp, delta)
     jl = p_learning_difficulty(mdp, p)
     je = p_exploration_difficulty(mdp, p, q)
@@ -85,13 +87,13 @@ def compute_difficulty_report(mdp: TabularDsmdp, p: StateDistribution,
         icf = _ic_dict(ICValue(None, "fixed_epsilon", epsilon))
         ics = _ic_dict(ICValue(None, "sup", None))
     icm = None
-    if augmented is not None and augmented.base.num_actions > 1:
-        icm = _ic_dict(ic_merged(augmented.base, augmented, p, mode="sup"))
+    if aug and aug.base.num_actions > 1:
+        icm = _ic_dict(ic_merged(aug, p, mode="sup"))
     return DifficultyReport(
         j_learn=jl, j_explore=je, j_explore_am=jam, density=dens,
         mean_d=mean_d, entropy_p=p.entropy(), delta=delta, epsilon=epsilon,
         num_actions=mdp.num_actions, base_action_count=mdp.base_action_count,
-        goal_pass_mode=augmented.goal_pass_mode if augmented else None,
+        goal_pass_mode=aug.goal_pass_mode if aug else None,
         ic_unmerged_fixed=icf, ic_unmerged_sup=ics,
         ic_merged=icm, q_residual=q.residual, q_iterations=q.iterations,
         q_error_bound=q.error_bound)

@@ -9,6 +9,10 @@ making the exploration difficulty approach H[p] - log((1-delta)/delta).
 "Send s back to itself" must be realized by base actions: a 2-action round
 trip avoiding the goal is used when one exists; otherwise the state is
 flagged and the skill keeps it in place by emitting no actions.
+
+No skill passes the goal before its last action (a goal sequence is a
+shortest solution, a round trip avoids the goal), so both goal-pass modes
+give one table; it is built in the formal ``undefined_is_dead`` mode.
 """
 
 from __future__ import annotations
@@ -54,10 +58,9 @@ def find_round_trip(mdp: TabularDsmdp, s: int) -> tuple[int, int] | None:
 
 
 def tightness_augmentation(mdp0: TabularDsmdp, p: StateDistribution,
-                           delta: float, K: int,
-                           mode: str = GOAL_PASS_DEAD
+                           delta: float, K: int
                            ) -> tuple[AugmentedMdp, TightnessInfo]:
-    p.validate(mdp0, mdp0.solution_lengths.d)
+    p.validate(mdp0)
     pmax = float(p.probs.max())
     if delta <= pmax:
         raise DeltaTooSmallError(
@@ -86,6 +89,6 @@ def tightness_augmentation(mdp0: TabularDsmdp, p: StateDistribution,
         seqs = [goal_seq[s] if j < counts[s] else self_seq.get(s) or ()
                 for s in range(n)]
         skills.append(Skill.from_sequences(seqs, label=f"tight{j}"))
-    aug = augment(mdp0, skills, mode=mode)
+    aug = augment(mdp0, skills, mode=GOAL_PASS_DEAD)
     return aug, TightnessInfo(goal_skill_counts=counts,
                               fallback_states=fallback, f=f)

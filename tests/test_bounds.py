@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from skilldiff.envs import ENV_PRESETS, build_env
 from skilldiff.envs.synthetic import build_sequence_consume
 from skilldiff.experiments import (build_star_base, tradeoff_demonstration,
                                    random_distribution, random_invertible_mdp,
@@ -14,7 +15,8 @@ from skilldiff.metrics import (bounds_report, determine_separability,
                                expansion_length_q, ic_unmerged, solve_q,
                                tightness_augmentation, DeltaTooSmallError,
                                p_exploration_difficulty)
-from skilldiff.skills import GOAL_PASS_DEAD, Skill, augment
+from skilldiff.skills import (GOAL_PASS_DEAD, MACRO_PRESETS, Skill, augment,
+                              macro_from_labels)
 
 
 def test_trivial_augmentation_ratio_is_one():
@@ -22,7 +24,7 @@ def test_trivial_augmentation_ratio_is_one():
     mdp = random_invertible_mdp(rng, 10, 2)
     p = random_distribution(rng, mdp)
     aug = augment(mdp, [], mode=GOAL_PASS_DEAD)
-    rep = bounds_report(mdp, aug, p, 0.1, separable=True)
+    rep = bounds_report(aug, p, 0.1)
     c = rep.claim("learn_ratio_merged_ic")
     assert c.lhs == pytest.approx(1.0)
     assert c.holds
@@ -41,7 +43,7 @@ def test_bounds_report_runs_one_bfs_per_mdp(monkeypatch):
     monkeypatch.setattr(
         "skilldiff.mdp.shortest_solution_lengths",
         lambda m, *a: seen.append(m) or shortest_solution_lengths(m, *a))
-    rep = bounds_report(mdp, aug, p, 0.1, separable=None)
+    rep = bounds_report(aug, p, 0.1)
     assert len(seen) == 2
     assert seen[0] is mdp and seen[1] is aug.mdp
     for name in ("learn_ratio_merged_ic", "learn_ratio_unmerged_ic",
@@ -59,6 +61,46 @@ def test_determine_separability_paths():
     bad = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
     ok, how = determine_separability(bad)
     assert ok is False
+
+
+# the claims checked only on a solution-separable base
+_NEEDS_SEPARABLE = {
+    "learn_ratio_unmerged_ic", "macros_hurt_learning_when_incompressible",
+    "density_at_most_one_separable", "macros_hurt_exploration_near_uniform",
+    "explore_gap_full_coverage", "explore_gap_kl_corrected",
+}
+
+
+@pytest.mark.parametrize("env, macros, how", [
+    ("cliff", "cliff/v1", "violation_at_len_2"),
+    ("pickup", "pickup/v1", "violation_at_len_1"),
+])
+def test_non_separable_bases_skip_every_separable_claim(env, macros, how):
+    mdp, p, _ = build_env(ENV_PRESETS[env])
+    assert determine_separability(mdp) == (False, how)
+    skills = [macro_from_labels(w, mdp.action_labels)
+              for w in MACRO_PRESETS[macros]]
+    rep = bounds_report(augment(mdp, skills, GOAL_PASS_DEAD), p, 1.0 / 50.0)
+    assert len(rep.claims) == 10
+    for c in rep.claims:
+        assert c.preconditions_met == (c.name not in _NEEDS_SEPARABLE), c.name
+        assert c.holds is not False
+
+
+def test_full_coverage_gap_decides_one_solution_length_per_state():
+    # state 2 is solved by "b" and, through state 1, by "aa": an invertible
+    # base with two solution lengths at one state
+    succ = np.array([[3, 3], [0, 3], [1, 0]], dtype=np.int32)
+    mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
+    p = StateDistribution(np.array([0.0, 0.5, 0.5]))
+    aug = augment(mdp, [macro_from_labels("ab", mdp.action_labels)],
+                  GOAL_PASS_DEAD)
+    rep = bounds_report(aug, p, 0.0)
+    assert rep.claim("learn_ratio_unmerged_ic").notes == \
+        "separability: invertible_transitions"
+    c = rep.claim("explore_gap_full_coverage")
+    assert not c.preconditions_met
+    assert c.notes == "states with solutions of several lengths (up to L)"
 
 
 def test_small_campaign_has_no_violations():
@@ -96,7 +138,7 @@ def test_density_exploration_bound_on_tabular_skills():
         mdp = random_invertible_mdp(rng, int(rng.integers(5, 20)), 2)
         p = random_distribution(rng, mdp)
         aug = augment(mdp, random_tabular_skills(rng, mdp), GOAL_PASS_DEAD)
-        rep = bounds_report(mdp, aug, p, 0.1, separable=True)
+        rep = bounds_report(aug, p, 0.1)
         assert rep.claim("explore_density_lower_bound").holds
 
 
@@ -107,8 +149,7 @@ def test_check_near_uniform_exploration_instance_with_geometric_weights():
     rng = np.random.default_rng(23)
     for _ in range(5):
         aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
-        rep = bounds_report(mdp, aug, p, delta, separable=True,
-                            uniform_length_solutions=True)
+        rep = bounds_report(aug, p, delta)
         c = rep.claim("macros_hurt_exploration_near_uniform")
         assert c.preconditions_met
         assert c.holds  # strictly increases exploration difficulty
@@ -119,8 +160,7 @@ def test_check_near_uniform_exploration_skipped_when_kl_large():
     mdp, p = build_sequence_consume(2, 6)
     rng = np.random.default_rng(24)
     aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
-    rep = bounds_report(mdp, aug, p, 0.5, separable=True,
-                        uniform_length_solutions=True)
+    rep = bounds_report(aug, p, 0.5)
     c = rep.claim("macros_hurt_exploration_near_uniform")
     assert not c.preconditions_met
 
@@ -130,8 +170,7 @@ def test_check_full_coverage_gap_and_check_kl_corrected_gap_on_sequence_consume(
     rng = np.random.default_rng(25)
     for _ in range(10):
         aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
-        rep = bounds_report(mdp, aug, p, 0.0, separable=True,
-                            uniform_length_solutions=True)
+        rep = bounds_report(aug, p, 0.0)
         t5 = rep.claim("explore_gap_full_coverage")
         t7 = rep.claim("explore_gap_kl_corrected")
         assert t5.preconditions_met and t5.holds
@@ -146,8 +185,7 @@ def test_check_kl_corrected_gap_kl_is_zero_for_proportional_p():
     mdp, p = build_sequence_consume(2, 3)
     rng = np.random.default_rng(26)
     aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
-    rep = bounds_report(mdp, aug, p, 0.0, separable=True,
-                        uniform_length_solutions=True)
+    rep = bounds_report(aug, p, 0.0)
     t7 = rep.claim("explore_gap_kl_corrected")
     assert "KL=" in t7.notes
     kl = float(t7.notes.split("KL=")[1])
@@ -173,7 +211,7 @@ def test_expressivity_bound_with_tabular_skills():
         mdp = random_invertible_mdp(rng, int(rng.integers(5, 15)), 2)
         p = random_distribution(rng, mdp)
         aug = augment(mdp, random_tabular_skills(rng, mdp), GOAL_PASS_DEAD)
-        rep = bounds_report(mdp, aug, p, 0.1, separable=True)
+        rep = bounds_report(aug, p, 0.1)
         c = rep.claim("learn_ratio_expressivity_bound")
         assert c.preconditions_met
         assert c.holds is not False
@@ -187,7 +225,7 @@ def test_star_base_meets_incompressibility_condition():
     assert ic.value == pytest.approx(1.0)
     rng = np.random.default_rng(29)
     aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
-    rep = bounds_report(mdp, aug, p, 0.1, separable=True)
+    rep = bounds_report(aug, p, 0.1)
     c = rep.claim("macros_hurt_learning_when_incompressible")
     assert c.preconditions_met
     assert c.holds  # macroactions provably worsen learning difficulty here
@@ -244,7 +282,7 @@ def test_report_layout_macro_case():
     mdp = random_invertible_mdp(rng, 8, 2)
     p = random_distribution(rng, mdp)
     aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
-    rep = bounds_report(mdp, aug, p, 0.1, separable=True)
+    rep = bounds_report(aug, p, 0.1)
     met = [True, True, False, True, True, False, False, True, True, False]
     assert _layout(rep) == list(zip(_CLAIM_ORDER, met))
 
@@ -254,7 +292,7 @@ def test_report_layout_tabular_skill_case():
     mdp = random_invertible_mdp(rng, 8, 2)
     p = random_distribution(rng, mdp)
     aug = augment(mdp, random_tabular_skills(rng, mdp), GOAL_PASS_DEAD)
-    rep = bounds_report(mdp, aug, p, 0.1, separable=True)
+    rep = bounds_report(aug, p, 0.1)
     met = [True, False, False, True, False, False, False, True, False, False]
     assert _layout(rep) == list(zip(_CLAIM_ORDER, met))
     # the density claim is skipped but still reports the density
@@ -266,8 +304,7 @@ def test_report_layout_seqcons_case_at_delta_zero():
     mdp, p = build_sequence_consume(2, 3)
     rng = np.random.default_rng(42)
     aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
-    rep = bounds_report(mdp, aug, p, 0.0, separable=True,
-                        uniform_length_solutions=True)
+    rep = bounds_report(aug, p, 0.0)
     order = [n for n in _CLAIM_ORDER if n != "density_at_most_one_separable"]
     met = [True, True, False, False, False, True, True, True, True]
     assert _layout(rep) == list(zip(order, met))

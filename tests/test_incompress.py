@@ -5,7 +5,8 @@ import pytest
 
 from skilldiff.envs.synthetic import build_chain
 from skilldiff.mdp import StateDistribution, TabularDsmdp, shortest_solution_lengths
-from skilldiff.metrics import (DegenerateDenominatorError, ic_expressive,
+from skilldiff.metrics import (DegenerateDenominatorError,
+                               compute_difficulty_report, ic_expressive,
                                ic_merged, ic_unmerged,
                                max_entropy_assignment,
                                merged_solution_entropy,
@@ -13,7 +14,7 @@ from skilldiff.metrics import (DegenerateDenominatorError, ic_expressive,
                                enumerate_shortest_solutions)
 from skilldiff.metrics.incompress import _exhaustive_entropy
 from skilldiff.metrics.tightness import tightness_augmentation
-from skilldiff.skills import GOAL_PASS_DEAD, Skill, augment
+from skilldiff.skills import GOAL_PASS_DEAD, Skill, augment, macro_from_labels
 
 
 def two_state_mdp():
@@ -157,9 +158,9 @@ def test_single_skill_to_goal_gives_zero_merged_ic():
     aug = augment(mdp, [z], mode=GOAL_PASS_DEAD)
     asg = merged_solution_entropy(aug, p)
     assert asg.entropy == pytest.approx(0.0)  # every state's solution is (z)
-    fixed = ic_merged(mdp, aug, p, mode="fixed_epsilon", epsilon=1.0 / 50.0)
+    fixed = ic_merged(aug, p, mode="fixed_epsilon", epsilon=1.0 / 50.0)
     assert fixed.value == 0.0 and fixed.clamped
-    sup = ic_merged(mdp, aug, p, mode="sup")
+    sup = ic_merged(aug, p, mode="sup")
     assert sup.value == pytest.approx(1.0 / d.expected(p))
 
 
@@ -172,7 +173,7 @@ def test_fixed_epsilon_outside_the_open_unit_interval_is_rejected(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
         ic_unmerged(mdp, p, mode="fixed_epsilon", epsilon=epsilon)
     with pytest.raises(ValueError, match="epsilon"):
-        ic_merged(mdp, aug, p, mode="fixed_epsilon", epsilon=epsilon)
+        ic_merged(aug, p, mode="fixed_epsilon", epsilon=epsilon)
 
 
 def test_macro_augmentation_merged_equals_unmerged():
@@ -187,10 +188,27 @@ def test_macro_augmentation_merged_equals_unmerged():
         p_arr[sup] = rng.dirichlet(np.ones(len(sup)))
         p = StateDistribution(p_arr)
         aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
-        icm = ic_merged(mdp, aug, p, mode="sup")
+        icm = ic_merged(aug, p, mode="sup")
         icu = ic_unmerged(mdp, p, mode="sup")
         assert icm.method == "matching_exact"
         assert icm.value == pytest.approx(icu.value, abs=1e-12)
+
+
+def test_difficulty_report_of_an_augmentation_adds_merged_ic(cliff_bundle):
+    mdp, p, _ = cliff_bundle
+    aug = augment(mdp, [macro_from_labels("RR", mdp.action_labels)],
+                  GOAL_PASS_DEAD)
+    rep = compute_difficulty_report(aug, p, 1.0 / 50.0)
+    table = compute_difficulty_report(aug.mdp, p, 1.0 / 50.0)
+    assert rep.goal_pass_mode == GOAL_PASS_DEAD
+    assert table.goal_pass_mode is None and table.ic_merged is None
+    icm = ic_merged(aug, p, mode="sup")
+    assert (rep.ic_merged["value"], rep.ic_merged["method"]) == \
+        (icm.value, icm.method)
+    # every other field is the augmented MDP's own
+    rest = {k: v for k, v in vars(rep).items()
+            if k not in ("goal_pass_mode", "ic_merged")}
+    assert rest == {k: vars(table)[k] for k in rest}
 
 
 def test_tightness_augmentation_matching(cliff_bundle):

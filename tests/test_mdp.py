@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -52,6 +54,23 @@ def test_successor_is_a_read_only_view_of_the_callers_array():
         mdp.solution_lengths.d[2] = 1
     assert succ.flags.writeable
     assert mdp.successor.tolist() == [[3, 3], [0, 3], [1, 0]]
+
+
+def test_pickle_and_deepcopy_rebuild_through_the_constructor():
+    # numpy pickles no flags.writeable: a copy must come back read-only and
+    # recompute d rather than trust a cached table it was handed
+    succ = np.array([[3, 3], [0, 3], [1, 0]], dtype=np.int32)
+    mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"],
+                       base_action_count=1)
+    d = mdp.solution_lengths.d
+    for clone in (pickle.loads(pickle.dumps(mdp)), copy.deepcopy(mdp)):
+        assert not clone.successor.flags.writeable
+        assert not np.shares_memory(clone.successor, mdp.successor)
+        assert "solution_lengths" not in vars(clone)
+        assert clone.solution_lengths.d.tolist() == d.tolist()
+        assert not clone.solution_lengths.d.flags.writeable
+        assert (clone.successor.tolist(), clone.goal, clone.action_labels,
+                clone.base_action_count) == (succ.tolist(), 0, ["a", "b"], 1)
 
 
 def test_bfs_chain_lengths():
@@ -171,6 +190,23 @@ def test_distribution_validation():
     ent = StateDistribution(np.array([0.0, 0.5, 0.25, 0.25]))
     assert ent.entropy() == pytest.approx(-(0.5 * np.log(0.5)
                                             + 0.5 * np.log(0.25)))
+
+
+def test_validate_checks_the_support_against_the_mdps_own_d(monkeypatch):
+    # state 1 only reaches the dead state
+    succ = np.array([[3, 3], [3, 3], [0, 3]], dtype=np.int32)
+    mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
+    p = StateDistribution(np.array([0.0, 0.5, 0.5]))
+    with pytest.raises(MdpError, match="unsolvable"):
+        p.validate(mdp)
+    with pytest.raises(MdpError, match="unsolvable"):
+        p.validate(mdp, mdp.solution_lengths.d)
+    # a d passed in is used as it is, with no BFS of the MDP
+    fresh = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
+    monkeypatch.setattr("skilldiff.mdp.shortest_solution_lengths", None)
+    StateDistribution(np.array([0.0, 0.0, 1.0])).validate(
+        fresh, np.array([0, -1, 1]))
+    assert "solution_lengths" not in vars(fresh)
 
 
 def test_entropy_of_a_point_mass_is_positive_zero():
