@@ -43,7 +43,7 @@ class BudgetExceededError(MdpError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class TabularDsmdp:
     """Explicit finite deterministic sparse-reward MDP.
 
@@ -213,7 +213,7 @@ def shannon_entropy(mass) -> float:
     return float(0.0 - np.dot(m, np.log(m)))  # +0.0, not -0.0, at a point mass
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class StateDistribution:
     """Importance distribution p over solvable states, aligned to state indices."""
 

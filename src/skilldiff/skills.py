@@ -75,7 +75,7 @@ def macro_from_labels(word: str, base_labels: list[str]) -> Skill:
     return Skill.from_macro(seq, label=word)
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class AugmentedMdp:
     """A base MDP plus a skill multiset, with the augmented table materialized."""
 

@@ -11,6 +11,7 @@ from skilldiff.mdp import (BudgetExceededError, MdpError, StateDistribution,
                            check_solution_separable_bruteforce,
                            shannon_entropy, shortest_solution_lengths)
 from skilldiff.envs.synthetic import build_chain
+from skilldiff.skills import Skill, augment
 
 from conftest import random_dsmdp
 
@@ -71,6 +72,21 @@ def test_pickle_and_deepcopy_rebuild_through_the_constructor():
         assert not clone.solution_lengths.d.flags.writeable
         assert (clone.successor.tolist(), clone.goal, clone.action_labels,
                 clone.base_action_count) == (succ.tolist(), 0, ["a", "b"], 1)
+
+
+def test_equality_of_array_holding_dataclasses_is_identity():
+    # a generated __eq__ compares array fields inside a tuple and raises
+    # "truth value of an array ... is ambiguous"
+    succ = np.array([[3, 3], [0, 3], [1, 0]], dtype=np.int32)
+    mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
+    aug = augment(mdp, [Skill.from_macro((1, 0), label="ba")])
+    for x, twin in [(mdp, pickle.loads(pickle.dumps(mdp))),
+                    (aug, copy.copy(aug)),
+                    (StateDistribution(np.array([0.0, 0.5, 0.5])),
+                     StateDistribution(np.array([0.0, 0.5, 0.5])))]:
+        assert (x == twin) is False and (x != twin) is True
+        assert (x == x) is True
+        assert len({x, twin}) == 2
 
 
 def test_bfs_chain_lengths():

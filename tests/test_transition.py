@@ -4,10 +4,12 @@ The ``_gather_*`` functions below are the padded-table sweeps that
 ``solve_q``, ``per_length_counts`` and ``expansion_length_q`` ran before
 they read the successor table through ``transition_matrix``.  They stay here
 as oracles: the operator must reproduce them bit for bit (the expansion DP
-groups actions by expansion length, so it is held to 1e-14).  ``solve_q``
-reproduces the sweep oracle bit for bit above ``DIRECT_MAX_STATES``; below
-it the direct start must agree with the oracle within both certified
-bounds, and with the exact rational solution ``exact_q`` within its own.
+groups actions by expansion length, so it is held to 1e-14).  Above
+``DIRECT_MAX_STATES`` an asymmetric operator keeps the sweep from zero, so
+``solve_q`` reproduces the sweep oracle bit for bit.  The direct start below
+the cut-off and the CG start of symmetric operators above it must agree
+with the oracle within both certified bounds, and with the exact solution
+(``exact_q`` or a closed form) within their own.
 """
 
 import math
@@ -17,11 +19,14 @@ import numpy as np
 import pytest
 
 from skilldiff.envs import ENV_PRESETS, build_env
+from skilldiff.envs.synthetic import build_chain
 from skilldiff.experiments import random_invertible_mdp, random_macro_skills
 from skilldiff.mdp import TabularDsmdp, transition_matrix
 from skilldiff.metrics import (NotConvergedError, expansion_length_q,
                                per_length_counts, solve_q)
-from skilldiff.metrics.solver import DIRECT_MAX_STATES, _direct_start
+from skilldiff.metrics import solver
+from skilldiff.metrics.solver import (DIRECT_MAX_STATES, _direct_start,
+                                      _symmetric_nongoal_operator)
 from skilldiff.skills import GOAL_PASS_DEAD, augment
 
 from conftest import exact_q, exact_solve
@@ -226,6 +231,157 @@ def test_solve_q_on_the_cliff_at_delta_zero_is_certified(cliff_bundle):
     assert qt.error_bound <= 1e-10
     _assert_within_exact(mdp, qt)
     assert all(x == 1 for x in exact_q(mdp, 0.0))
+
+
+def _involution_table(rng, n, m, traps=0, dead_pairs=0.0):
+    """Random MDP of n states whose actions are involutions, so the operator
+    is symmetric: each action pairs up states (an odd one out maps to
+    itself).  The last ``traps`` states pair only among themselves, so
+    they are unsolvable; a pair dies in both directions with probability
+    ``dead_pairs``."""
+    succ = np.empty((n, m), dtype=np.int32)
+    for a in range(m):
+        for block in (np.arange(n - traps), np.arange(n - traps, n)):
+            order = rng.permutation(block)
+            succ[order, a] = order
+            pairs = order[:len(order) // 2 * 2].reshape(-1, 2)
+            succ[pairs[:, 0], a], succ[pairs[:, 1], a] = pairs[:, 1], pairs[:, 0]
+            dead = pairs[rng.random(len(pairs)) < dead_pairs].ravel()
+            succ[dead, a] = n
+    succ[0] = n
+    return TabularDsmdp(successor=succ, goal=0,
+                        action_labels=[f"a{i}" for i in range(m)])
+
+
+def _line(n):
+    """States 0..n-1 on a line, goal 0: "left" and "right" step to a
+    neighbour, and "right" from n - 1 dies.  At delta = 0 this is gambler's
+    ruin, q*(i) = 1 - i/n."""
+    i = np.arange(n)
+    succ = np.column_stack([i - 1, i + 1]).astype(np.int32)
+    succ[0] = n
+    return TabularDsmdp(successor=succ, goal=0, action_labels=["l", "r"])
+
+
+def _cg_steps(monkeypatch):
+    """Record the steps of every CG solve ``solve_q`` makes."""
+    steps, cg = [], solver._cg
+
+    def spy(*args):
+        x, k = cg(*args)
+        steps.append(k)
+        return x, k
+
+    monkeypatch.setattr(solver, "_cg", spy)
+    return steps
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.1])
+def test_cg_start_matches_the_sweep_oracle(delta, monkeypatch):
+    steps = _cg_steps(monkeypatch)
+    rng = np.random.default_rng(48)
+    for _ in range(6):
+        n = int(rng.integers(DIRECT_MAX_STATES + 1, DIRECT_MAX_STATES + 80))
+        mdp = _involution_table(rng, n, int(rng.integers(1, 5)),
+                                traps=int(rng.integers(0, 20)), dead_pairs=0.1)
+        assert _symmetric_nongoal_operator(mdp) is not None
+        steps.clear()
+        qt = solve_q(mdp, delta)
+        # CG to half of tol, then the one sweep that certifies it
+        assert qt.iterations == steps[0] + 1 and qt.residual <= 1e-12
+        _assert_near_oracle(mdp, delta, qt)
+        assert np.all(qt.q[~mdp.solution_lengths.solvable] == 0.0)
+
+
+def test_cg_start_at_delta_zero_is_certified(monkeypatch):
+    # the sweep from zero certifies nothing here (bound inf); the CG start
+    # solves t as well, and its bound covers the distance to the closed-form
+    # q*: 1 on the solvable states without dead entries, 1 - i/n on the line
+    steps = _cg_steps(monkeypatch)
+    rng = np.random.default_rng(49)
+    mdps = [_involution_table(rng, int(rng.integers(DIRECT_MAX_STATES + 1,
+                                                    DIRECT_MAX_STATES + 80)),
+                              int(rng.integers(1, 5)),
+                              traps=int(rng.integers(0, 20)))
+            for _ in range(6)]
+    exact = [[Fraction(int(x)) for x in mdp.solution_lengths.solvable]
+             for mdp in mdps]
+    mdps.append(_line(DIRECT_MAX_STATES + 50))
+    exact.append([1 - Fraction(i, DIRECT_MAX_STATES + 50)
+                  for i in range(DIRECT_MAX_STATES + 50)])
+    for mdp, q_star in zip(mdps, exact):
+        steps.clear()
+        qt = solve_q(mdp, 0.0)
+        # q's steps, t's steps and t's check, then one sweep
+        assert len(steps) == 2 and qt.iterations == sum(steps) + 2
+        assert qt.error_bound <= 1e-6
+        bound = Fraction(qt.error_bound)
+        assert all(abs(Fraction(float(x)) - y) <= bound
+                   for x, y in zip(qt.q, q_star))
+
+
+def test_cg_start_on_puzzle8_is_within_the_oracles_bounds(puzzle_bundle):
+    # puzzle8's blank moves are closed under inversion, so its operator is
+    # symmetric; from zero, delta = 0 stalls (residual 1.3e-6 after 3,000
+    # sweeps) and certifies nothing
+    mdp = puzzle_bundle[0]
+    assert _symmetric_nongoal_operator(mdp) is not None
+    qt = solve_q(mdp, 1.0 / 50.0)
+    q0, it0, res0 = _gather_solve_q(mdp, 1.0 / 50.0)
+    gap = float(np.max(np.abs(qt.q - q0)))
+    assert gap <= qt.error_bound + _sweep_bound(mdp, 1.0 / 50.0, res0)
+    assert qt.iterations < it0 / 4
+    qt = solve_q(mdp, 0.0)
+    assert qt.residual <= 1e-12 and qt.error_bound <= 1e-6
+
+
+def test_symmetry_probe_rejects_asymmetric_operators_unbuilt(
+        cube_bundle, monkeypatch):
+    # the cube's quarter turns, a chain and random tables fail on a probed
+    # row, before anything of the MDP's size is built
+    built = []
+    monkeypatch.setattr(solver, "transition_matrix",
+                        lambda succ: built.append(succ))
+    rng = np.random.default_rng(50)
+    mdps = [cube_bundle[0], build_chain(DIRECT_MAX_STATES + 50)[0]]
+    mdps += [_random_table(rng, DIRECT_MAX_STATES + 1, DIRECT_MAX_STATES + 60)
+             for _ in range(10)]
+    for mdp in mdps:
+        assert _symmetric_nongoal_operator(mdp) is None
+    assert built == []
+
+
+def test_symmetry_probe_miss_is_caught_by_the_full_check(monkeypatch):
+    # pickup's moves are mutual inverses away from the pick cells, which no
+    # probed row reaches; the full check declines it
+    built, tm = [], solver.transition_matrix
+    monkeypatch.setattr(solver, "transition_matrix",
+                        lambda succ: built.append(succ) or tm(succ))
+    assert _symmetric_nongoal_operator(build_env(ENV_PRESETS["pickup"])[0]) \
+        is None
+    assert len(built) == 1
+    monkeypatch.undo()
+    # one edge turned asymmetric away from the probed rows: the full check
+    # declines, and solve_q is the sweep from zero, bit for bit
+    rng = np.random.default_rng(51)
+    n = DIRECT_MAX_STATES + 40
+    probed = set(np.linspace(0, n - 1, solver._PROBE_ROWS,
+                             dtype=np.int64).tolist())
+    for _ in range(3):
+        mdp = _involution_table(rng, n, 3)
+        succ = mdp.successor.copy()
+        free = [s for s in range(1, n) if s not in probed
+                and not probed & set(succ[s].tolist())]
+        s, t = rng.choice(free, 2, replace=False)
+        succ[s, 0] = t if succ[s, 0] != t else n
+        mdp = TabularDsmdp(successor=succ, goal=0,
+                           action_labels=mdp.action_labels)
+        assert _symmetric_nongoal_operator(mdp) is None
+        for delta in (0.02, 0.1):
+            qt = solve_q(mdp, delta)
+            q0, it0, res0 = _gather_solve_q(mdp, delta)
+            assert np.array_equal(qt.q, q0)
+            assert (qt.iterations, qt.residual) == (it0, res0)
 
 
 def test_per_length_counts_match_gather_oracle():
