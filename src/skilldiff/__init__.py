@@ -2,10 +2,8 @@
 deterministic sparse-reward MDPs, with tabular-RL experiment drivers."""
 
 from .mdp import (DEAD_SENTINEL_U32, UNSOLVABLE, BudgetExceededError, MdpError,
-                  ReverseGraph, SeparabilityVerdict, SolutionLengthTable,
-                  StateDistribution, TabularDsmdp, build_reverse_graph,
-                  check_invertible_transitions,
-                  check_solution_separable_bruteforce,
+                  ReverseGraph, SolutionLengthTable, StateDistribution,
+                  TabularDsmdp, build_reverse_graph,
                   shortest_solution_lengths)
 from .skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS, AugmentedMdp,
                      MacroGenSpec, Skill, SkillError, augment,

@@ -204,6 +204,7 @@ def cmd_bounds(args) -> int:
                "skipped": summary.skipped,
                "inconclusive": summary.inconclusive,
                "held_by_claim": summary.held_by_claim,
+               "checked_by_claim": summary.checked_by_claim,
                "tradeoff_demo": demo,
                "violations": summary.violations}
     if args.out:

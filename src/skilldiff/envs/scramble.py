@@ -45,7 +45,7 @@ import numpy as np
 from ..mdp import StateDistribution
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class ScrambleMove:
     """A deterministic map on all states (including the goal row).
 
@@ -63,7 +63,7 @@ class ScrambleMove:
 FRONTIER_SHARE = 0.25
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class ScrambleResult:
     distribution: StateDistribution
     step_marginal_sums: np.ndarray  # should each be 1 before conditioning

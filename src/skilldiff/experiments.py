@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -148,16 +149,13 @@ def run_rl_campaign(env_preset: str, variants: list[VariantSpec],
              for vi, v in enumerate(variants) for algo in algorithms
              for si in range(seeds)]
     results = []
-    if jobs > 1:
-        import multiprocessing as mp
-        with mp.get_context("fork").Pool(jobs) as pool:
-            for res in pool.imap(_run_cell, cells):
-                results.append(res)
-                if progress:
-                    progress(res)
-    else:
-        for c in cells:
-            res = _run_cell(c)
+    with ExitStack() as stack:
+        runs = map(_run_cell, cells)
+        if jobs > 1:
+            import multiprocessing as mp
+            pool = stack.enter_context(mp.get_context("fork").Pool(jobs))
+            runs = pool.imap(_run_cell, cells)
+        for res in runs:
             results.append(res)
             if progress:
                 progress(res)
@@ -283,8 +281,8 @@ def random_invertible_mdp(rng: np.random.Generator, num_states: int,
                           num_actions: int, max_tries: int = 200
                           ) -> TabularDsmdp:
     """Random DSMDP whose actions are permutations restricted to non-goal
-    states (hence invertible transitions, hence solution-separable), with
-    every state solvable."""
+    states, with every state solvable.  No two states share an (action,
+    successor) pair, so the MDP is ``solution_separable``."""
     for _ in range(max_tries):
         succ = np.empty((num_states, num_actions), dtype=np.int32)
         for a in range(num_actions):

@@ -12,8 +12,9 @@ Walks that may sit in the dead state gather from ``successor_padded``.
 An MDP's successor table is a read-only view of the array it was built
 from, so the MDP is fixed once built, and its shortest-solution lengths d
 are computed once, on first use of ``TabularDsmdp.solution_lengths``; every
-metric reads them from there.  A pickled or copied MDP is rebuilt through
-the constructor, so it holds the same invariants.
+metric reads them from there, and reads solution separability from
+``TabularDsmdp.solution_separable`` in the same way.  A pickled or copied
+MDP is rebuilt through the constructor, so it holds the same invariants.
 Grid worlds given as a transition function on their own states are
 numbered and tabulated by ``enumerate_closure``.
 """
@@ -112,6 +113,27 @@ class TabularDsmdp:
         table = shortest_solution_lengths(self)
         table.d.flags.writeable = False
         return table
+
+    @cached_property
+    def solution_separable(self) -> bool:
+        """True iff no action sequence solves two distinct states.
+
+        Call distinct non-goal states x, y a collision when one action
+        takes both to a state z that is solvable or the goal.  If s != s'
+        share a solution, their walks under it first meet one step after a
+        collision; if x, y collide under a, then a followed by a shortest
+        solution of z solves both.  So the MDP is separable exactly when no
+        (action, successor) pair with a solvable successor is shared.  The
+        dead index counts as unsolvable, which also drops the all-dead goal
+        row.
+        """
+        solvable = np.append(self.solution_lengths.solvable, False)
+        keep = solvable[self.successor]
+        for a in range(self.num_actions):
+            tgts = self.successor[keep[:, a], a]
+            if len(np.unique(tgts)) != len(tgts):
+                return False
+        return True
 
     def successor_padded(self) -> np.ndarray:
         """Successor table plus a dead row, so gathers never go out of range."""
@@ -251,7 +273,7 @@ class StateDistribution:
             raise MdpError("support contains an unsolvable state")
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class SolutionLengthTable:
     """Shortest-solution lengths; UNSOLVABLE (-1) marks unreachable states."""
 
@@ -427,73 +449,3 @@ def _gather_ragged(rev: ReverseGraph, targets: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
     return rev.preds[np.repeat(starts, counts) + within]
-
-
-def check_invertible_transitions(mdp: TabularDsmdp) -> bool:
-    """True iff no two distinct states share (action, successor) with a
-    solvable-or-goal successor.  Implemented by bucketing (a, successor)."""
-    # the dead state is not solvable
-    solvable_pad = np.concatenate([mdp.solution_lengths.solvable, [False]])
-    keep = mdp.successor != mdp.dead
-    keep[mdp.goal] = False
-    keep &= solvable_pad[mdp.successor]
-    for a in range(mdp.num_actions):
-        tgts = mdp.successor[keep[:, a], a]
-        if len(np.unique(tgts)) != len(tgts):
-            return False
-    return True
-
-
-@dataclass
-class SeparabilityVerdict:
-    separable: bool
-    checked_len: int
-    violation: tuple[tuple[int, ...], int, int] | None = None  # (sequence, s, s')
-
-    def __bool__(self) -> bool:
-        return self.separable
-
-
-def check_solution_separable_bruteforce(
-    mdp: TabularDsmdp, max_len: int, budget: int = 2_000_000
-) -> SeparabilityVerdict:
-    """Enumerate all action sequences up to max_len; report the first one
-    (shortest, then lexicographic) that solves two distinct states.
-
-    A sequence solves s when folding it through the transition table lands on
-    the goal exactly at the last step without passing through the goal
-    earlier.
-    """
-    n, m = mdp.num_states, mdp.num_actions
-    if m**max_len > budget:
-        raise BudgetExceededError(
-            f"|A|^max_len = {m}**{max_len} exceeds budget {budget}")
-    succ = mdp.successor
-    origins = np.flatnonzero(np.arange(n) != mdp.goal).astype(np.int64)
-
-    best: list = [max_len + 1, None]  # [depth, (sequence, s, s')]
-
-    def dfs(prefix: tuple, origs: np.ndarray, pos: np.ndarray):
-        if len(prefix) >= best[0]:
-            return
-        for a in range(m):
-            nxt = succ[pos, a]
-            alive = nxt != mdp.dead
-            if not alive.any():
-                continue
-            o, t = origs[alive], nxt[alive]
-            seq = prefix + (a,)
-            solved = o[t == mdp.goal]
-            if len(solved) >= 2 and len(seq) < best[0]:
-                best[0] = len(seq)
-                best[1] = (seq, int(solved[0]), int(solved[1]))
-                if best[0] == 1:
-                    return
-            cont = t != mdp.goal  # sequences may not pass through the goal
-            if cont.any() and len(seq) < best[0] - 1:
-                dfs(seq, o[cont], t[cont])
-
-    dfs((), origins, origins.copy())
-    if best[1] is not None:
-        return SeparabilityVerdict(False, best[0], best[1])
-    return SeparabilityVerdict(True, max_len)

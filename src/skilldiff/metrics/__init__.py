@@ -3,8 +3,7 @@ per-length solution counts, theorem-bound checks, and the tightness
 construction."""
 
 from .bounds import (BoundClaim, BoundsReport, bounds_report,
-                     determine_separability, expansion_length_q,
-                     incompressibility_threshold)
+                     expansion_length_q, incompressibility_threshold)
 from .difficulty import (DeltaZeroError, PerLengthSolutionCounts,
                          QUnderflowError, SupportUnsolvableError,
                          p_exploration_difficulty,

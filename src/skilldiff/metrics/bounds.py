@@ -4,13 +4,12 @@ Each claim is evaluated numerically on a concrete augmentation and p, over
 the augmentation's own base: the two sides of the inequality are computed,
 and the verdict is recorded with a small slack, SLACK.  Every precondition
 is decided from the base, never taken from the caller.  Solution
-separability comes from ``determine_separability``, and claim 2's note names
-how: ``invertible_transitions`` proves it, ``violation_at_len_<k>`` refutes
-it, and ``separable_up_to_<k>`` or ``unverified`` leave it unproved.  One
-solution length per state is read from the per-length solution counts up to
-max d + 2, where a second solution would already show.  Claims whose
-preconditions cannot be established are reported as skipped rather than
-assumed.
+separability is the base's ``solution_separable``, which is exact: no two
+states share an (action, solvable successor) pair.  Claim 2's note names
+that test ``invertible_transitions``.  One solution length per state is
+read from the per-length solution counts up to max d + 2, where a second
+solution would already show.  Claims whose preconditions cannot be
+established are reported as skipped rather than assumed.
 
 A report lists its claims in this order, each checked only under its
 precondition ("separable macro": a separable base and macro skills only;
@@ -42,9 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..mdp import (BudgetExceededError, StateDistribution, TabularDsmdp,
-                   check_invertible_transitions,
-                   check_solution_separable_bruteforce)
+from ..mdp import BudgetExceededError, StateDistribution
 from ..skills import GOAL_PASS_DEAD, AugmentedMdp, behavior_variety
 from .difficulty import (length_dp, p_exploration_difficulty,
                          p_learning_difficulty, per_length_counts,
@@ -57,10 +54,6 @@ SLACK = 1e-9
 # base MDP it runs on.
 LENGTH_DP_L_MAX = 64
 LENGTH_DP_STATE_CAP = 10_000
-# Longest action sequence, and most sequences, the brute-force separability
-# search enumerates.
-SEPARABILITY_MAX_LEN = 8
-SEPARABILITY_BUDGET = 60_000
 
 
 @dataclass
@@ -85,23 +78,6 @@ class BoundsReport:
 
     def to_json_dict(self) -> dict:
         return {"claims": [vars(c) for c in self.claims]}
-
-
-def determine_separability(mdp: TabularDsmdp):
-    """(verdict, how): True when provable (invertible transitions), False on a
-    brute-force counterexample, None when neither within budget."""
-    if check_invertible_transitions(mdp):
-        return True, "invertible_transitions"
-    depth = SEPARABILITY_MAX_LEN
-    while depth > 0 and mdp.num_actions**depth > SEPARABILITY_BUDGET:
-        depth -= 1
-    if depth >= 1:
-        verdict = check_solution_separable_bruteforce(
-            mdp, depth, budget=SEPARABILITY_BUDGET + 1)
-        if not verdict.separable:
-            return False, f"violation_at_len_{verdict.checked_len}"
-        return None, f"separable_up_to_{depth}"
-    return None, "unverified"
 
 
 def incompressibility_threshold(num_actions: int) -> float:
@@ -135,8 +111,7 @@ class _Case:
         self.a0, self.aplus = mdp0.num_actions, augmented.mdp.num_actions
         self.is_macro = all(z.kind == "macro" for z in augmented.skills)
         self.strict = augmented.num_skills >= 1
-        self.separable, self.sep_how = determine_separability(mdp0)
-        self.sep_macro = bool(self.separable) and self.is_macro
+        self.sep_macro = mdp0.solution_separable and self.is_macro
         self.ratio = (p_learning_difficulty(augmented.mdp, p)
                       / p_learning_difficulty(mdp0, p))
         # the full-coverage gap check reads solution counts up to this length
@@ -216,7 +191,8 @@ def _learn_ratio_unmerged_ic(case):
     if not (case.a0 > 1 and case.sep_macro):
         return case.skip(
             name, "needs separable base + macro augmentation + |A0|>1")
-    return case.ratio_check(name, case.icu, f"separability: {case.sep_how}")
+    return case.ratio_check(name, case.icu,
+                            "separability: invertible_transitions")
 
 
 def _macros_hurt_learning(case):
@@ -319,8 +295,7 @@ def _learn_ratio_expressivity_bound(case):
     if not (case.a0 > 1 and case.strict):
         return case.skip(name, "needs skills and |A0|>1")
     E = max(behavior_variety(z, case.mdp0) for z in case.aug.skills)
-    ice = ic_expressive(case.mdp0, case.p, float(E), mode="sup",
-                        separable=bool(case.separable))
+    ice = ic_expressive(case.mdp0, case.p, float(E), mode="sup")
     return case.ratio_check(name, ice, f"E={E} method={ice.method}")
 
 
@@ -328,8 +303,7 @@ def _learn_ratio_min_entropy_bound(case):
     name = "learn_ratio_min_entropy_bound"
     if not (case.a0 > 1 and case.is_macro and case.strict):
         return case.skip(name, "needs strict macro aug")
-    ice1 = ic_expressive(case.mdp0, case.p, 1.0, mode="sup",
-                         separable=bool(case.separable))
+    ice1 = ic_expressive(case.mdp0, case.p, 1.0, mode="sup")
     return case.ratio_check(name, ice1, f"method={ice1.method}")
 
 

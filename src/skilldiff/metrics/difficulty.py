@@ -79,7 +79,7 @@ _SATURATION = float(2**53)
 COUNT_TABLE_BUDGET = 2_000_000_000
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class PerLengthSolutionCounts:
     """counts[s, l] = number of solutions to s of exact length l (0..L_max).
 

@@ -286,21 +286,20 @@ def ic_merged(augmented: AugmentedMdp, p: StateDistribution,
 
 
 def ic_expressive(mdp: TabularDsmdp, p: StateDistribution, expressivity: float,
-                  mode: str = "sup", epsilon: float | None = None,
-                  separable: bool | None = None) -> ICValue:
+                  mode: str = "sup", epsilon: float | None = None) -> ICValue:
     """E-expressive p-incompressibility: min-entropy canonical solutions in
     the numerator, |A| * E in the denominator.
 
-    Pass separable=True when the MDP is known solution-separable, in which
-    case the minimum is exactly H[p].  Otherwise the minimum is bounded with
-    enumerated shortest solutions (exhaustive when small, tagged greedy
-    otherwise).
+    On a solution-separable MDP (``mdp.solution_separable``) no two states
+    share a solution, so the minimum is exactly H[p], tagged
+    ``separable_exact``.  Otherwise the minimum is bounded with enumerated
+    shortest solutions (exhaustive when small, tagged greedy otherwise).
     """
     if expressivity < 1.0:
         raise ValueError("expressivity must be >= 1")
     if mdp.num_actions <= 1:
         raise DegenerateDenominatorError("expressive IC needs |A| > 1")
-    if separable:
+    if mdp.solution_separable:
         asg = AssignmentResult(p.entropy(), "separable_exact")
     else:
         asg = _canonical_entropy(mdp, p, min_entropy_assignment)

@@ -71,7 +71,7 @@ class NotConvergedError(Exception):
         self.residual = residual
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class QTable:
     q: np.ndarray  # float64 [num_states], q[goal] == 1
     delta: float

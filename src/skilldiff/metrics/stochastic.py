@@ -17,7 +17,7 @@ import numpy as np
 from ..mdp import BudgetExceededError, StateDistribution
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class StochasticTabularMdp:
     """kernel[s, a] is a distribution over next states; row deficits are
     absorbed by an implicit dead state.  Transitions from the goal are

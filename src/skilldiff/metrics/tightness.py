@@ -30,7 +30,7 @@ class DeltaTooSmallError(MdpError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class TightnessInfo:
     goal_skill_counts: np.ndarray  # floor(K f(s)) per state
     fallback_states: list[int]  # self-loop realized by the empty sequence

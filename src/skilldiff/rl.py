@@ -423,7 +423,7 @@ def run(env, p: StateDistribution, cfg: RlConfig) -> RunRecord:
 
 # -- synchronous planners ---------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class PlannerResult:
     sweeps_to: dict
     first_value_one: np.ndarray | None  # per-state sweep of first exact V == 1

@@ -34,7 +34,7 @@ class SkillError(MdpError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class Skill:
     kind: str  # "macro" | "tabular"
     label: str

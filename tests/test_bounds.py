@@ -11,12 +11,14 @@ from skilldiff.experiments import (build_star_base, tradeoff_demonstration,
                                    theorem_campaign)
 from skilldiff.mdp import (StateDistribution, TabularDsmdp,
                            shortest_solution_lengths)
-from skilldiff.metrics import (bounds_report, determine_separability,
-                               expansion_length_q, ic_unmerged, solve_q,
+from skilldiff.metrics import (bounds_report, expansion_length_q,
+                               ic_unmerged, solve_q,
                                tightness_augmentation, DeltaTooSmallError,
                                p_exploration_difficulty)
 from skilldiff.skills import (GOAL_PASS_DEAD, MACRO_PRESETS, Skill, augment,
                               macro_from_labels)
+
+from test_oracles import _shared_solution
 
 
 def test_trivial_augmentation_ratio_is_one():
@@ -51,18 +53,6 @@ def test_bounds_report_runs_one_bfs_per_mdp(monkeypatch):
         assert rep.claim(name).preconditions_met
 
 
-def test_determine_separability_paths():
-    rng = np.random.default_rng(21)
-    inv = random_invertible_mdp(rng, 8, 2)
-    ok, how = determine_separability(inv)
-    assert ok is True and how == "invertible_transitions"
-    # shared length-1 solution: disproof by brute force
-    succ = np.array([[3, 3], [0, 3], [0, 3]], dtype=np.int32)
-    bad = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
-    ok, how = determine_separability(bad)
-    assert ok is False
-
-
 # the claims checked only on a solution-separable base
 _NEEDS_SEPARABLE = {
     "learn_ratio_unmerged_ic", "macros_hurt_learning_when_incompressible",
@@ -77,7 +67,10 @@ _NEEDS_SEPARABLE = {
 ])
 def test_non_separable_bases_skip_every_separable_claim(env, macros, how):
     mdp, p, _ = build_env(ENV_PRESETS[env])
-    assert determine_separability(mdp) == (False, how)
+    assert not mdp.solution_separable
+    # the shortest sequence that solves two states, by enumeration
+    seq, _, _ = _shared_solution(mdp, 2)
+    assert how == f"violation_at_len_{len(seq)}"
     skills = [macro_from_labels(w, mdp.action_labels)
               for w in MACRO_PRESETS[macros]]
     rep = bounds_report(augment(mdp, skills, GOAL_PASS_DEAD), p, 1.0 / 50.0)

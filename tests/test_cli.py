@@ -80,6 +80,13 @@ def test_bounds_command_exit_code(tmp_path):
     assert rc == 0
     payload = json.loads((out / "bounds.json").read_text())
     assert payload["violations"] == []
+    # every claim is listed, and no claim holds more often than it is checked
+    checked = payload["checked_by_claim"]
+    assert len(checked) == 10
+    assert all(held <= checked[claim]
+               for claim, held in payload["held_by_claim"].items())
+    assert sum(checked.values()) == payload["holds"] + \
+        payload["inconclusive"] + len(payload["violations"])
 
 
 def test_discover_command(tmp_path, capsys):

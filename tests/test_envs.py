@@ -10,8 +10,6 @@ from skilldiff.envs.scramble import ScrambleMove, scramble_distribution
 from skilldiff.envs.synthetic import (build_chain, build_sequence_consume,
                                       sequence_state_index)
 from skilldiff.mdp import (BudgetExceededError, MdpError,
-                           check_invertible_transitions,
-                           check_solution_separable_bruteforce,
                            shortest_solution_lengths)
 from skilldiff.metrics import per_length_counts
 
@@ -88,9 +86,9 @@ def test_puzzle_max_distance_is_31(puzzle_bundle):
 
 def test_puzzle_vacuous_mode_invertibility(puzzle_bundle):
     mdp, _, _ = puzzle_bundle
-    assert not check_invertible_transitions(mdp)
+    assert not mdp.solution_separable
     mdp_death, _, _ = build_n_puzzle(3, vacuous="death")
-    assert check_invertible_transitions(mdp_death)
+    assert mdp_death.solution_separable
 
 
 def test_puzzle_scramble_k1_uniform_over_goal_neighbors(puzzle_bundle):
@@ -194,8 +192,7 @@ def test_sequence_consume_structure():
         assert d.d[sequence_state_index(w, 2, mdp.action_labels)] == 1
     for w in ("aa", "ab", "ba", "bb"):
         assert d.d[sequence_state_index(w, 2, mdp.action_labels)] == 2
-    v = check_solution_separable_bruteforce(mdp, 4)
-    assert v.separable
+    assert mdp.solution_separable
     counts = per_length_counts(mdp, 3)
     assert counts.coverage(1) == pytest.approx(1.0)
     assert counts.coverage(2) == pytest.approx(1.0)

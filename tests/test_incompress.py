@@ -253,22 +253,34 @@ def test_enumeration_cap_flag_only_when_a_solution_is_dropped():
 
 def test_expressive_equals_unmerged_at_e1_separable():
     mdp, p = two_state_mdp()
-    a = ic_expressive(mdp, p, 1.0, mode="sup", separable=True)
+    a = ic_expressive(mdp, p, 1.0, mode="sup")
     b = ic_unmerged(mdp, p, mode="sup")
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
 def test_expressive_decreases_in_e():
     mdp, p = two_state_mdp()
-    vals = [ic_expressive(mdp, p, E, mode="fixed_epsilon", epsilon=0.5,
-                          separable=True).value for E in (1.0, 2.0, 4.0)]
+    vals = [ic_expressive(mdp, p, E, mode="fixed_epsilon", epsilon=0.5).value
+            for E in (1.0, 2.0, 4.0)]
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_expressive_denominator_substitution():
     # at E = 1 the fixed-eps formula reduces to the unmerged one
     mdp, p = two_state_mdp()
-    a = ic_expressive(mdp, p, 1.0, mode="fixed_epsilon", epsilon=0.7,
-                      separable=True)
+    a = ic_expressive(mdp, p, 1.0, mode="fixed_epsilon", epsilon=0.7)
     b = ic_unmerged(mdp, p, mode="fixed_epsilon", epsilon=0.7)
     assert a.value == pytest.approx(b.value, abs=1e-15)
+
+
+def test_expressive_reads_solution_separability():
+    # separable: each state keeps a solution of its own, so the entropy is
+    # H[p]; states 1 and 2 below share the solution "a" and merge
+    mdp, p = two_state_mdp()
+    ice = ic_expressive(mdp, p, 1.0)
+    assert (ice.method, ice.entropy_term) == ("separable_exact", p.entropy())
+    succ = np.array([[3, 3], [0, 3], [0, 3]], dtype=np.int32)
+    shared = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
+    ice = ic_expressive(shared, StateDistribution(np.array([0.0, 0.5, 0.5])),
+                        1.0)
+    assert (ice.method, ice.entropy_term) == ("exhaustive_exact", 0.0)

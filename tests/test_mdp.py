@@ -5,12 +5,14 @@ import pickle
 import numpy as np
 import pytest
 
-from skilldiff.mdp import (BudgetExceededError, MdpError, StateDistribution,
-                           TabularDsmdp, build_reverse_graph,
-                           check_invertible_transitions,
-                           check_solution_separable_bruteforce,
-                           shannon_entropy, shortest_solution_lengths)
+from skilldiff.mdp import (MdpError, SolutionLengthTable, StateDistribution,
+                           TabularDsmdp, build_reverse_graph, shannon_entropy,
+                           shortest_solution_lengths)
+from skilldiff.envs.scramble import ScrambleMove, ScrambleResult
 from skilldiff.envs.synthetic import build_chain
+from skilldiff.metrics import (StochasticTabularMdp, TightnessInfo,
+                               per_length_counts, solve_q)
+from skilldiff.rl import PlannerResult
 from skilldiff.skills import Skill, augment
 
 from conftest import random_dsmdp
@@ -80,10 +82,23 @@ def test_equality_of_array_holding_dataclasses_is_identity():
     succ = np.array([[3, 3], [0, 3], [1, 0]], dtype=np.int32)
     mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
     aug = augment(mdp, [Skill.from_macro((1, 0), label="ba")])
+    kernel = np.zeros((2, 1, 2))
+    kernel[1, 0, 0] = 1.0
+    makers = [
+        lambda: StateDistribution(np.array([0.0, 0.5, 0.5])),
+        lambda: SolutionLengthTable(np.array([0, 1, 2], dtype=np.int32)),
+        lambda: solve_q(mdp, 0.1),
+        lambda: Skill.from_sequences([(), (0,), (1, 0)], label="z"),
+        lambda: ScrambleMove(np.array([1, 0, 2], dtype=np.int32)),
+        lambda: ScrambleResult(StateDistribution(np.array([0.0, 1.0, 0.0])),
+                               np.ones(1), 0.0, np.ones(1, dtype=np.int64)),
+        lambda: per_length_counts(mdp, 2),
+        lambda: TightnessInfo(np.zeros(3), [], np.zeros(3)),
+        lambda: PlannerResult({}, None, np.zeros(3), 0),
+        lambda: StochasticTabularMdp(kernel, goal=0),
+    ]
     for x, twin in [(mdp, pickle.loads(pickle.dumps(mdp))),
-                    (aug, copy.copy(aug)),
-                    (StateDistribution(np.array([0.0, 0.5, 0.5])),
-                     StateDistribution(np.array([0.0, 0.5, 0.5])))]:
+                    (aug, copy.copy(aug))] + [(f(), f()) for f in makers]:
         assert (x == twin) is False and (x != twin) is True
         assert (x == x) is True
         assert len({x, twin}) == 2
@@ -141,14 +156,14 @@ def test_d_invariant_under_state_relabeling():
 def test_invertible_single_state_to_goal():
     succ = np.array([[2], [0]], dtype=np.int32)
     mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a"])
-    assert check_invertible_transitions(mdp)
+    assert mdp.solution_separable
 
 
 def test_invertible_detects_collision():
     # states 1 and 2 both reach the (solvable) state 3 under action 0
     succ = np.array([[4, 4], [3, 4], [3, 4], [0, 4]], dtype=np.int32)
     mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
-    assert not check_invertible_transitions(mdp)
+    assert not mdp.solution_separable
 
 
 def test_collisions_on_unsolvable_targets_are_allowed():
@@ -156,32 +171,19 @@ def test_collisions_on_unsolvable_targets_are_allowed():
     succ = np.array([[4, 4], [0, 3], [1, 3], [4, 4]], dtype=np.int32)
     mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
     assert mdp.solution_lengths.d[3] == -1
-    assert check_invertible_transitions(mdp)
+    assert mdp.solution_separable
 
 
 def test_separable_chain():
     mdp, _ = build_chain(4)
-    v = check_solution_separable_bruteforce(mdp, 5)
-    assert v.separable
-    assert v.checked_len == 5
+    assert mdp.solution_separable
 
 
 def test_separability_violation_two_states_one_step():
     # both 1 and 2 reach the goal under action a
     succ = np.array([[3, 3], [0, 3], [0, 3]], dtype=np.int32)
     mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
-    v = check_solution_separable_bruteforce(mdp, 3)
-    assert not v.separable
-    seq, s1, s2 = v.violation
-    assert seq == (0,)
-    assert {s1, s2} == {1, 2}
-
-
-def test_separability_budget():
-    rng = np.random.default_rng(9)
-    mdp = random_dsmdp(rng, 5, 2)
-    with pytest.raises(BudgetExceededError):
-        check_solution_separable_bruteforce(mdp, 40, budget=10)
+    assert not mdp.solution_separable
 
 
 def test_invertible_implies_separable_randomized():
@@ -191,9 +193,7 @@ def test_invertible_implies_separable_randomized():
     for _ in range(25):
         mdp = random_invertible_mdp(rng, int(rng.integers(4, 13)),
                                     int(rng.integers(2, 4)))
-        assert check_invertible_transitions(mdp)
-        assert check_solution_separable_bruteforce(mdp, 8,
-                                                   budget=10**7).separable
+        assert mdp.solution_separable
 
 
 def test_distribution_validation():

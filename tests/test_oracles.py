@@ -36,16 +36,23 @@ tables for every move.  ``_unroll_macro_column`` and
 ``_unroll_tabular_column`` (with ``_unroll_one``, the former public
 ``skills.unroll``) are the two column builders ``augment`` had before one
 unroll from every state served macros and tabular skills; they match it on
-every non-goal row.  They stay here as oracles.  The
+every non-goal row.  ``_enumerated_separable`` decides solution
+separability by ``_shared_solution``, which folds every action sequence of
+``itertools.product`` from every state; it replaces the budgeted
+depth-first sequence search that backed the separability check before
+``TabularDsmdp.solution_separable`` decided it from (action, successor)
+pairs alone.  They stay here as oracles.  The
 graph, the lengths, the solvable sets, the enumerated solutions, the
-matching verdicts, the RL records, the planner results, the cliff and
-pickup MDPs and the rewritings must match bit for bit, and so must the scramble DP when no move has a group; with groups
+matching verdicts, the separability verdicts, the RL records, the planner
+results, the cliff and pickup MDPs and the rewritings must match bit for
+bit, and so must the scramble DP when no move has a group; with groups
 it sums the contexts in another order and is held to 1e-15.  IC(sup) is
 held to 1e-12 relative.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -1440,6 +1447,75 @@ def test_augment_matches_unroll_column_oracles():
                      == mdp.dead).sum())
         crossed += int((hrl.skill_lengths < formal.skill_lengths).sum())
     assert min(empty, dead, crossed) > 0
+
+
+# -- solution separability ----------------------------------------------------
+
+def _shared_solution(mdp, max_len):
+    """(sequence, s, s') for the first action sequence, shortest and then
+    lexicographic, of at most ``max_len`` actions that solves two distinct
+    states, or None.  Each sequence from ``itertools.product`` is folded
+    through the successor table from every non-goal state.  A walk that
+    meets the goal early continues into its all-dead row, so a walk ends on
+    the goal exactly when the sequence solves its start."""
+    succ = mdp.successor_padded()
+    starts = np.flatnonzero(np.arange(mdp.num_states) != mdp.goal)
+    for length in range(1, max_len + 1):
+        seqs = np.array(list(itertools.product(range(mdp.num_actions),
+                                               repeat=length)))
+        pos = np.broadcast_to(starts, (len(seqs), len(starts)))
+        for j in range(length):
+            pos = succ[pos, seqs[:, j:j + 1]]
+        solved = pos == mdp.goal
+        hits = np.flatnonzero(solved.sum(axis=1) >= 2)
+        if len(hits):
+            s, t = starts[solved[hits[0]]][:2]
+            return tuple(seqs[hits[0]].tolist()), int(s), int(t)
+    return None
+
+
+def _enumerated_separable(mdp):
+    """Separability by enumeration up to max d + 1 actions: two states that
+    share a solution share one of at most that length (a collision under
+    one action, then a shortest solution of the state both reach)."""
+    max_len = int(mdp.solution_lengths.d.max()) + 1
+    return _shared_solution(mdp, max_len) is None
+
+
+def _unsolvable_collision(mdp):
+    """True when one action takes two states to the same unsolvable state,
+    a collision that must not count against separability."""
+    unsolvable = ~mdp.solution_lengths.solvable
+    for col in mdp.successor.T:
+        tgts = col[col != mdp.dead]
+        tgts = tgts[unsolvable[tgts]]
+        if len(np.unique(tgts)) < len(tgts):
+            return True
+    return False
+
+
+def test_solution_separable_matches_enumeration_oracle():
+    rng = np.random.default_rng(71)
+    seen = Counter()
+    for t in range(160):
+        n = int(rng.integers(2, 9))
+        if t % 2 == 0:
+            mdp = random_dsmdp(rng, n, int(rng.integers(1, 4)),
+                               dead_frac=rng.uniform(0.05, 0.5))
+        else:
+            mdp = random_invertible_mdp(rng, n, int(rng.integers(1, 3)))
+        mdps = [mdp]
+        for skills in (random_macro_skills(rng, mdp, max_k=2, max_len=3),
+                       random_tabular_skills(rng, mdp, max_k=1)):
+            mdps += [augment(mdp, skills, mode=mode).mdp
+                     for mode in (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS)]
+        for m in mdps:
+            want = _enumerated_separable(m)
+            assert m.solution_separable is want
+            seen[want] += 1
+            seen["unsolvable_collision"] += want and _unsolvable_collision(m)
+    assert seen[True] > 100 and seen[False] > 100
+    assert seen["unsolvable_collision"] > 0
 
 
 # -- explicit environments ------------------------------------------------------
