@@ -13,11 +13,11 @@ import numpy as np
 
 from . import __version__
 from .envs import ENV_PRESETS, build_env
-from .experiments import (InsufficientDataError, improvement_scatter,
-                          lambda_correlation, mean_log_n, metrics_table,
-                          run_rl_campaign, sample_complexities,
-                          theorem_campaign, variant_grid, write_csv,
-                          GNUPLOT_TEMPLATE)
+from .experiments import (InsufficientDataError, UnknownEnvError,
+                          improvement_scatter, lambda_correlation, mean_log_n,
+                          metrics_table, run_rl_campaign, sample_complexities,
+                          theorem_campaign, tradeoff_demonstration,
+                          variant_grid, write_csv, GNUPLOT_TEMPLATE)
 from .mdl import OBJECTIVES, Corpus, discover_macroactions
 from .metrics import NotConvergedError
 from .rl import RunRecord
@@ -190,8 +190,6 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    from .experiments import tradeoff_demonstration
-
     summary = theorem_campaign(seed=args.seed,
                                n_macro_cases=args.cases,
                                n_skill_cases=args.cases,
@@ -302,7 +300,7 @@ def main(argv=None) -> int:
     except NotConvergedError as e:
         print(f"solver failed to converge: {e}", file=sys.stderr)
         return 2
-    except InsufficientDataError as e:
+    except (InsufficientDataError, UnknownEnvError) as e:
         print(f"skilldiff {args.command}: {e}", file=sys.stderr)
         return 2
 

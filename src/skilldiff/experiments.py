@@ -24,6 +24,8 @@ from .skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS, MACRO_PRESETS,
                      generate_macro_sets, macro_from_labels)
 
 FLOAT_FMT = "%.12g"
+TRADEOFF_DELTA = 0.2  # tradeoff_demonstration's delta and resolution K
+TRADEOFF_K = 600
 
 # env preset -> (macro-law kind, curated preset prefix)
 _ENV_MACRO_FAMILY = {
@@ -32,6 +34,10 @@ _ENV_MACRO_FAMILY = {
     "puzzle8": ("n_puzzle", "puzzle"),
     "cube": ("pocket_cube", "cube"),
 }
+
+
+class UnknownEnvError(ValueError):
+    pass
 
 
 @dataclass
@@ -47,6 +53,9 @@ class VariantSpec:
 def variant_grid(env_preset: str, seed: int = 0) -> list[VariantSpec]:
     """The 32-variant grid: base + curated sets + 25 random sets
     (5 set sizes x 5 sets, per the environment's sampling law)."""
+    if env_preset not in _ENV_MACRO_FAMILY:
+        raise UnknownEnvError(f"no variant grid for env {env_preset!r}; "
+                              f"use one of {', '.join(_ENV_MACRO_FAMILY)}")
     kind, prefix = _ENV_MACRO_FAMILY[env_preset]
     out = [VariantSpec("base", [])]
     for key in sorted(MACRO_PRESETS):
@@ -415,16 +424,16 @@ def theorem_campaign(seed: int = 0, n_macro_cases: int = 200,
     return summary
 
 
-def tradeoff_demonstration(delta: float = 0.2, K: int = 600) -> dict:
+def tradeoff_demonstration() -> dict:
     """On a base meeting the incompressibility condition, a suitable skill
     augmentation raises learning difficulty while lowering exploration
     difficulty."""
     mdp, p = build_star_base(6)
     ic = ic_unmerged(mdp, p, mode="sup")
     cond_rhs = incompressibility_threshold(mdp.num_actions)
-    aug, info = tightness_augmentation(mdp, p, delta, K)
-    q0 = solve_q(mdp, delta)
-    qp = solve_q(aug.mdp, delta)
+    aug, info = tightness_augmentation(mdp, p, TRADEOFF_DELTA, TRADEOFF_K)
+    q0 = solve_q(mdp, TRADEOFF_DELTA)
+    qp = solve_q(aug.mdp, TRADEOFF_DELTA)
     out = {
         "condition_met": bool(1.0 - ic.value <= cond_rhs),
         "ic": ic.value,

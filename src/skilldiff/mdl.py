@@ -114,6 +114,8 @@ def abstract_corpus(corpus: Corpus, macros: list[tuple[int, ...]],
 
 
 OBJECTIVES = ("L1", "L2", "L3", "L4", "L5", "J6", "L7")
+MIN_SUPPORT = 2
+CANDIDATE_CAP = 2000
 
 
 def objective(abstracted: AbstractedCorpus, which: str,
@@ -166,12 +168,12 @@ class DiscoveryResult:
 
 def discover_macroactions(corpus: Corpus, objective_id: str,
                           num_base_actions: int, max_skills: int = 5,
-                          max_len: int = 8, min_support: int = 2,
-                          seed: int = 0, entropy_p: float | None = None,
-                          candidate_cap: int = 2000) -> DiscoveryResult:
-    """Greedy substring mining: each round scores every frequency-pruned
-    candidate n-gram and keeps the best strictly-improving one.  Returning
-    zero macros is a valid outcome (skills need not help).
+                          max_len: int = 8, seed: int = 0,
+                          entropy_p: float | None = None) -> DiscoveryResult:
+    """Greedy substring mining: each round scores the n-grams seen at least
+    MIN_SUPPORT times (a random CANDIDATE_CAP of them when there are more)
+    and keeps the best strictly-improving one.  Returning zero macros is a
+    valid outcome (skills need not help).
 
     J6 is a maximization objective; all others are minimized.
     """
@@ -184,17 +186,15 @@ def discover_macroactions(corpus: Corpus, objective_id: str,
         return objective(ab, objective_id, num_base_actions=num_base_actions,
                          entropy_p=entropy_p)
 
+    grams = Counter(sol[i:i + L] for sol in corpus.solutions
+                    for L in range(2, min(max_len, len(sol)) + 1)
+                    for i in range(len(sol) - L + 1))
+    frequent = sorted(g for g, c in grams.items() if c >= MIN_SUPPORT)
     trace = [score(macros)]
     while len(macros) < max_skills:
-        grams: Counter = Counter()
-        for sol in corpus.solutions:
-            for L in range(2, min(max_len, len(sol)) + 1):
-                for i in range(len(sol) - L + 1):
-                    grams[sol[i:i + L]] += 1
-        cands = sorted(g for g, c in grams.items()
-                       if c >= min_support and g not in macros)
-        if len(cands) > candidate_cap:
-            keep = rng.choice(len(cands), size=candidate_cap, replace=False)
+        cands = [g for g in frequent if g not in macros]
+        if len(cands) > CANDIDATE_CAP:
+            keep = rng.choice(len(cands), size=CANDIDATE_CAP, replace=False)
             cands = [cands[i] for i in sorted(keep)]
         best_val, best_g = trace[-1], None
         for g in cands:

@@ -130,8 +130,8 @@ class TabularDsmdp:
         solvable = np.append(self.solution_lengths.solvable, False)
         keep = solvable[self.successor]
         for a in range(self.num_actions):
-            tgts = self.successor[keep[:, a], a]
-            if len(np.unique(tgts)) != len(tgts):
+            tgts = np.sort(self.successor[keep[:, a], a])
+            if np.any(tgts[1:] == tgts[:-1]):
                 return False
         return True
 

@@ -7,9 +7,10 @@ is decided from the base, never taken from the caller.  Solution
 separability is the base's ``solution_separable``, which is exact: no two
 states share an (action, solvable successor) pair.  Claim 2's note names
 that test ``invertible_transitions``.  One solution length per state is
-read from the per-length solution counts up to max d + 2, where a second
-solution would already show.  Claims whose preconditions cannot be
-established are reported as skipped rather than assumed.
+an edge test, also exact: every solvable state has a single solution length
+iff no action leads from a solvable state to a solvable state that is not
+one step nearer the goal.  Claims whose preconditions cannot be established
+are reported as skipped rather than assumed.
 
 A report lists its claims in this order, each checked only under its
 precondition ("separable macro": a separable base and macro skills only;
@@ -114,8 +115,6 @@ class _Case:
         self.sep_macro = mdp0.solution_separable and self.is_macro
         self.ratio = (p_learning_difficulty(augmented.mdp, p)
                       / p_learning_difficulty(mdp0, p))
-        # the full-coverage gap check reads solution counts up to this length
-        self.l_full = int(self.d0.d.max()) + 2
 
     def skip(self, name: str, why: str) -> BoundClaim:
         return BoundClaim(name, None, None, None, False, self.notes + why)
@@ -164,11 +163,19 @@ class _Case:
                 - p_exploration_difficulty(self.mdp0, self.p, q0))
 
     @cached_property
+    def longer(self) -> np.ndarray:
+        """Per state: an action into a solvable state that is not one step
+        nearer the goal, that is, a solution longer than d.  Every solvable
+        state has a single solution length iff no state is marked."""
+        dt = self.d0.padded()[self.mdp0.successor]
+        return ((dt >= 0) & (dt != self.d0.d[:, None] - 1)).any(axis=1)
+
+    @cached_property
     def counts(self):
         """The one per-length count table of both gap checks."""
         l_kl = (LENGTH_DP_L_MAX
                 if self.mdp0.num_states <= LENGTH_DP_STATE_CAP else 0)
-        return per_length_counts(self.mdp0, max(self.l_full, l_kl))
+        return per_length_counts(self.mdp0, max(int(self.d0.d.max()), l_kl))
 
 
 def _kl(w: np.ndarray, ref: np.ndarray) -> float:
@@ -234,13 +241,7 @@ def _macros_hurt_exploration(case):
     if not (case.delta > 0 and case.sep_macro and case.strict):
         return case.skip(name, "needs delta>0, separable base, strict macro aug")
     mdp0, p, delta = case.mdp0, case.p, case.delta
-    # states with a length-1 solution may have no other solutions
-    solvable_pad = np.concatenate([case.d0.solvable, [False]])
-    has_len1 = (mdp0.successor == mdp0.goal).any(axis=1)
-    has_len1[mdp0.goal] = False
-    longer = (solvable_pad[mdp0.successor]
-              & (mdp0.successor != mdp0.goal)).any(axis=1)
-    if np.any(has_len1 & longer):
+    if np.any(case.longer[case.d0.d == 1]):
         return case.skip(name, "a length-1-solvable state has longer solutions")
     rho = delta / (1.0 - delta) * case.q_delta[0].q
     rho[mdp0.goal] = 0.0
@@ -262,24 +263,18 @@ def _explore_gap_full_coverage(case):
         counts = case.counts
     except BudgetExceededError:
         return case.skip(name, "per-length counts unavailable within budget")
+    if np.any(case.longer):
+        return case.skip(name, "states with solutions of several lengths")
     d = case.d0.d
-    solvable = case.d0.solvable.copy()
-    solvable[case.mdp0.goal] = False
-    # exact at l_full: a state with a second solution has one of length at
-    # most max d + 1 (through a successor t with d(t) >= d(s))
-    nz = (counts.counts[:, 1:case.l_full + 1] > 0).sum(axis=1)
-    if np.any(nz[solvable] != 1):
-        return case.skip(name,
-                         "states with solutions of several lengths (up to L)")
     # every action sequence solves some state (checked per length up to the
-    # shortest length not fully covered)
-    lengths_present = sorted({int(d[s]) for s in np.flatnonzero(solvable)})
+    # shortest length not fully covered); d > 0 on solvable non-goal states
+    lengths_present = np.unique(d[d > 0]).tolist()
     if not all(abs(counts.coverage(l) - 1.0) <= 1e-9 for l in lengths_present):
         return case.skip(name,
                          "length classes are not fully covered by solutions")
     # p proportional to solution counts within a length class
     for l in lengths_present:
-        cls = np.flatnonzero(solvable & (d == l))
+        cls = np.flatnonzero(d == l)
         ratios = case.p.probs[cls] / counts.counts[cls, l]
         if ratios.size and (ratios.max() - ratios.min()) > 1e-9 * max(
                 ratios.max(), 1e-300):

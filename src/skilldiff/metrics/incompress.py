@@ -12,14 +12,15 @@ to the denominator.  Three modes are supported:
   * boundary      -- the eps->1 limit alone.
 
 Merged and expressive IC take their entropy from canonical shortest
-solutions: each support state's shortest solutions (at most SOL_CAP, in
-lexicographic order) are enumerated and one is assigned per state to
-maximize (merged) or minimize (expressive) the entropy of the merged mass.
-The maximum is H[p] when a Kuhn augmenting-path search gives every state a
-solution of its own; otherwise, as for the minimum, an exact search over
-all assignments runs up to EXHAUSTIVE_SUPPORT support states and
-EXHAUSTIVE_BUDGET assignments, and beyond that a greedy bound is reported,
-tagged by AssignmentResult.method.
+solutions: one per support state, assigned to maximize (merged) or minimize
+(expressive) the entropy of the merged mass.  On a solution-separable MDP
+no two states share a solution, so both are exactly H[p].  Otherwise each
+support state's shortest solutions (at most SOL_CAP, in lexicographic
+order) are enumerated.  The maximum is H[p] when a Kuhn augmenting-path
+search gives every state a solution of its own; otherwise, as for the
+minimum, an exact search over all assignments runs up to EXHAUSTIVE_SUPPORT
+support states and EXHAUSTIVE_BUDGET assignments, and beyond that a greedy
+bound is reported, tagged by AssignmentResult.method.
 """
 
 from __future__ import annotations
@@ -257,7 +258,11 @@ def _merged_entropy(probs, candidates, choice, kidx, nkeys):
 def _canonical_entropy(mdp: TabularDsmdp, p: StateDistribution,
                        assign) -> AssignmentResult:
     """`assign` (max or min entropy) over the support's shortest solutions in
-    `mdp`; cap_hit marks a support state with more than SOL_CAP of them."""
+    `mdp`; cap_hit marks a support state with more than SOL_CAP of them.  On
+    a solution-separable MDP every assignment gives H[p], tagged
+    ``separable_exact``, and nothing is enumerated."""
+    if mdp.solution_separable:
+        return AssignmentResult(p.entropy(), "separable_exact")
     sup = p.support
     cands, cap_hit = enumerate_shortest_solutions(mdp, sup)
     asg = assign(p.probs[sup], [cands[int(s)] for s in sup])
@@ -288,21 +293,12 @@ def ic_merged(augmented: AugmentedMdp, p: StateDistribution,
 def ic_expressive(mdp: TabularDsmdp, p: StateDistribution, expressivity: float,
                   mode: str = "sup", epsilon: float | None = None) -> ICValue:
     """E-expressive p-incompressibility: min-entropy canonical solutions in
-    the numerator, |A| * E in the denominator.
-
-    On a solution-separable MDP (``mdp.solution_separable``) no two states
-    share a solution, so the minimum is exactly H[p], tagged
-    ``separable_exact``.  Otherwise the minimum is bounded with enumerated
-    shortest solutions (exhaustive when small, tagged greedy otherwise).
-    """
+    the numerator, |A| * E in the denominator."""
     if expressivity < 1.0:
         raise ValueError("expressivity must be >= 1")
     if mdp.num_actions <= 1:
         raise DegenerateDenominatorError("expressive IC needs |A| > 1")
-    if mdp.solution_separable:
-        asg = AssignmentResult(p.entropy(), "separable_exact")
-    else:
-        asg = _canonical_entropy(mdp, p, min_entropy_assignment)
+    asg = _canonical_entropy(mdp, p, min_entropy_assignment)
     return _ic_with_mode(asg.entropy, mdp.solution_lengths.expected(p),
                          float(mdp.num_actions) * float(expressivity),
                          mode, epsilon, asg)

@@ -9,19 +9,18 @@ import time
 import numpy as np
 import pytest
 
-from skilldiff.envs.synthetic import build_chain, build_sequence_consume
+from skilldiff.envs.synthetic import build_chain
 from skilldiff.experiments import (lambda_correlation, materialize_variant,
                                    mean_log_n, metrics_table,
-                                   random_distribution, random_invertible_mdp,
-                                   run_rl_campaign, sample_complexities,
-                                   theorem_campaign, variant_grid)
+                                   random_invertible_mdp, run_rl_campaign,
+                                   sample_complexities, theorem_campaign,
+                                   variant_grid)
 from skilldiff.mdp import StateDistribution, shortest_solution_lengths
 from skilldiff.metrics import (ic_unmerged, merged_solution_entropy,
                                p_exploration_difficulty,
-                               p_exploration_difficulty_am,
                                p_learning_difficulty, solve_q,
                                tightness_augmentation)
-from skilldiff.rl import RlConfig, planner_value_iteration
+from skilldiff.rl import planner_value_iteration
 from skilldiff.skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS, Skill,
                               augment)
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,8 @@ from skilldiff.mdp import (StateDistribution, TabularDsmdp,
                            shortest_solution_lengths)
 from skilldiff.metrics import (bounds_report, expansion_length_q,
                                ic_unmerged, solve_q,
-                               tightness_augmentation, DeltaTooSmallError,
-                               p_exploration_difficulty)
-from skilldiff.skills import (GOAL_PASS_DEAD, MACRO_PRESETS, Skill, augment,
+                               tightness_augmentation, DeltaTooSmallError)
+from skilldiff.skills import (GOAL_PASS_DEAD, MACRO_PRESETS, augment,
                               macro_from_labels)
 
 from test_oracles import _shared_solution
@@ -93,7 +90,7 @@ def test_full_coverage_gap_decides_one_solution_length_per_state():
         "separability: invertible_transitions"
     c = rep.claim("explore_gap_full_coverage")
     assert not c.preconditions_met
-    assert c.notes == "states with solutions of several lengths (up to L)"
+    assert c.notes == "states with solutions of several lengths"
 
 
 def test_small_campaign_has_no_violations():

@@ -152,3 +152,25 @@ def test_correlate_with_too_few_converged_variants_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("skilldiff correlate: need at least 3 converged "
                    "variants, have 1\n")
+
+
+@pytest.mark.parametrize("command,env,from_spec", [
+    ("metrics", "chain20", False),
+    ("run-rl", "chain20", False),
+    ("run-rl", "seqcons", True),
+    ("metrics", "clif", False),
+])
+def test_env_without_a_variant_grid_exits_2(tmp_path, capsys, command, env,
+                                            from_spec):
+    out = tmp_path / "out"
+    if from_spec:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"env": env}))
+        argv = [command, "--spec", str(spec), "--out", str(out)]
+    else:
+        argv = [command, "--preset", env, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"skilldiff {command}: no variant grid for env {env!r}; "
+        "use one of cliff, pickup, puzzle8, cube\n")
+    assert not out.exists()

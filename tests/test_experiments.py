@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 
 from skilldiff.experiments import (InsufficientDataError, _log_j, cell_seed,
                                    improvement_scatter, lambda_correlation,
-                                   materialize_variant, mean_log_n,
+                                   mean_log_n,
                                    metrics_table, run_rl_campaign,
                                    sample_complexities, variant_grid,
                                    write_csv)

@@ -10,7 +10,7 @@ from skilldiff.metrics import (DegenerateDenominatorError,
                                ic_merged, ic_unmerged,
                                max_entropy_assignment,
                                merged_solution_entropy,
-                               min_entropy_assignment, solve_q,
+                               min_entropy_assignment,
                                enumerate_shortest_solutions)
 from skilldiff.metrics.incompress import _exhaustive_entropy
 from skilldiff.metrics.tightness import tightness_augmentation
@@ -190,8 +190,25 @@ def test_macro_augmentation_merged_equals_unmerged():
         aug = augment(mdp, random_macro_skills(rng, mdp), GOAL_PASS_DEAD)
         icm = ic_merged(aug, p, mode="sup")
         icu = ic_unmerged(mdp, p, mode="sup")
-        assert icm.method == "matching_exact"
-        assert icm.value == pytest.approx(icu.value, abs=1e-12)
+        assert icm.method == "separable_exact"
+        assert icm.value == icu.value
+
+
+def test_cube_merged_and_expressive_ic_are_exact_by_separability(
+        cube_bundle):
+    # the cube and its cube/top augmentation are solution-separable, so
+    # neither IC enumerates the 3.67M support states' solutions
+    from skilldiff.experiments import VariantSpec, materialize_variant
+    from skilldiff.skills import MACRO_PRESETS
+
+    mdp, p, _ = cube_bundle
+    aug = materialize_variant(
+        mdp, VariantSpec("cube/top", list(MACRO_PRESETS["cube/top"])),
+        GOAL_PASS_DEAD)
+    icu = ic_unmerged(mdp, p, mode="sup")
+    for ic in (ic_merged(aug, p, mode="sup"),
+               ic_expressive(mdp, p, 1.0, mode="sup")):
+        assert (ic.method, ic.value) == ("separable_exact", icu.value)
 
 
 def test_difficulty_report_of_an_augmentation_adds_merged_ic(cliff_bundle):

@@ -5,9 +5,9 @@ import pytest
 
 from skilldiff.envs.synthetic import build_chain
 from skilldiff.experiments import (random_distribution, random_invertible_mdp,
-                                   random_macro_skills, random_tabular_skills,
-                                   metrics_table, variant_grid)
-from skilldiff.mdp import StateDistribution, shortest_solution_lengths
+                                   random_tabular_skills, metrics_table,
+                                   variant_grid)
+from skilldiff.mdp import shortest_solution_lengths
 from skilldiff.metrics import (p_learning_difficulty, solve_q,
                                save_report, compute_difficulty_report)
 from skilldiff.metrics.solver import DIRECT_MAX_STATES

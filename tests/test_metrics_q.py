@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from skilldiff.envs.synthetic import build_chain, build_sequence_consume
-from skilldiff.mdp import StateDistribution, TabularDsmdp
+from skilldiff.mdp import TabularDsmdp
 from skilldiff.metrics import (DeltaZeroError, NotConvergedError,
                                QUnderflowError, p_exploration_difficulty,
                                p_exploration_difficulty_am,

@@ -41,11 +41,14 @@ separability by ``_shared_solution``, which folds every action sequence of
 ``itertools.product`` from every state; it replaces the budgeted
 depth-first sequence search that backed the separability check before
 ``TabularDsmdp.solution_separable`` decided it from (action, successor)
-pairs alone.  They stay here as oracles.  The
-graph, the lengths, the solvable sets, the enumerated solutions, the
-matching verdicts, the separability verdicts, the RL records, the planner
-results, the cliff and pickup MDPs and the rewritings must match bit for
-bit, and so must the scramble DP when no move has a group; with groups
+pairs alone.  ``_length1_state_has_longer_solutions`` and
+``_counted_several_lengths`` are the one-solution-length tests of bound
+claims 6 and 7 before both read the edge test ``bounds._Case.longer``; the
+second reads the per-length solution counts up to max d + 2.  They stay
+here as oracles.  The graph, the lengths, the solvable sets, the enumerated
+solutions, the matching verdicts, the separability and length verdicts, the
+RL records, the planner results, the cliff and pickup MDPs and the
+rewritings must match bit for bit, and so must the scramble DP when no move has a group; with groups
 it sums the contexts in another order and is held to 1e-15.  IC(sup) is
 held to 1e-12 relative.
 """
@@ -73,7 +76,7 @@ from skilldiff.envs.pickup import (ACTIONS as PICKUP_ACTIONS,
 from skilldiff.envs.scramble import (FRONTIER_SHARE, ScrambleMove,
                                      ScrambleResult, _preimage_tables,
                                      scramble_distribution)
-from skilldiff.envs.synthetic import build_chain
+from skilldiff.envs.synthetic import build_chain, build_sequence_consume
 from skilldiff.experiments import (VariantSpec, materialize_variant,
                                    random_invertible_mdp, random_macro_skills,
                                    random_tabular_skills, variant_grid)
@@ -82,6 +85,8 @@ from skilldiff.mdp import (DIRECT_MAX_STATES, UNSOLVABLE, MdpError,
                            StateDistribution, TabularDsmdp, _gather_ragged,
                            build_reverse_graph, pull_solution_lengths,
                            shortest_solution_lengths)
+from skilldiff.metrics.bounds import _Case
+from skilldiff.metrics.difficulty import per_length_counts
 from skilldiff.metrics.incompress import (SOL_CAP, _every_state_matched,
                                           _ic_sup,
                                           enumerate_shortest_solutions,
@@ -1516,6 +1521,63 @@ def test_solution_separable_matches_enumeration_oracle():
             seen["unsolvable_collision"] += want and _unsolvable_collision(m)
     assert seen[True] > 100 and seen[False] > 100
     assert seen["unsolvable_collision"] > 0
+
+
+# -- one solution length per state ---------------------------------------------
+
+def _length1_state_has_longer_solutions(mdp):
+    """Claim 6's precondition test before the edge test: some state with a
+    length-1 solution has an action into a solvable non-goal state."""
+    solvable_pad = np.concatenate([mdp.solution_lengths.solvable, [False]])
+    has_len1 = (mdp.successor == mdp.goal).any(axis=1)
+    has_len1[mdp.goal] = False
+    longer = (solvable_pad[mdp.successor]
+              & (mdp.successor != mdp.goal)).any(axis=1)
+    return bool(np.any(has_len1 & longer))
+
+
+def _counted_several_lengths(mdp):
+    """Claim 7's test before the edge test: some solvable non-goal state has
+    solutions of more than one length in the per-length counts up to
+    max d + 2."""
+    d = mdp.solution_lengths
+    l_full = int(d.d.max()) + 2
+    counts = per_length_counts(mdp, l_full).counts
+    solvable = d.solvable.copy()
+    solvable[mdp.goal] = False
+    nz = (counts[:, 1:l_full + 1] > 0).sum(axis=1)
+    return bool(np.any(nz[solvable] != 1))
+
+
+def test_longer_solution_edge_test_matches_count_oracles():
+    rng = np.random.default_rng(73)
+    mdps = []
+    for t in range(300):
+        n = int(rng.integers(2, 13))
+        if t % 3 == 0:
+            mdps.append(random_invertible_mdp(rng, n, int(rng.integers(1, 4))))
+        else:  # dead entries, and duplicate successors within a row
+            mdps.append(random_dsmdp(rng, n, int(rng.integers(1, 5)),
+                                     dead_frac=rng.uniform(0.0, 0.6)))
+        if t % 5 == 0:
+            mdps.append(augment(mdps[-1], random_macro_skills(
+                rng, mdps[-1], max_k=2, max_len=3), GOAL_PASS_DEAD).mdp)
+    for alphabet, max_len in ((1, 4), (2, 3), (3, 2)):
+        w = 0.5 ** np.arange(1, max_len + 1)
+        mdps.append(build_sequence_consume(alphabet, max_len, w / w.sum())[0])
+    seen = Counter()
+    for mdp in mdps:
+        d = mdp.solution_lengths
+        sup = d.solvable & (np.arange(mdp.num_states) != mdp.goal)
+        if not sup.any():
+            continue
+        case = _Case(augment(mdp, [], GOAL_PASS_DEAD),
+                     StateDistribution(sup / sup.sum()), 0.1)
+        got = (bool(np.any(case.longer[d.d == 1])), bool(np.any(case.longer)))
+        assert got == (_length1_state_has_longer_solutions(mdp),
+                       _counted_several_lengths(mdp))
+        seen[got] += 1
+    assert min(seen[False, False], seen[False, True], seen[True, True]) >= 10
 
 
 # -- explicit environments ------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 from skilldiff.envs.synthetic import build_chain
 from skilldiff.mdp import StateDistribution, shortest_solution_lengths
 from skilldiff.rl import (NOT_REACHED, RlConfig, RunRecord, _Draws,
-                          protocol_preset, measure_sample_complexity,
-                          planner_value_iteration, run)
+                          measure_sample_complexity, planner_value_iteration,
+                          run)
 from skilldiff.skills import GOAL_PASS_SUCCESS, Skill, augment
 
 

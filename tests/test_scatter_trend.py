@@ -1,7 +1,6 @@
 """Cross-environment improvement scatter: less compressible environments
 benefit less from macroactions (positive trend of best ratio vs IC)."""
 
-import numpy as np
 import pytest
 from scipy.stats import spearmanr
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from skilldiff.envs.synthetic import build_chain
-from skilldiff.mdp import StateDistribution
 from skilldiff.metrics import (StochasticTabularMdp,
                                sequence_success_probability,
                                stochastic_learning_difficulty,
