@@ -26,14 +26,18 @@ next frontier holds at most ``FRONTIER_SHARE`` of the states, a step
 divides, sums, subtracts and gathers on those indices alone and writes the
 next frontier, which contains the old one, so no entry it read keeps a stale
 value; only the stuck-mass accumulator is zeroed again.  Past that share the
-steps turn dense and stay dense.  A dense step keeps one mass array: the
-context sum is taken before any group's pool is formed, so group g's pool
-is computed into its own row, its entering mass gathered into one
-accumulator (stuck mass first) and copied back.  Either way every state adds
-the same numbers in the same order, states off the frontier hold exact
-zeros, and each step's marginal is summed over all n states, so the result
-does not depend on where the steps turn dense.  ``step_states`` records how
-many states each step wrote.
+steps turn dense and stay dense.  A dense step keeps the contexts' rows
+apart and one spare: group g's pool is computed into its own row, its first
+move gathered straight into the spare, its stuck mass and later moves added
+there, and the spare takes the row's place.  A context that no move enters
+and where no state is stuck (the cube's "none") is zero after a dense step
+and is skipped from then on.  While every move is legal everywhere the
+legal-move counts keep one column, which division broadcasts.  As e + s is
+s + e and x + 0.0 is x, either way every state adds the same numbers in the
+same order, states off the frontier hold exact zeros, and each step's
+marginal is summed over all n states, so the result does not depend on where
+the steps turn dense.  ``step_states`` records how many states each step
+wrote.
 """
 
 from __future__ import annotations
@@ -97,28 +101,37 @@ def scramble_distribution(
 
     succs = [_checked_successor(mv, n) for mv in moves]
     # legal-move counts per (context, state); a group's context excludes it
-    counts = np.zeros((C, n), dtype=np.min_scalar_type(len(moves)))
+    counts = np.zeros((C, 1), dtype=np.min_scalar_type(len(moves)))
     tables = [[] for _ in range(C)]  # gather tables of the moves per group
     states = np.arange(n, dtype=np.int32)
+    inverses = {}  # id(s) -> t for each t found above with s[t] == states
     for t, g in zip(succs, ctx):
         legal = (t != n) & (t != states)
+        everywhere = bool(legal.all())
+        if not everywhere and counts.shape[1] == 1:
+            counts = counts.repeat(n, axis=1)
         for c in range(C):
             if c != g or g == C - 1:
-                counts[c] += legal
-        inverse = _inverse_successor(t, succs, states) if legal.all() else None
+                counts[c] += 1 if everywhere else legal
+        inverse = inverses.get(id(t))
+        if inverse is None and everywhere:
+            inverse = _inverse_successor(t, succs, states)
+            if inverse is not None:  # t is a bijection, so t inverts it
+                inverses[id(inverse)] = t
         if inverse is not None:
             tables[g].append([inverse])
         elif legal.any():
             tables[g].append([table[:n] for table
                               in _preimage_tables(t, legal, n)])
-    stuck = [np.flatnonzero(row == 0) for row in counts]  # mass stays put
+    stuck = [np.flatnonzero(np.broadcast_to(row == 0, (n,)))
+             for row in counts]  # mass stays put
     np.maximum(counts, 1, out=counts)
 
     w = np.zeros((C, n + 1), dtype=np.float64)  # column n stays zero
     w[C - 1, goal] = 1.0
-    # off the frontier w, total and marginal hold zeros; acc is zero between
-    # uses; entering is the dense steps' gather buffer
-    total, entering, acc = np.zeros((3, n + 1), dtype=np.float64)
+    # off the frontier w, total and marginal hold zeros; spare is zero
+    # while the steps run sparse; entering is the dense steps' gather buffer
+    total, entering, spare = np.zeros((3, n + 1), dtype=np.float64)
     marginal = entering[:n]
     mixture = np.zeros(n, dtype=np.float64)
     marg_sums = np.zeros(k_max, dtype=np.float64)
@@ -133,17 +146,20 @@ def scramble_distribution(
                 reached[t[front]] = True
             nxt = np.flatnonzero(reached[:n])
             if len(nxt) > FRONTIER_SHARE * n:
-                front = None
+                front, w, live = None, list(w), range(C)
         if front is None:
-            _dense_step(w, counts, stuck, tables, total, entering, acc)
-            np.sum(w[:, :n], axis=0, out=marginal)
+            spare = _dense_step(w, counts, stuck, tables, total, entering,
+                                spare, live)
+            live = [g for g in live if tables[g] or len(stuck[g])]
+            _sum_rows([w[g][:n] for g in live], marginal)
+            mixture += marginal
         else:
-            _frontier_step(w, counts, stuck, tables, total, acc, front, nxt)
+            _frontier_step(w, counts, stuck, tables, total, spare, front, nxt)
             marginal[nxt] = w[:, nxt].sum(axis=0)
+            mixture[nxt] += marginal[nxt]
             step_states[k] = len(nxt)
             front = nxt
         marg_sums[k] = marginal.sum()
-        mixture += marginal
     mixture /= k_max
     goal_mass = float(mixture[goal])
     mixture[goal] = 0.0
@@ -161,8 +177,8 @@ def scramble_distribution(
 
 def _frontier_step(w, counts, stuck, tables, total, acc, front, nxt):
     """One step on the states in front, writing the states in nxt."""
-    C = len(w)
-    share = w[:, front] / counts[:, front]
+    C, n = w.shape[0], w.shape[1] - 1
+    share = w[:, front] / np.broadcast_to(counts, (C, n))[:, front]
     total[front] = share.sum(axis=0)
     for g in range(C):
         acc[stuck[g]] = w[g, stuck[g]]
@@ -181,33 +197,47 @@ def _frontier_step(w, counts, stuck, tables, total, acc, front, nxt):
         w[g, nxt] = part
 
 
-def _dense_step(w, counts, stuck, tables, total, entering, acc):
-    """One step on every state, in place."""
-    C = len(w)
-    w[:, :-1] /= counts
-    np.sum(w, axis=0, out=total)
-    for g in range(C):
-        acc.fill(0.0)
-        acc[stuck[g]] = w[g, stuck[g]]
-        if g == C - 1:
-            pool = total
-        else:  # a group's own share may not enter it again
-            pool = np.subtract(total, w[g], out=w[g])
-        for first, *extra in tables[g]:
-            # entering[n] stays zero; under "clip" take is unbuffered
-            np.take(pool, first, out=entering[:-1], mode="clip")
+def _dense_step(w, counts, stuck, tables, total, entering, spare, live):
+    """One step on every state, for the rows in live; returns the spare."""
+    for g in live:
+        w[g][:-1] /= counts[g]
+    _sum_rows([w[g] for g in live], total)
+    for g in live:
+        row = w[g]
+        held = row[stuck[g]]  # taken before the pool overwrites it
+        # a group's own share may not enter it again
+        pool = total if g == len(w) - 1 else np.subtract(total, row, out=row)
+        if not tables[g]:  # no move enters this context
+            spare.fill(0.0)
+            spare[stuck[g]] = held
+        for i, (first, *extra) in enumerate(tables[g]):
+            into = entering if i else spare
+            # into[n] stays zero; under "clip" take is unbuffered
+            np.take(pool, first, out=into[:-1], mode="clip")
             for table in extra:
-                entering[:-1] += pool[table]
-            acc += entering
-        w[g] = acc
+                into[:-1] += pool[table]
+            if i:
+                spare += entering
+            else:  # stuck mass: e1 + s has the bits of s + e1
+                spare[stuck[g]] += held
+        w[g], spare = spare, row
+    return spare
+
+
+def _sum_rows(rows, out):
+    """out = the sum of rows, added in order as np.sum(axis=0) adds them."""
+    np.add(rows[0], rows[1] if len(rows) > 1 else 0.0, out=out)
+    for row in rows[2:]:
+        out += row
 
 
 def _checked_successor(mv: ScrambleMove, n: int) -> np.ndarray:
-    """mv's successor array, after checking its shape and range."""
+    """mv's successor array, after checking its dtype, shape and range."""
     t = np.asarray(mv.successor)
-    if t.shape != (n,):
+    if t.shape != (n,) or not np.issubdtype(t.dtype, np.integer):
         raise ValueError(f"scramble move {mv.label!r} has successor shape "
-                         f"{t.shape}, expected ({n},)")
+                         f"{t.shape} and dtype {t.dtype}, expected ({n},) "
+                         "integers")
     if int(t.min()) < 0 or int(t.max()) > n:
         raise ValueError(f"scramble move {mv.label!r} has a successor "
                          f"outside [0, {n}]")

@@ -629,13 +629,13 @@ def test_puzzle8_scramble_matches_bincount_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("successor, what", [
-    ([1, 5, 3, 3], "outside"),
-    ([1, 2, 3], "shape"),
-    ([1, -1, 3, 3], "outside"),
+    (np.array([1, 5, 3, 3], dtype=np.int32), "outside"),
+    (np.array([1, 2, 3], dtype=np.int32), "shape"),
+    (np.array([1, -1, 3, 3], dtype=np.int32), "outside"),
+    (np.array([1., 2., 3., 0.]), "dtype"),
 ])
 def test_scramble_rejects_malformed_moves(successor, what):
-    move = ScrambleMove(successor=np.array(successor, dtype=np.int32),
-                        label="bad-move")
+    move = ScrambleMove(successor=successor, label="bad-move")
     with pytest.raises(ValueError, match=f"'bad-move'.*{what}"):
         scramble_distribution(4, 0, [move], 2)
 
@@ -838,6 +838,85 @@ def test_scramble_without_inverse_or_with_fixed_points_falls_back(
         monkeypatch.undo()
         _assert_matches_fallback_and_oracle(monkeypatch, n, goal, moves,
                                             k_max)
+
+
+def _mixed_moves(rng, n, grouped):
+    """Moves legal on every state, from ``_closed_moves`` or a derangement
+    whose inverse is not in the set, followed by the partial moves of
+    ``_local_moves``; or the partial moves alone, whose stuck states stay
+    stuck in the "none" context."""
+    moves = _local_moves(rng, n, grouped)
+    if rng.random() < 0.4:
+        return moves
+    everywhere = _closed_moves(rng, n, grouped)
+    if rng.random() < 0.5:
+        cycle = _cycle_power(rng.permutation(n), n, 1)
+        everywhere.append(ScrambleMove(successor=cycle, label="cycle"))
+    return everywhere + moves
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_mixed_legality_scramble_matches_dense_oracle_and_fallback(
+        grouped, monkeypatch):
+    # the legal-move counts start as one per context and widen to one per
+    # state at the first partial move; rows of contexts that no move enters
+    # and where no state is stuck are skipped once zero
+    rng = np.random.default_rng(63 + grouped)
+    first_dense = []
+    dense_step = scramble._dense_step
+
+    def spy(w, counts, stuck, tables, *rest):
+        if not first_dense:
+            first_dense.append((counts.shape[1], len(stuck[-1]),
+                                any(not row.any() for row in w[:-1])))
+        return dense_step(w, counts, stuck, tables, *rest)
+
+    monkeypatch.setattr(scramble, "_dense_step", spy)
+    widened = none_stuck = zero_group = 0
+    for _ in range(150):
+        n = 12 * int(rng.choice([1, 2, rng.integers(3, 100)]))
+        goal = int(rng.integers(n))
+        moves = _mixed_moves(rng, n, grouped)
+        k_max = int(rng.integers(1, 40))
+        first_dense.clear()
+        try:
+            _dense_scramble(n, goal, moves, k_max)
+        except ValueError:
+            with pytest.raises(ValueError):
+                scramble_distribution(n, goal, moves, k_max)
+            continue
+        _assert_matches_fallback_and_oracle(monkeypatch, n, goal, moves,
+                                            k_max)
+        if first_dense:
+            wide, stuck_none, zero_row = first_dense[0]
+            widened += wide == n and moves[0].label != "m0"
+            none_stuck += stuck_none > 0 and grouped
+            zero_group += zero_row and grouped
+    assert widened >= 40
+    if grouped:
+        assert none_stuck >= 10 and zero_group >= 30
+
+
+def test_scramble_checks_each_inverse_pair_once(monkeypatch):
+    # shifts on a ring of 12 states: a move's probe entry matches only its
+    # inverse, so every full check finds the inverse, and a pair is checked
+    # once from its first member; the self-inverse shift by 6 once on its own
+    shifts = [1, 2, 3, 6, 9, 10, 11]
+    ring = np.arange(12)
+    moves = [ScrambleMove(successor=((ring + k) % 12).astype(np.int32),
+                          group=k % 3, label=f"+{k}") for k in shifts]
+    checks = []
+    equal = np.array_equal
+
+    def array_equal(a, b):
+        checks.append(1)
+        return equal(a, b)
+
+    monkeypatch.setattr(np, "array_equal", array_equal)
+    scramble_distribution(12, 0, moves, 6)
+    assert len(checks) == 4
+    monkeypatch.undo()
+    _assert_matches_fallback_and_oracle(monkeypatch, 12, 0, moves, 6)
 
 
 def test_cube_scramble_preimage_tables_are_the_inverse_moves(cube_bundle):
