@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._ranges import split
 from ..mdp import TabularDsmdp
 from .npuzzle import perm_rank, perm_unrank
 from .scramble import ScrambleMove, scramble_distribution
@@ -135,11 +136,19 @@ def _index_map(table) -> np.ndarray:
     The permutation and twist coordinates move independently, so the map is
     the outer sum of a 5040-entry permutation table and a 729-entry twist
     table, each built by decode -> apply_move -> encode on its coordinate.
+    The sum is written by state ranges, in whole rows of 729 states.
     """
     perm_tab = encode(*apply_move(*decode(np.arange(5040) * 729), table)) // 729
     twist_tab = encode(*apply_move(*decode(np.arange(729)), table)) % 729
-    return (perm_tab.astype(np.int32)[:, None] * 729
-            + twist_tab.astype(np.int32)).ravel()
+    perm_tab = (perm_tab * 729).astype(np.int32)[:, None]
+    twist_tab = twist_tab.astype(np.int32)
+    out = np.empty((5040, 729), dtype=np.int32)
+
+    def rows(lo, hi):
+        a, b = -(-lo // 729), -(-hi // 729)  # each boundary rounds up
+        np.add(perm_tab[a:b], twist_tab, out=out[a:b])
+    split(rows, NUM_CUBE_STATES)
+    return out.ravel()
 
 
 def build_pocket_cube(k_max: int = 11):

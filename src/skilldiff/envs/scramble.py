@@ -38,6 +38,16 @@ same order, states off the frontier hold exact zeros, and each step's
 marginal is summed over all n states, so the result does not depend on where
 the steps turn dense.  ``step_states`` records how many states each step
 wrote.
+
+Above ``_ranges.FLOOR`` states the full-length passes run on contiguous
+state ranges on all usable cores (``_ranges.split``): the legality masks,
+the inverse checks, and each dense step's divide, total and pools (one
+pass), its gathers and adds (one pass per group, after every pool is
+written) and its marginal and mixture adds, each on cache-sized blocks.
+Every state's value comes from the same operations on the same inputs in
+the same order wherever the ranges and blocks fall; only ``marginal.sum()``
+and ``mixture.sum()`` read across states, and they stay whole, so the
+result does not depend on the ranges.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._ranges import split
 from ..mdp import StateDistribution
 
 
@@ -105,8 +116,13 @@ def scramble_distribution(
     tables = [[] for _ in range(C)]  # gather tables of the moves per group
     states = np.arange(n, dtype=np.int32)
     inverses = {}  # id(s) -> t for each t found above with s[t] == states
+    legal, live_entry = np.empty((2, n), dtype=bool)
     for t, g in zip(succs, ctx):
-        legal = (t != n) & (t != states)
+        def mask(lo, hi):  # legal = (t != n) & (t != states)
+            np.not_equal(t[lo:hi], n, out=live_entry[lo:hi])
+            np.not_equal(t[lo:hi], states[lo:hi], out=legal[lo:hi])
+            legal[lo:hi] &= live_entry[lo:hi]
+        split(mask, n)
         everywhere = bool(legal.all())
         if not everywhere and counts.shape[1] == 1:
             counts = counts.repeat(n, axis=1)
@@ -123,6 +139,7 @@ def scramble_distribution(
         elif legal.any():
             tables[g].append([table[:n] for table
                               in _preimage_tables(t, legal, n)])
+    del legal, live_entry
     stuck = [np.flatnonzero(np.broadcast_to(row == 0, (n,)))
              for row in counts]  # mass stays put
     np.maximum(counts, 1, out=counts)
@@ -151,8 +168,11 @@ def scramble_distribution(
             spare = _dense_step(w, counts, stuck, tables, total, entering,
                                 spare, live)
             live = [g for g in live if tables[g] or len(stuck[g])]
-            _sum_rows([w[g][:n] for g in live], marginal)
-            mixture += marginal
+
+            def add_marginal(lo, hi):
+                _sum_rows([w[g][lo:hi] for g in live], marginal[lo:hi])
+                mixture[lo:hi] += marginal[lo:hi]
+            split(add_marginal, n)
         else:
             _frontier_step(w, counts, stuck, tables, total, spare, front, nxt)
             marginal[nxt] = w[:, nxt].sum(axis=0)
@@ -198,29 +218,46 @@ def _frontier_step(w, counts, stuck, tables, total, acc, front, nxt):
 
 
 def _dense_step(w, counts, stuck, tables, total, entering, spare, live):
-    """One step on every state, for the rows in live; returns the spare."""
+    """One step on every state, for the rows in live; returns the spare.
+
+    Each pass runs on state ranges; a group's pool is complete before any
+    range gathers from it.  No pass writes index n, so every row, total,
+    entering and spare keep their zero there."""
+    C, n = len(w), len(total) - 1
+    counts = np.broadcast_to(counts, (C, n))
+    held = [np.empty(len(rows)) for rows in stuck]
+
+    def pools(lo, hi):
+        for g in live:
+            w[g][lo:hi] /= counts[g][lo:hi]
+        _sum_rows([w[g][lo:hi] for g in live], total[lo:hi])
+        for g in live:
+            row = w[g]
+            a, b = np.searchsorted(stuck[g], (lo, hi))
+            held[g][a:b] = row[stuck[g][a:b]]  # before the pool overwrites it
+            if g != C - 1:  # a group's own share may not enter it again
+                np.subtract(total[lo:hi], row[lo:hi], out=row[lo:hi])
+    split(pools, n)
     for g in live:
-        w[g][:-1] /= counts[g]
-    _sum_rows([w[g] for g in live], total)
-    for g in live:
-        row = w[g]
-        held = row[stuck[g]]  # taken before the pool overwrites it
-        # a group's own share may not enter it again
-        pool = total if g == len(w) - 1 else np.subtract(total, row, out=row)
-        if not tables[g]:  # no move enters this context
-            spare.fill(0.0)
-            spare[stuck[g]] = held
-        for i, (first, *extra) in enumerate(tables[g]):
-            into = entering if i else spare
-            # into[n] stays zero; under "clip" take is unbuffered
-            np.take(pool, first, out=into[:-1], mode="clip")
-            for table in extra:
-                into[:-1] += pool[table]
-            if i:
-                spare += entering
-            else:  # stuck mass: e1 + s has the bits of s + e1
-                spare[stuck[g]] += held
-        w[g], spare = spare, row
+        pool = total if g == C - 1 else w[g]
+
+        def gather(lo, hi):
+            a, b = np.searchsorted(stuck[g], (lo, hi))
+            if not tables[g]:  # no move enters this context
+                spare[lo:hi] = 0.0
+                spare[stuck[g][a:b]] = held[g][a:b]
+            for i, (first, *extra) in enumerate(tables[g]):
+                into = (entering if i else spare)[lo:hi]
+                # under "clip" take is unbuffered
+                np.take(pool, first[lo:hi], out=into, mode="clip")
+                for table in extra:
+                    into += pool[table[lo:hi]]
+                if i:
+                    spare[lo:hi] += into
+                else:  # stuck mass: e1 + s has the bits of s + e1
+                    spare[stuck[g][a:b]] += held[g][a:b]
+        split(gather, n)
+        w[g], spare = spare, w[g]
     return spare
 
 
@@ -250,9 +287,17 @@ def _inverse_successor(t: np.ndarray, succs: list[np.ndarray],
 
     t is legal on every state; such an s makes t a fixed-point-free
     permutation and is its one preimage table without the pad entry.  One
-    entry is probed before the full check."""
+    entry is probed before the full check, which runs on state ranges."""
     for s in succs:
-        if s[t[0]] == 0 and np.array_equal(s[t], states):
+        if s[t[0]] != 0:
+            continue
+        image, same = np.empty_like(s), []
+
+        def check(lo, hi):
+            np.take(s, t[lo:hi], out=image[lo:hi], mode="clip")
+            same.append(np.array_equal(image[lo:hi], states[lo:hi]))
+        split(check, len(t))
+        if all(same):
             return s
     return None
 

@@ -7,7 +7,11 @@ goal state and an implicit absorbing dead pseudo-state.  The dead state is
 ``DIRECT_MAX_STATES`` splits small MDPs from large: up to it the operator
 is dense, the BFS pulls through the successor table and ``solver`` starts q
 from a direct solve; above it the operator is CSR and the BFS runs over the
-reverse graph, the operator's transpose built by a counting sort.
+reverse graph, the operator's transpose built by a counting sort.  Each
+level of that BFS marks the predecessors of the frontier by frontier ranges
+and reads the next frontier back by state ranges (``_ranges.split``); a
+state is marked with the level alone and the ranges are concatenated in
+order, so d and the frontiers do not depend on the ranges.
 Walks that may sit in the dead state gather from ``successor_padded``.
 An MDP's successor table is a read-only view of the array it was built
 from, so the MDP is fixed once built, and its shortest-solution lengths d
@@ -29,6 +33,8 @@ from itertools import count
 
 import numpy as np
 from scipy.sparse import csr_matrix
+
+from ._ranges import split
 
 UNSOLVABLE = -1
 DEAD_SENTINEL_U32 = 2**32 - 1
@@ -358,10 +364,21 @@ def _csr_transition_matrix(successor: np.ndarray) -> csr_matrix:
     """``transition_matrix`` as CSR at any size, entries in action order."""
     n = successor.shape[0]
     live = successor != n
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(live.sum(axis=1), out=indptr[1:])
     indices = successor[live]
-    return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    return csr_matrix((np.ones(len(indices)), indices, _row_pointers(live)),
+                      shape=(n, n))
+
+
+def _row_pointers(live: np.ndarray) -> np.ndarray:
+    """int32 CSR row pointers of the True entries of a (state, action)
+    mask, counted one action column at a time (a sum over the short axis
+    runs several times slower)."""
+    indptr = np.zeros(live.shape[0] + 1, dtype=np.int32)
+    counts = indptr[1:]
+    for column in live.T:
+        counts += column
+    np.cumsum(counts, out=counts)
+    return indptr
 
 
 class ReverseGraph:
@@ -384,14 +401,16 @@ class ReverseGraph:
 def build_reverse_graph(mdp: TabularDsmdp) -> ReverseGraph:
     """Invert the successor table.  Dead transitions and the goal row are skipped.
 
-    The reverse graph is the transpose of the CSR operator with action ids
-    as its entries; ``tocsc`` transposes by a counting sort, which keeps
-    each target's predecessors in (state, action) order.
+    The reverse graph is the transpose of the CSR operator with int32
+    action ids as its entries; ``tocsc`` transposes by a counting sort,
+    which keeps each target's predecessors in (state, action) order.
     """
-    P = _csr_transition_matrix(mdp.successor)
-    P.data = np.broadcast_to(np.arange(mdp.num_actions, dtype=np.int32),
-                             mdp.successor.shape)[mdp.successor != mdp.dead]
-    R = P.tocsc()
+    succ, n = mdp.successor, mdp.num_states
+    live = succ != mdp.dead
+    action_ids = np.arange(mdp.num_actions, dtype=np.int32)
+    actions = np.tile(action_ids, n)[live.ravel()]
+    R = csr_matrix((actions, succ[live], _row_pointers(live)),
+                   shape=(n, n)).tocsc()
     return ReverseGraph(R.indptr.astype(np.int64),
                         R.indices.astype(np.int32, copy=False),
                         R.data.astype(np.int32, copy=False))
@@ -402,8 +421,9 @@ def shortest_solution_lengths(
 ) -> SolutionLengthTable:
     """BFS from the goal: ``pull_solution_lengths`` up to
     ``DIRECT_MAX_STATES`` states, where ``rev`` is not read.  Above, each
-    level marks the unreached predecessors of the frontier in ``rev``; the
-    next frontier is read back from the marks, so it comes out sorted."""
+    level marks the unreached predecessors of the frontier in ``rev``, by
+    frontier ranges; the next frontier is read back from the marks by state
+    ranges, concatenated in order, so it comes out sorted."""
     if mdp.num_states <= DIRECT_MAX_STATES:
         return pull_solution_lengths(mdp.successor, mdp.goal)
     if rev is None:
@@ -414,11 +434,17 @@ def shortest_solution_lengths(
     level = 0
     while len(frontier):
         level += 1
-        preds = _gather_ragged(rev, frontier)
-        if len(preds) == 0:
-            break
-        d[preds[d[preds] == UNSOLVABLE]] = level
-        frontier = np.flatnonzero(d == level)
+
+        def mark(lo, hi):  # ranges sharing a predecessor both write level
+            preds = _gather_ragged(rev, frontier[lo:hi])
+            d[preds[d[preds] == UNSOLVABLE]] = level
+        split(mark, len(frontier))
+        parts = {}
+
+        def read_back(lo, hi):
+            parts[lo] = lo + np.flatnonzero(d[lo:hi] == level)
+        split(read_back, mdp.num_states)
+        frontier = np.concatenate([parts[lo] for lo in sorted(parts)])
     return SolutionLengthTable(d=d)
 
 
@@ -446,6 +472,7 @@ def _gather_ragged(rev: ReverseGraph, targets: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int32)
+    # entry k of the output is entry k - (ends - counts)[i] of segment i
     ends = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return rev.preds[np.repeat(starts, counts) + within]
+    return rev.preds[np.repeat(starts - ends + counts, counts)
+                     + np.arange(total)]

@@ -33,6 +33,14 @@ until the sweep residual is at most ``tol``:
   zero (2-vCPU Xeon).
 * zero: every other MDP starts from q = 0 (only the goal at 1).
 
+Above ``_ranges.FLOOR`` states, the sweep's product and residual and CG's
+operator product run on state ranges on all usable cores
+(``_ranges.split``), through zero-copy row-block views of the CSR operator.
+A row sums its entries in the same order in a block as in the whole
+operator, and the residual is a max, which is exact; CG's dot products stay
+whole.  So q, the residual and the iteration count do not depend on the
+ranges.
+
 The returned ``QTable.error_bound`` is a proven bound on ||q - q*||_inf,
 gain * (residual + r) + r, where r = (|A| + 2) * eps covers the rounding of
 the last sweep and gain bounds ||B^-1||_inf:
@@ -51,7 +59,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix, issparse
 
+from .._ranges import split
 from ..mdp import DIRECT_MAX_STATES, TabularDsmdp, transition_matrix
 
 _EPS = np.finfo(np.float64).eps
@@ -100,11 +110,13 @@ def solve_q(mdp: TabularDsmdp, delta: float, tol: float = 1e-12,
     else:
         t_gain, products = _cg_start(mdp, coef, q, tol, max_iter, check)
     gain = (1.0 - delta) / delta if delta > 0 else t_gain
+    product = _scaled_product(P, coef)
+    gap = np.empty(n)
     residual = np.inf
     for it in range(products + 1, max_iter + 1):
-        new = coef * (P @ q)
+        new = product(q)
         new[goal] = 1.0
-        residual = float(np.max(np.abs(new - q)))
+        residual = _max_gap(new, q, gap)
         q = new
         if residual <= tol:
             return QTable(q=q, delta=delta, residual=residual, iterations=it,
@@ -146,15 +158,16 @@ def _cg_start(mdp: TabularDsmdp, coef: float, q: np.ndarray, tol: float,
     M = _symmetric_nongoal_operator(mdp)
     if M is None:
         return math.inf, 0
+    product = _scaled_product(M, coef)
     b = coef * np.count_nonzero(mdp.successor == mdp.goal, axis=1)
-    x, steps = _cg(M, coef, b, tol / 2, max_iter)
+    x, steps = _cg(product, b, tol / 2, max_iter)
     np.clip(x, 0.0, 1.0, out=q)
     q[mdp.goal] = 1.0
     if rounding is None:
         return math.inf, steps
     ones = (mdp.solution_lengths.d > 0).astype(np.float64)
-    t, t_steps = _cg(M, coef, ones, _T_TOL, max_iter)
-    miss = ones - (t - coef * (M @ t))
+    t, t_steps = _cg(product, ones, _T_TOL, max_iter)
+    miss = ones - (t - product(t))
     return _inverse_norm_bound(t, miss, rounding), steps + t_steps + 1
 
 
@@ -177,10 +190,11 @@ def _symmetric_nongoal_operator(mdp: TabularDsmdp):
     return M if (M != M.T).nnz == 0 else None
 
 
-def _cg(M, coef: float, b: np.ndarray, tol: float,
+def _cg(product, b: np.ndarray, tol: float,
         max_steps: int) -> tuple[np.ndarray, int]:
-    """Conjugate gradients for (I - cM) x = b from x = 0, until the updated
-    residual is at most ``tol`` in max norm; returns (x, steps)."""
+    """Conjugate gradients for (I - cM) x = b from x = 0, where product(x)
+    is cM x, until the updated residual is at most ``tol`` in max norm;
+    returns (x, steps)."""
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
@@ -188,7 +202,7 @@ def _cg(M, coef: float, b: np.ndarray, tol: float,
     for step in range(max_steps):
         if np.max(np.abs(r)) <= tol:
             return x, step
-        Ap = p - coef * (M @ p)
+        Ap = p - product(p)
         alpha = rr / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
@@ -196,6 +210,42 @@ def _cg(M, coef: float, b: np.ndarray, tol: float,
         p *= rr / rr_old
         p += r
     return x, max_steps
+
+
+def _scaled_product(P, coef: float):
+    """x -> coef * (P @ x).  A CSR P multiplies on state ranges, each
+    through a zero-copy view of its rows, so every row sums its entries in
+    the same order as ``P @ x``; a dense P multiplies whole."""
+    if not issparse(P):
+        return lambda x: coef * (P @ x)
+    n, blocks = P.shape[0], {}
+
+    def product(x):
+        out = np.empty(n)
+
+        def rows(lo, hi):
+            block = blocks.get((lo, hi))
+            if block is None:  # set, not passed: scipy's constructor
+                a, b = P.indptr[lo], P.indptr[hi]  # copies a small view
+                block = blocks[lo, hi] = csr_matrix((hi - lo, n))
+                block.data, block.indices = P.data[a:b], P.indices[a:b]
+                block.indptr = P.indptr[lo:hi + 1] - a
+            np.multiply(block @ x, coef, out=out[lo:hi])
+        split(rows, n)
+        return out
+    return product
+
+
+def _max_gap(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
+    """max |a - b|, by state ranges written through buf; a max is exact,
+    so the ranges cannot change it, and a NaN anywhere gives NaN."""
+    parts = []
+
+    def gap(lo, hi):
+        diff = np.subtract(a[lo:hi], b[lo:hi], out=buf[lo:hi])
+        parts.append(np.abs(diff, out=diff).max())
+    split(gap, len(a))
+    return float(np.max(parts))
 
 
 def _inverse_norm_bound(t: np.ndarray, miss: np.ndarray,

@@ -50,11 +50,17 @@ solutions, the matching verdicts, the separability and length verdicts, the
 RL records, the planner results, the cliff and pickup MDPs and the
 rewritings must match bit for bit, and so must the scramble DP when no move has a group; with groups
 it sums the contexts in another order and is held to 1e-15.  IC(sup) is
-held to 1e-12 relative.
+held to 1e-12 relative.  The ``test_split_*`` tests hold the passes that
+``_ranges.split`` runs on state ranges to themselves: the scramble DP, the
+cube's index maps, the reverse graph and BFS and the q solve give equal
+arrays with one range and with 2, 3 or 7.
 """
 
 import itertools
 import math
+import multiprocessing as mp
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -64,7 +70,7 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from skilldiff import rl
+from skilldiff import _ranges, rl
 from skilldiff.envs import ENV_PRESETS, build_env
 from skilldiff.envs import cliff, scramble
 from skilldiff.envs.cube import _index_map, move_tables as cube_move_tables
@@ -87,6 +93,7 @@ from skilldiff.mdp import (DIRECT_MAX_STATES, UNSOLVABLE, MdpError,
                            shortest_solution_lengths)
 from skilldiff.metrics.bounds import _Case
 from skilldiff.metrics.difficulty import per_length_counts
+from skilldiff.metrics.solver import _symmetric_nongoal_operator, solve_q
 from skilldiff.metrics.incompress import (SOL_CAP, _every_state_matched,
                                           _ic_sup,
                                           enumerate_shortest_solutions,
@@ -1883,3 +1890,177 @@ def test_rewrite_matches_two_pass_oracle():
         empty += not sol
         rewritten += any(t >= base for t in got)
     assert empty > 0 and rewritten > 100
+
+
+# -- state-range splits ---------------------------------------------------------
+
+def _across_ranges(monkeypatch, run):
+    """run() with the default ranges, then with the floor at 0 and 1, 2, 3
+    and 7 ranges, the 3 ranges in blocks of 997 states, switching threads
+    often; every thread a call starts has ended when it returns."""
+    threads = threading.active_count()
+    results = [run()]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for k, block in ((1, _ranges.BLOCK), (2, _ranges.BLOCK), (3, 997),
+                         (7, _ranges.BLOCK)):
+            with monkeypatch.context() as mp:
+                mp.setattr(_ranges, "CPUS", k)
+                mp.setattr(_ranges, "FLOOR", 0)
+                mp.setattr(_ranges, "BLOCK", block)
+                results.append(run())
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    return results
+
+
+def _scramble_arrays(n, goal, moves, k_max):
+    try:
+        res = scramble_distribution(n, goal, moves, k_max)
+    except ValueError as e:
+        return str(e)
+    return (res.distribution.probs, res.step_marginal_sums,
+            np.float64(res.goal_mass_removed), res.step_states)
+
+
+def _assert_all_equal(results):
+    first, *rest = results
+    for other in rest:
+        if isinstance(first, str):
+            assert other == first
+        else:
+            assert len(other) == len(first)
+            for a, b in zip(first, other):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_split_scramble_does_not_depend_on_the_ranges(grouped, monkeypatch):
+    # permutations with their inverses, preimage-table moves (many-to-one
+    # ones need several tables) and stuck states, walks that turn dense
+    rng = np.random.default_rng(71 + grouped)
+    dense = 0
+    for _ in range(40):
+        n = 12 * int(rng.integers(1, 40))
+        moves = (_random_moves(rng, n, grouped) if rng.random() < 0.4
+                 else _mixed_moves(rng, n, grouped))
+        args = (n, int(rng.integers(n)), moves, int(rng.integers(1, 30)))
+        results = _across_ranges(monkeypatch,
+                                 lambda: _scramble_arrays(*args))
+        _assert_all_equal(results)
+        dense += not isinstance(results[0], str) and results[0][3][-1] == n
+    assert dense >= 20
+
+
+def test_split_puzzle8_scramble_does_not_depend_on_the_ranges(monkeypatch):
+    import skilldiff.envs.npuzzle as npuzzle
+
+    inputs = []
+
+    def capture(*args):
+        inputs.append(args)
+        return scramble_distribution(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(npuzzle, "scramble_distribution", capture)
+        npuzzle.build_n_puzzle(3)
+    _assert_all_equal(_across_ranges(
+        monkeypatch, lambda: _scramble_arrays(*inputs[0])))
+
+
+def test_split_cube_index_maps_do_not_depend_on_the_ranges(monkeypatch):
+    tables = cube_move_tables()
+    _assert_all_equal(_across_ranges(
+        monkeypatch, lambda: [_index_map(tables[label]) for label in tables]))
+
+
+def test_split_bfs_and_reverse_graph_do_not_depend_on_the_ranges(
+        monkeypatch, puzzle_bundle):
+    rng = np.random.default_rng(73)
+    mdps = [random_dsmdp(rng, int(rng.integers(DIRECT_MAX_STATES + 1, 3000)),
+                         int(rng.integers(1, 5)),
+                         dead_frac=float(rng.uniform(0.0, 0.4)))
+            for _ in range(12)]
+    for mdp in mdps + [puzzle_bundle[0]]:
+        def run():
+            rev = build_reverse_graph(mdp)
+            d = shortest_solution_lengths(mdp, rev).d
+            return rev.indptr, rev.preds, rev.actions, d
+        _assert_all_equal(_across_ranges(monkeypatch, run))
+
+
+def test_split_q_solve_does_not_depend_on_the_ranges(monkeypatch,
+                                                     puzzle_bundle):
+    # puzzle8 starts from CG; the random MDP's operator is not symmetric,
+    # so it starts from zero
+    rng = np.random.default_rng(74)
+    mdp = random_dsmdp(rng, 400, 3)
+    assert _symmetric_nongoal_operator(mdp) is None
+    for m, delta in ((puzzle_bundle[0], 1 / 50), (mdp, 1 / 50), (mdp, 0.1)):
+        def run():
+            qt = solve_q(m, delta)
+            return (qt.q, np.float64(qt.residual), np.int64(qt.iterations),
+                    np.float64(qt.error_bound))
+        _assert_all_equal(_across_ranges(monkeypatch, run))
+
+
+def test_split_raises_a_later_ranges_exception_in_the_caller(monkeypatch):
+    monkeypatch.setattr(_ranges, "CPUS", 3)
+    monkeypatch.setattr(_ranges, "FLOOR", 0)
+    threads = threading.active_count()
+    seen = []
+
+    def fn(lo, hi):
+        seen.append((lo, hi))
+        if lo in (4, 8):
+            raise KeyError(lo)
+
+    with pytest.raises(KeyError, match="4"):
+        _ranges.split(fn, 12)
+    assert sorted(seen) == [(0, 4), (4, 8), (8, 12)]
+    assert threading.active_count() == threads
+    # blocks after the failing one in its range are not called
+    monkeypatch.setattr(_ranges, "BLOCK", 2)
+    seen.clear()
+    with pytest.raises(KeyError, match="4"):
+        _ranges.split(fn, 12)
+    assert sorted(seen) == [(0, 2), (2, 4), (4, 6), (8, 10)]
+
+
+def _build_puzzle8_mass():
+    return float(build_env(ENV_PRESETS["puzzle8"])[1].probs.sum())
+
+
+def test_split_leaves_no_thread_to_a_forked_child(monkeypatch):
+    # the child inherits the forced ranges, so its build splits too
+    monkeypatch.setattr(_ranges, "CPUS", 2)
+    monkeypatch.setattr(_ranges, "FLOOR", 0)
+    seen = np.zeros(1000)
+    _ranges.split(lambda lo, hi: seen[lo:hi].fill(1.0), len(seen))
+    assert seen.all()
+    with mp.get_context("fork").Pool(1) as pool:
+        mass = pool.apply_async(_build_puzzle8_mass).get(timeout=120)
+    assert mass == pytest.approx(1.0)
+
+
+def test_split_starts_no_thread_below_the_floor(monkeypatch):
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    rng = np.random.default_rng(75)
+    mdp = random_dsmdp(rng, 40, 3)
+    shortest_solution_lengths(mdp, build_reverse_graph(mdp))
+    solve_q(mdp, 0.1)
+    ring = np.arange(40)
+    scramble_distribution(40, 0, [
+        ScrambleMove(successor=((ring + k) % 40).astype(np.int32), group=k)
+        for k in (1, 2, 38, 39)], 30)
+    _ranges.split(lambda lo, hi: None, 40)
+    assert started == []
