@@ -16,7 +16,6 @@ from .incompress import (AssignmentResult, DegenerateDenominatorError,
 from .report import DifficultyReport, compute_difficulty_report, save_report
 from .solver import NotConvergedError, QTable, solve_q
 from .stochastic import (StochasticTabularMdp, WeightedDepthResult,
-                         sequence_success_probability,
                          stochastic_learning_difficulty,
                          stochastic_weighted_depth)
 from .tightness import (DeltaTooSmallError, TightnessInfo,

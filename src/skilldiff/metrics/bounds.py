@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..mdp import BudgetExceededError, StateDistribution
+from ..mdp import BudgetExceededError, StateDistribution, transition_matrix
 from ..skills import GOAL_PASS_DEAD, AugmentedMdp, behavior_variety
 from .difficulty import (length_dp, p_exploration_difficulty,
                          p_learning_difficulty, per_length_counts,
@@ -95,7 +95,10 @@ def expansion_length_q(augmented: AugmentedMdp, l_max: int) -> np.ndarray:
         raise ValueError("expansion-length DP requires a macro augmentation")
     w = np.array([1] * augmented.base.num_actions
                  + [len(z.macro) for z in augmented.skills])
-    return length_dp(augmented.mdp, w, l_max, 1.0 / augmented.mdp.num_actions)
+    ops = [(int(k), transition_matrix(augmented.mdp.successor[:, w == k]))
+           for k in np.unique(w)]
+    return length_dp(ops, augmented.mdp.goal, l_max,
+                     1.0 / augmented.mdp.num_actions)
 
 
 class _Case:

@@ -112,25 +112,23 @@ def per_length_counts(mdp: TabularDsmdp,
     n, m = mdp.num_states, mdp.num_actions
     if 8 * n * (l_max + 1) > COUNT_TABLE_BUDGET:
         raise BudgetExceededError("per-length count table exceeds memory budget")
-    counts = length_dp(mdp, np.ones(m, dtype=np.int64), l_max, 1.0)
+    counts = length_dp([(1, transition_matrix(mdp.successor))], mdp.goal,
+                       l_max, 1.0)
     saturated = bool(np.any(counts > _SATURATION))
     return PerLengthSolutionCounts(counts=counts, l_max=l_max,
                                    num_actions=m, saturated=saturated)
 
 
-def length_dp(mdp: TabularDsmdp, lengths: np.ndarray, l_max: int,
-              scale: float) -> np.ndarray:
+def length_dp(ops, goal: int, l_max: int, scale: float) -> np.ndarray:
     """G[s, l], l = 0..l_max: G[:, 0] marks the goal and G[l] = scale *
-    sum_k P_k G[l - k], P_k the operator of the columns a with lengths[a] == k.
-    The goal rows are empty, so a sequence reaches the goal only at its last
-    step.  Unit lengths and scale 1 count solutions exactly (0 + x and x * 1
-    are exact); expansion lengths and 1/|A| give ``expansion_length_q``."""
+    sum_k P_k G[l - k] over the (k, P_k) pairs of ops, [S, S] operators with
+    empty goal rows, so a sequence reaches the goal only at its last step.
+    Unit lengths and scale 1 count solutions exactly (0 + x and x * 1 are
+    exact); expansion lengths and 1/|A| give ``expansion_length_q``."""
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
-    ops = [(int(k), transition_matrix(mdp.successor[:, lengths == k]))
-           for k in np.unique(lengths)]
-    G = np.zeros((l_max + 1, mdp.num_states))
-    G[0, mdp.goal] = 1.0
+    G = np.zeros((l_max + 1, ops[0][1].shape[0]))
+    G[0, goal] = 1.0
     for l in range(1, l_max + 1):
         for k, P in ops:
             if k <= l:

@@ -1,122 +1,109 @@
-"""Small-scale stochastic generalization of shortest-solution length.
+"""Stochastic generalization of shortest-solution length.
 
-For a stochastic sparse-reward MDP, the success probabilities W of action
-sequences (enumerated in non-decreasing length, lexicographic within a
-length) are folded into weights w that sum to 1, clipping the first sequence
-whose cumulative mass would exceed 1.  The weighted mean sequence length
-generalizes d(s) and reduces to it exactly in deterministic environments.
+The success probabilities W(s, x) of action sequences x, taken in
+non-decreasing length, are folded into weights that sum to at most 1,
+clipping the first sequence at which the mass taken would reach 1.  The
+weighted mean length generalizes d(s) and equals it in deterministic MDPs.
+
+Only the per-length totals M_l(s) = sum of W(s, x) over |x| = l matter.
+Each sequence of length l adds l times its weight, and the weights of length
+l sum to M_l(s) before the clip, to 1 - C at the clip (C the mass taken
+before l), whichever sequence of the length it falls on, and to 0 after.  So
+depth(s) = sum_l l min(M_l(s), 1 - C), clipped at the first l with
+C + M_l(s) >= 1 (C < 1 before it).  The goal's kernel rows are zero, so
+W(s, x) = e_s K_x1 ... K_xl e_goal, and its sum over all x of length l is
+P^l e_goal with P = sum_a K_a: ``length_dp`` over the one operator P.  That
+adds in another order than an enumeration of the sequences, so the two agree
+to rounding, and a clip flag can differ at an exact tie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from ..mdp import BudgetExceededError, StateDistribution
+from ..mdp import StateDistribution
+from .difficulty import SupportUnsolvableError, length_dp
 
 
 @dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class StochasticTabularMdp:
-    """kernel[s, a] is a distribution over next states; row deficits are
-    absorbed by an implicit dead state.  Transitions from the goal are
+    """Row s * A + a of kernel is the distribution over next states of action
+    a from s (a dense [S, A, S] kernel, reshaped to [S * A, S]); row deficits
+    are absorbed by an implicit dead state.  Transitions from the goal are
     undefined and its kernel rows must be zero."""
 
-    kernel: np.ndarray  # float64 [num_states, num_actions, num_states]
+    kernel: csr_matrix  # float64 [num_states * num_actions, num_states]
     goal: int
     action_labels: list[str] | None = None
 
     def __post_init__(self):
-        k = np.asarray(self.kernel, dtype=np.float64)
-        if k.ndim != 3 or k.shape[0] != k.shape[2]:
-            raise ValueError("kernel must be [S, A, S]")
-        if np.any(k < 0) or np.any(k.sum(axis=2) > 1.0 + 1e-12):
-            raise ValueError("kernel rows must be subprobabilities")
-        if np.any(k[self.goal] != 0.0):
+        k = csr_matrix(self.kernel, dtype=np.float64)
+        rows, n = k.shape
+        if not 0 <= self.goal < n:
+            raise ValueError(f"goal {self.goal} is not one of {n} states")
+        if rows == 0 or rows % n:
+            raise ValueError(f"{rows} kernel rows are not a positive "
+                             f"multiple of {n} states")
+        if not np.all(k.data >= 0.0) or np.any(k.sum(axis=1) > 1.0 + 1e-12):
+            raise ValueError("kernel entries must be finite and non-negative "
+                             "and its rows subprobabilities")
+        m = rows // n
+        if np.any(k.data[k.indptr[self.goal * m]:
+                         k.indptr[(self.goal + 1) * m]] != 0.0):
             raise ValueError("goal kernel rows must be zero")
         self.kernel = k
 
     @property
     def num_states(self) -> int:
-        return self.kernel.shape[0]
+        return self.kernel.shape[1]
 
     @property
     def num_actions(self) -> int:
-        return self.kernel.shape[1]
+        return self.kernel.shape[0] // self.kernel.shape[1]
 
     @classmethod
     def from_deterministic(cls, mdp) -> "StochasticTabularMdp":
-        n, m = mdp.num_states, mdp.num_actions
-        k = np.zeros((n, m, n))
-        for s in range(n):
-            if s == mdp.goal:
-                continue
-            for a in range(m):
-                t = mdp.successor[s, a]
-                if t != mdp.dead:
-                    k[s, a, t] = 1.0
-        return cls(kernel=k, goal=mdp.goal,
+        """One unit entry per live successor; the goal row is all dead."""
+        live = mdp.successor != mdp.dead
+        indptr = np.zeros(live.size + 1, dtype=np.int64)
+        np.cumsum(live.ravel(), out=indptr[1:])
+        kernel = csr_matrix((np.ones(indptr[-1]), mdp.successor[live], indptr),
+                            shape=(live.size, mdp.num_states))
+        return cls(kernel=kernel, goal=mdp.goal,
                    action_labels=list(mdp.action_labels))
 
 
-def sequence_success_probability(smdp: StochasticTabularMdp, s: int,
-                                 seq) -> float:
-    """P(taking seq from s ends at the goal exactly at the last step).
-
-    Mass that reaches the goal before the sequence is exhausted does not
-    count: the run is over and the remaining actions are undefined.
-    """
-    n = smdp.num_states
-    alive = np.zeros(n)
-    alive[s] = 1.0
-    goal_mass = 0.0
-    for i, a in enumerate(seq):
-        nxt = alive @ smdp.kernel[:, a, :]
-        if i == len(seq) - 1:
-            goal_mass = float(nxt[smdp.goal])
-        nxt[smdp.goal] = 0.0
-        alive = nxt
-    return goal_mass
-
-
-@dataclass
+@dataclass(eq=False)  # == is identity; a generated == fails on arrays
 class WeightedDepthResult:
-    depth: float
-    cumulative_mass: float
-    residual_mass: float
-    truncated: bool  # cumulative < 1 - mass_tol at L_max
-    k_max_reached: bool  # the clipping rule fired
+    """Per-state arrays over all states."""
+
+    depth: np.ndarray
+    cumulative_mass: np.ndarray
+    residual_mass: np.ndarray
+    truncated: np.ndarray  # cumulative < 1 - mass_tol at L_max
+    k_max_reached: np.ndarray  # the clipping rule fired
 
 
-def stochastic_weighted_depth(smdp: StochasticTabularMdp, s: int,
-                              l_max: int, mass_tol: float = 1e-9,
-                              budget: int = 2_000_000) -> WeightedDepthResult:
-    m = smdp.num_actions
-    total_seqs = sum(m**l for l in range(1, l_max + 1))
-    if total_seqs > budget:
-        raise BudgetExceededError(
-            f"{total_seqs} sequences exceed budget {budget}")
-    depth = 0.0
-    cum = 0.0
-    clipped = False
+def stochastic_weighted_depth(smdp: StochasticTabularMdp, l_max: int,
+                              mass_tol: float = 1e-9) -> WeightedDepthResult:
+    """The weighted depth of every state over sequences of length 1..l_max;
+    the goal takes no sequence, so it reports mass 0."""
+    k, n, m = smdp.kernel, smdp.num_states, smdp.num_actions
+    summed = csr_matrix((k.data, k.indices, k.indptr[::m]), shape=(n, n))
+    M = length_dp([(1, summed)], smdp.goal, l_max, 1.0)
+    depth, cum = np.zeros(n), np.zeros(n)
+    clipped = np.zeros(n, dtype=bool)
     for l in range(1, l_max + 1):
-        for seq in product(range(m), repeat=l):
-            W = sequence_success_probability(smdp, s, seq)
-            if W <= 0.0:
-                continue
-            if cum + W < 1.0:
-                w = W
-            else:
-                w = 1.0 - cum
-                clipped = True
-            depth += w * l
-            cum += w
-            if clipped:
-                break
-        if clipped:
-            break
-    residual = max(0.0, 1.0 - cum)
+        W = M[:, l]
+        hit = ~clipped & (cum + W >= 1.0)
+        w = np.where(clipped, 0.0, np.where(hit, 1.0 - cum, W))
+        depth += w * l
+        cum += w
+        clipped |= hit
+    residual = np.maximum(0.0, 1.0 - cum)
     return WeightedDepthResult(depth=depth, cumulative_mass=cum,
                                residual_mass=residual,
                                truncated=residual > mass_tol,
@@ -126,9 +113,14 @@ def stochastic_weighted_depth(smdp: StochasticTabularMdp, s: int,
 def stochastic_learning_difficulty(smdp: StochasticTabularMdp,
                                    p: StateDistribution, l_max: int,
                                    mass_tol: float = 1e-9) -> float:
-    """|A| times the p-weighted mean of the stochastic weighted depth."""
-    total = 0.0
-    for s in p.support:
-        r = stochastic_weighted_depth(smdp, int(s), l_max, mass_tol)
-        total += p.probs[s] * r.depth
-    return smdp.num_actions * total
+    """|A| times the p-weighted mean of the stochastic weighted depth;
+    SupportUnsolvableError if a support state keeps more than mass_tol of
+    its mass past l_max."""
+    r = stochastic_weighted_depth(smdp, l_max, mass_tol)
+    sup = p.support
+    if np.any(r.truncated[sup]):
+        bad = sup[r.truncated[sup]][0]
+        raise SupportUnsolvableError(
+            f"state {bad} in support keeps mass {r.residual_mass[bad]:g} "
+            f"past l_max = {l_max}")
+    return smdp.num_actions * float(np.dot(p.probs[sup], r.depth[sup]))

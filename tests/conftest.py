@@ -15,6 +15,11 @@ def puzzle_bundle():
 
 
 @pytest.fixture(scope="session")
+def pickup_bundle():
+    return build_env(ENV_PRESETS["pickup"])
+
+
+@pytest.fixture(scope="session")
 def cube_bundle():
     """Full pocket-cube build (about three seconds); shared across the session."""
     return build_env(ENV_PRESETS["cube"])

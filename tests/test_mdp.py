@@ -11,7 +11,8 @@ from skilldiff.mdp import (MdpError, SolutionLengthTable, StateDistribution,
 from skilldiff.envs.scramble import ScrambleMove, ScrambleResult
 from skilldiff.envs.synthetic import build_chain
 from skilldiff.metrics import (StochasticTabularMdp, TightnessInfo,
-                               per_length_counts, solve_q)
+                               per_length_counts, solve_q,
+                               stochastic_weighted_depth)
 from skilldiff.rl import PlannerResult
 from skilldiff.skills import Skill, augment
 
@@ -82,8 +83,7 @@ def test_equality_of_array_holding_dataclasses_is_identity():
     succ = np.array([[3, 3], [0, 3], [1, 0]], dtype=np.int32)
     mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
     aug = augment(mdp, [Skill.from_macro((1, 0), label="ba")])
-    kernel = np.zeros((2, 1, 2))
-    kernel[1, 0, 0] = 1.0
+    kernel = np.array([[0.0, 0.0], [1.0, 0.0]])
     makers = [
         lambda: StateDistribution(np.array([0.0, 0.5, 0.5])),
         lambda: SolutionLengthTable(np.array([0, 1, 2], dtype=np.int32)),
@@ -96,6 +96,7 @@ def test_equality_of_array_holding_dataclasses_is_identity():
         lambda: TightnessInfo(np.zeros(3), [], np.zeros(3)),
         lambda: PlannerResult({}, None, np.zeros(3), 0),
         lambda: StochasticTabularMdp(kernel, goal=0),
+        lambda: stochastic_weighted_depth(StochasticTabularMdp(kernel, 0), 1),
     ]
     for x, twin in [(mdp, pickle.loads(pickle.dumps(mdp))),
                     (aug, copy.copy(aug))] + [(f(), f()) for f in makers]:

@@ -44,13 +44,18 @@ depth-first sequence search that backed the separability check before
 pairs alone.  ``_length1_state_has_longer_solutions`` and
 ``_counted_several_lengths`` are the one-solution-length tests of bound
 claims 6 and 7 before both read the edge test ``bounds._Case.longer``; the
-second reads the per-length solution counts up to max d + 2.  They stay
-here as oracles.  The graph, the lengths, the solvable sets, the enumerated
-solutions, the matching verdicts, the separability and length verdicts, the
-RL records, the planner results, the cliff and pickup MDPs and the
-rewritings must match bit for bit, and so must the scramble DP when no move has a group; with groups
-it sums the contexts in another order and is held to 1e-15.  IC(sup) is
-held to 1e-12 relative.  The ``test_split_*`` tests hold the passes that
+second reads the per-length solution counts up to max d + 2.
+``_enumerated_weighted_depth`` (with ``_sequence_success_probability``, once
+public in ``metrics.stochastic``) is ``stochastic_weighted_depth`` as it was
+before one length DP over the action-summed kernel replaced its per-state
+enumeration of action sequences; it adds in another order, so depth and
+masses are held to 1e-12, and its truncation and clip flags must be equal.
+They stay here as oracles.  The graph, the lengths, the solvable sets, the
+enumerated solutions, the matching verdicts, the separability and length
+verdicts, the RL records, the planner results, the cliff and pickup MDPs and
+the rewritings must match bit for bit, and so must the scramble DP when no
+move has a group; with groups it sums the contexts in another order and is
+held to 1e-15.  IC(sup) is held to 1e-12 relative.  The ``test_split_*`` tests hold the passes that
 ``_ranges.split`` runs on state ranges to themselves: the scramble DP, the
 cube's index maps, the reverse graph and BFS and the q solve give equal
 arrays with one range and with 2, 3 or 7.
@@ -98,6 +103,8 @@ from skilldiff.metrics.incompress import (SOL_CAP, _every_state_matched,
                                           _ic_sup,
                                           enumerate_shortest_solutions,
                                           max_entropy_assignment)
+from skilldiff.metrics.stochastic import (StochasticTabularMdp,
+                                          stochastic_weighted_depth)
 from skilldiff.metrics.tightness import canonical_shortest_solution
 from skilldiff.rl import (Q_LEARNING, REINFORCE, RL_VALUE_ITERATION,
                           RunRecord, _ground_truth, _successor_values,
@@ -1664,6 +1671,108 @@ def test_longer_solution_edge_test_matches_count_oracles():
                        _counted_several_lengths(mdp))
         seen[got] += 1
     assert min(seen[False, False], seen[False, True], seen[True, True]) >= 10
+
+
+# -- stochastic weighted depth --------------------------------------------------
+
+def _sequence_success_probability(kernel, goal, s, seq):
+    """P(taking seq from s ends at the goal exactly at the last step), with
+    kernel dense [S, A, S].
+
+    Mass that reaches the goal before the sequence is exhausted does not
+    count: the run is over and the remaining actions are undefined.
+    """
+    alive = np.zeros(kernel.shape[0])
+    alive[s] = 1.0
+    goal_mass = 0.0
+    for i, a in enumerate(seq):
+        nxt = alive @ kernel[:, a, :]
+        if i == len(seq) - 1:
+            goal_mass = float(nxt[goal])
+        nxt[goal] = 0.0
+        alive = nxt
+    return goal_mass
+
+
+def _enumerated_weighted_depth(smdp, s, l_max, mass_tol=1e-9):
+    """(depth, cumulative mass, residual mass, truncated, clipped) of s from
+    every action sequence of length 1..l_max in turn."""
+    n, m = smdp.num_states, smdp.num_actions
+    kernel = smdp.kernel.toarray().reshape(n, m, n)
+    depth = 0.0
+    cum = 0.0
+    clipped = False
+    for l in range(1, l_max + 1):
+        for seq in itertools.product(range(m), repeat=l):
+            W = _sequence_success_probability(kernel, smdp.goal, s, seq)
+            if W <= 0.0:
+                continue
+            if cum + W < 1.0:
+                w = W
+            else:
+                w = 1.0 - cum
+                clipped = True
+            depth += w * l
+            cum += w
+            if clipped:
+                break
+        if clipped:
+            break
+    residual = max(0.0, 1.0 - cum)
+    return depth, cum, residual, residual > mass_tol, clipped
+
+
+def _random_kernel(rng, n, m, goal, dyadic):
+    """Dense [S, A, S] subprobability kernel with empty goal rows; about a
+    fifth of the other rows are empty and the rest may loop on their state.
+    Dyadic rows hold quarters, so sums are exact in any order and the
+    clipping rule meets exact ties."""
+    k = np.zeros((n, m, n))
+    for s in range(n):
+        for a in range(m):
+            if s == goal or rng.random() < 0.2:
+                continue
+            if dyadic:
+                np.add.at(k[s, a], rng.integers(0, n, rng.integers(2, 5)),
+                          0.25)
+            else:
+                row = rng.dirichlet(np.full(n, 0.7)) * rng.uniform(0.5, 1.0)
+                k[s, a] = np.where(rng.random(n) < 0.3, 0.0, row)
+    return k
+
+
+def test_stochastic_depth_matches_enumeration_oracle():
+    rng = np.random.default_rng(50)
+    seen = Counter()
+    for t in range(300):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        goal, l_max = int(rng.integers(n)), int(rng.integers(0, 7))
+        k = _random_kernel(rng, n, m, goal, dyadic=t % 2 == 0)
+        smdp = StochasticTabularMdp(k.reshape(n * m, n), goal)
+        got = stochastic_weighted_depth(smdp, l_max)
+        # goal mass reached up to each length, summed in length order; a
+        # state whose mass meets 1 exactly is a tie of the clipping rule
+        P = k.sum(axis=1)
+        reach = np.cumsum([np.zeros(n)] + [
+            np.linalg.matrix_power(P, l)[:, goal] for l in range(1, l_max + 1)],
+            axis=0)
+        for s in range(n):
+            depth, cum, residual, truncated, clipped = \
+                _enumerated_weighted_depth(smdp, s, l_max)
+            assert got.depth[s] == pytest.approx(depth, abs=1e-12)
+            assert got.cumulative_mass[s] == pytest.approx(cum, abs=1e-12)
+            assert got.residual_mass[s] == pytest.approx(residual,
+                                                         abs=1e-12)
+            assert got.truncated[s] == truncated
+            assert got.k_max_reached[s] == clipped
+            seen["states"] += 1
+            seen["truncated"] += truncated
+            seen["clipped"] += clipped
+            seen["self_loop"] += bool(k[s, :, s].any())
+            seen["tie"] += bool(np.any(reach[:, s] == 1.0))
+    assert seen["states"] > 1200 and seen["self_loop"] > 300
+    assert 100 < seen["truncated"] < seen["states"] - 100
+    assert seen["clipped"] > 150 and seen["tie"] > 10
 
 
 # -- explicit environments ------------------------------------------------------
