@@ -65,8 +65,7 @@ def perm_unrank(ranks: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def build_n_puzzle(n: int = 3, vacuous: str = "noop", k_max: int = 31,
-                   state_budget: int = 2_000_000):
+def build_n_puzzle(n: int = 3, vacuous: str = "noop", k_max: int = 31):
     """Returns (mdp, scramble p, info) over the reachable half of the orbit.
 
     States are permutations of tiles 0..n^2-1 (0 = blank); the goal has tiles
@@ -91,7 +90,7 @@ def build_n_puzzle(n: int = 3, vacuous: str = "noop", k_max: int = 31,
                 swap_cell[c, a] = rr * n + qq
 
     # an illegal move stays put in the scramble, and goes dead in "death"
-    raw_moves, legal = _orbit_moves(goal_perm, swap_cell, state_budget)
+    raw_moves, legal = _orbit_moves(goal_perm, swap_cell)
     N = raw_moves.shape[1]
     succ = np.where(legal | (vacuous == "noop"), raw_moves, N).T.copy()
     succ[0] = N  # the goal row
@@ -104,7 +103,7 @@ def build_n_puzzle(n: int = 3, vacuous: str = "noop", k_max: int = 31,
     return mdp, res.distribution, info
 
 
-def _orbit_moves(goal_perm: np.ndarray, swap_cell, state_budget: int):
+def _orbit_moves(goal_perm: np.ndarray, swap_cell):
     """(successor ids, legal), both [4, N], by BFS over the orbit's N states
     from the goal (id 0).  An illegal move leaves a row, and so its id,
     unchanged; once a level's fresh states are numbered, in sorted-rank
@@ -129,8 +128,6 @@ def _orbit_moves(goal_perm: np.ndarray, swap_cell, state_budget: int):
         cols.append(ids[cand_ranks].reshape(4, -1))
         legal.append(np.stack(ok))
         frontier = cand[first[fresh]]
-        if count > state_budget:
-            raise BudgetExceededError("puzzle orbit exceeds the state budget")
     return np.concatenate(cols, axis=1), np.concatenate(legal, axis=1)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .mdp import shannon_entropy
 from .metrics.incompress import _ic_sup
-from .skills import expand_rewriting, rewrite_min_length
+from .skills import rewrite_min_length
 
 
 class MissingParamError(ValueError):
@@ -97,16 +97,10 @@ class AbstractedCorpus:
 
 def abstract_corpus(corpus: Corpus, macros: list[tuple[int, ...]],
                     num_base_actions: int) -> AbstractedCorpus:
-    """Rewrite every solution with the macro set and collect statistics.
-    Rewriting round-trips exactly: expanding the tokens recovers the input."""
-    rewritten = []
-    weights = []
-    for i, sol in enumerate(corpus.solutions):
-        toks = tuple(rewrite_min_length(sol, macros, num_base_actions))
-        if tuple(expand_rewriting(toks, macros, num_base_actions)) != sol:
-            raise AssertionError("rewriting failed to round-trip")
-        rewritten.append(toks)
-        weights.append(corpus.weight_of(i))
+    """Rewrite every solution with the macro set and collect statistics."""
+    rewritten = [tuple(rewrite_min_length(sol, macros, num_base_actions))
+                 for sol in corpus.solutions]
+    weights = [corpus.weight_of(i) for i in range(len(rewritten))]
     return AbstractedCorpus(rewritten=rewritten, weights=weights,
                             num_base_actions=num_base_actions,
                             num_actions=num_base_actions + len(macros),

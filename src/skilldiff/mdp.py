@@ -146,49 +146,7 @@ class TabularDsmdp:
         pad = np.full((1, self.num_actions), self.dead, dtype=np.int32)
         return np.concatenate([self.successor, pad], axis=0)
 
-    def step(self, s: int, a: int) -> int:
-        if s == self.goal:
-            raise MdpError("transitions from the goal are undefined")
-        return int(self.successor[s, a])
-
     # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        succ = self.successor.astype(np.int64)
-        succ[succ == self.dead] = DEAD_SENTINEL_U32
-        return {
-            "num_states": self.num_states,
-            "num_actions": self.num_actions,
-            "goal": self.goal,
-            "base_action_count": self.base_action_count,
-            "action_labels": list(self.action_labels),
-            "successor": succ.ravel().tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TabularDsmdp":
-        n, m = d["num_states"], d["num_actions"]
-        succ = np.asarray(d["successor"], dtype=np.int64)
-        if succ.size != n * m:
-            raise MdpError(f"successor list has {succ.size} entries, not "
-                           f"num_states * num_actions = {n * m}")
-        succ = succ.reshape(n, m)
-        succ[succ == DEAD_SENTINEL_U32] = n
-        return cls(
-            successor=succ.astype(np.int32),
-            goal=d["goal"],
-            action_labels=list(d["action_labels"]),
-            base_action_count=d["base_action_count"],
-        )
-
-    def save_json(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f)
-
-    @classmethod
-    def load_json(cls, path) -> "TabularDsmdp":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
 
     def save_binary(self, path):
         """Header + labels blob + row-major uint32 table (dead = 2^32-1)."""
@@ -392,10 +350,6 @@ class ReverseGraph:
     @property
     def num_edges(self) -> int:
         return len(self.preds)
-
-    def predecessors(self, t: int) -> list[tuple[int, int]]:
-        lo, hi = self.indptr[t], self.indptr[t + 1]
-        return list(zip(self.preds[lo:hi].tolist(), self.actions[lo:hi].tolist()))
 
 
 def build_reverse_graph(mdp: TabularDsmdp) -> ReverseGraph:

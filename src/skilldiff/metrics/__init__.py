@@ -13,7 +13,7 @@ from .incompress import (AssignmentResult, DegenerateDenominatorError,
                          ICValue, enumerate_shortest_solutions, ic_expressive,
                          ic_merged, ic_unmerged, max_entropy_assignment,
                          merged_solution_entropy, min_entropy_assignment)
-from .report import DifficultyReport, compute_difficulty_report, save_report
+from .report import DifficultyReport, compute_difficulty_report
 from .solver import NotConvergedError, QTable, solve_q
 from .stochastic import (StochasticTabularMdp, WeightedDepthResult,
                          stochastic_learning_difficulty,

@@ -262,12 +262,12 @@ def _explore_gap_full_coverage(case):
     if not (case.sep_macro and case.strict):
         return case.skip(
             name, "needs separable base and a strict macro augmentation")
+    if np.any(case.longer):
+        return case.skip(name, "states with solutions of several lengths")
     try:
         counts = case.counts
     except BudgetExceededError:
         return case.skip(name, "per-length counts unavailable within budget")
-    if np.any(case.longer):
-        return case.skip(name, "states with solutions of several lengths")
     d = case.d0.d
     # every action sequence solves some state (checked per length up to the
     # shortest length not fully covered); d > 0 on solvable non-goal states

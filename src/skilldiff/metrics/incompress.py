@@ -3,13 +3,12 @@ skills can shrink solution descriptions.
 
 All variants share one epsilon treatment: a termination symbol with rate
 epsilon adds -log((1-eps)/eps) to the numerator and -log(1-eps) per symbol
-to the denominator.  Three modes are supported:
+to the denominator.  Two modes are supported:
 
   * fixed_epsilon -- evaluate at one epsilon in (0, 1), negatives to 0;
   * sup           -- maximize over epsilon: the eps->1 boundary limit
                      1/E_p[d], or the single interior stationary point,
-                     found by one bracketed root solve;
-  * boundary      -- the eps->1 limit alone.
+                     found by one bracketed root solve.
 
 Merged and expressive IC take their entropy from canonical shortest
 solutions: one per support state, assigned to maximize (merged) or minimize
@@ -49,7 +48,7 @@ class DegenerateDenominatorError(MdpError):
 class ICValue:
     value: float
     mode: str
-    epsilon: float | None = None  # None for sup/boundary modes
+    epsilon: float | None = None  # None for the sup mode's eps -> 1 limit
     clamped: bool = False
     method: str | None = None  # assignment method for merged/expressive
     entropy_term: float | None = None  # the H used in the numerator
@@ -109,8 +108,6 @@ def _ic_with_mode(H, Ed, a_eff, mode, epsilon,
         value, clamped = _ic_fixed(H, Ed, a_eff, epsilon)
     elif mode == "sup":
         value, epsilon = _ic_sup(H, Ed, a_eff)
-    elif mode == "boundary":
-        value, epsilon = 1.0 / Ed, None
     else:
         raise ValueError(f"unknown IC mode {mode!r}")
     return ICValue(value, mode, epsilon, clamped,

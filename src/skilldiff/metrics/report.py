@@ -6,8 +6,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from ..mdp import StateDistribution, TabularDsmdp
 from ..skills import AugmentedMdp
 from .difficulty import (p_exploration_difficulty, p_exploration_difficulty_am,
@@ -46,17 +44,6 @@ class DifficultyReport:
 def _ic_dict(ic: ICValue) -> dict:
     return {"value": ic.value, "mode": ic.mode, "epsilon": ic.epsilon,
             "clamped": ic.clamped, "method": ic.method, "cap_hit": ic.cap_hit}
-
-
-def save_report(report: "DifficultyReport", path: str,
-                per_state: dict[str, np.ndarray] | None = None):
-    """Write the report as JSON; per-state arrays (d, q, p, ...) go to a flat
-    binary sidecar per array, named <path>.<key>.npy."""
-    with open(path, "w") as f:
-        f.write(report.to_json())
-    if per_state:
-        for key, arr in per_state.items():
-            np.save(f"{path}.{key}.npy", np.asarray(arr))
 
 
 def compute_difficulty_report(env: TabularDsmdp | AugmentedMdp,

@@ -1,9 +1,10 @@
 """Stochastic generalization of shortest-solution length.
 
 The success probabilities W(s, x) of action sequences x, taken in
-non-decreasing length, are folded into weights that sum to at most 1,
-clipping the first sequence at which the mass taken would reach 1.  The
-weighted mean length generalizes d(s) and equals it in deterministic MDPs.
+non-decreasing length from the empty sequence (which solves the goal alone),
+are folded into weights that sum to at most 1, clipping the first sequence
+at which the mass taken would reach 1.  The weighted mean length generalizes
+d(s) and equals it in deterministic MDPs.
 
 Only the per-length totals M_l(s) = sum of W(s, x) over |x| = l matter.
 Each sequence of length l adds l times its weight, and the weights of length
@@ -37,7 +38,6 @@ class StochasticTabularMdp:
 
     kernel: csr_matrix  # float64 [num_states * num_actions, num_states]
     goal: int
-    action_labels: list[str] | None = None
 
     def __post_init__(self):
         k = csr_matrix(self.kernel, dtype=np.float64)
@@ -72,8 +72,7 @@ class StochasticTabularMdp:
         np.cumsum(live.ravel(), out=indptr[1:])
         kernel = csr_matrix((np.ones(indptr[-1]), mdp.successor[live], indptr),
                             shape=(live.size, mdp.num_states))
-        return cls(kernel=kernel, goal=mdp.goal,
-                   action_labels=list(mdp.action_labels))
+        return cls(kernel=kernel, goal=mdp.goal)
 
 
 @dataclass(eq=False)  # == is identity; a generated == fails on arrays
@@ -89,14 +88,15 @@ class WeightedDepthResult:
 
 def stochastic_weighted_depth(smdp: StochasticTabularMdp, l_max: int,
                               mass_tol: float = 1e-9) -> WeightedDepthResult:
-    """The weighted depth of every state over sequences of length 1..l_max;
-    the goal takes no sequence, so it reports mass 0."""
+    """The weighted depth of every state over sequences of length 0..l_max;
+    the empty sequence solves the goal alone, so the goal has depth 0 and
+    mass 1."""
     k, n, m = smdp.kernel, smdp.num_states, smdp.num_actions
     summed = csr_matrix((k.data, k.indices, k.indptr[::m]), shape=(n, n))
     M = length_dp([(1, summed)], smdp.goal, l_max, 1.0)
     depth, cum = np.zeros(n), np.zeros(n)
     clipped = np.zeros(n, dtype=bool)
-    for l in range(1, l_max + 1):
+    for l in range(l_max + 1):
         W = M[:, l]
         hit = ~clipped & (cum + W >= 1.0)
         w = np.where(clipped, 0.0, np.where(hit, 1.0 - cum, W))

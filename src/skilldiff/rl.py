@@ -434,9 +434,8 @@ class PlannerResult:
 def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
                             alpha: float = 0.1, *,
                             p: StateDistribution | None = None,
-                            stop_reward: float | None = None,
                             stop_value_error: float | None = None,
-                            gamma: float = 1.0, horizon: int = 50,
+                            gamma: float = 1.0,
                             max_sweeps: int = 100_000,
                             track_first_exact: bool = False) -> PlannerResult:
     """Synchronous interpolated value iteration over the full table.
@@ -444,10 +443,8 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
     variant="state": V(s) <- (1-a) V(s) + a max_a V(T(s,a)), V(goal) pinned 1.
     variant="q":     Q(s,a) <- (1-a) Q(s,a) + a (1 if T(s,a)=goal else
                       gamma max_a' Q(T(s,a),a')).
-    Returns the sweep counts at which each stopping criterion was first met.
-    At gamma = 1 the reward criterion can stay unmet: once V is exact every
-    solvable successor is worth 1, the greedy argmax takes the first such
-    action, and the greedy walk may loop away from the goal.
+    ``sweeps_to["value_error"]`` is the first sweep whose p-weighted value
+    error is at most ``stop_value_error``.
     """
     n, m = mdp.num_states, mdp.num_actions
     succ = mdp.successor
@@ -462,7 +459,6 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
     if track_first_exact:
         first_one[mdp.goal] = 0
     sweeps_to: dict = {}
-    want_reward = stop_reward is not None
     want_err = stop_value_error is not None
 
     for sweep in range(1, max_sweeps + 1):
@@ -481,36 +477,9 @@ def planner_value_iteration(mdp: TabularDsmdp, variant: str = "state",
             err = float(np.dot(p.probs[sup], np.abs(cur_v[sup] - v_star[sup])))
             if err <= stop_value_error:
                 sweeps_to["value_error"] = sweep
-        if want_reward and "reward" not in sweeps_to and sup is not None:
-            r = _greedy_reward(mdp, succ, v, p, gamma, horizon)
-            if r >= stop_reward:
-                sweeps_to["reward"] = sweep
         done_err = (not want_err) or ("value_error" in sweeps_to)
-        done_rew = (not want_reward) or ("reward" in sweeps_to)
-        if done_err and done_rew and (first_one is None
-                                      or (first_one != -1).all()):
+        if done_err and (first_one is None or (first_one != -1).all()):
             break
     table = v[:n] if variant == "state" else qtab
     return PlannerResult(sweeps_to=sweeps_to, first_value_one=first_one,
                          table=table, sweeps_run=sweep)
-
-
-def _greedy_reward(mdp, succ, v, p, gamma, horizon):
-    """Expected reward over p of the policy greedy in v (the dead state's 0
-    last): one argmax over every state's successor values, then a walk
-    along the greedy successors."""
-    greedy = _successor_values(succ, v, mdp.goal, gamma).argmax(axis=1)
-    nxt = np.take_along_axis(succ, greedy[:, None], axis=1)[:, 0].tolist()
-    total = 0.0
-    for s0 in p.support.tolist():
-        s = s0
-        r = 0.0
-        for step in range(1, horizon + 1):
-            s = nxt[s]
-            if s == mdp.goal:
-                r = gamma ** (step - 1)
-                break
-            if s == mdp.dead:
-                break
-        total += p.probs[s0] * r
-    return total

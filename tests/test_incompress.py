@@ -31,12 +31,6 @@ def dense_epsilon_sweep(H, Ed, A, num=200_000):
     return float(vals.max())
 
 
-def test_boundary_limit_is_inverse_mean_d(cliff_bundle):
-    mdp, p, _ = cliff_bundle
-    ic = ic_unmerged(mdp, p, mode="boundary")
-    assert ic.value == pytest.approx(1.0 / 13.0)
-
-
 def test_fixed_epsilon_clamps_negative(cliff_bundle):
     mdp, p, _ = cliff_bundle
     ic = ic_unmerged(mdp, p, mode="fixed_epsilon", epsilon=1.0 / 50.0)

@@ -1,5 +1,7 @@
 """Cross-module invariants that do not belong to a single unit."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from skilldiff.experiments import (random_distribution, random_invertible_mdp,
                                    variant_grid)
 from skilldiff.mdp import shortest_solution_lengths
 from skilldiff.metrics import (p_learning_difficulty, solve_q,
-                               save_report, compute_difficulty_report)
+                               compute_difficulty_report)
 from skilldiff.metrics.solver import DIRECT_MAX_STATES
 from skilldiff.rl import RlConfig, adaptive_epsilon_step
 from skilldiff.skills import GOAL_PASS_DEAD, GOAL_PASS_SUCCESS, augment
@@ -77,19 +79,9 @@ def test_metrics_table_byte_identical(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_save_report_with_sidecars(tmp_path):
+def test_report_to_json():
     mdp, p = build_chain(5)
-    rep = compute_difficulty_report(mdp, p, 0.1)
-    d = shortest_solution_lengths(mdp)
-    q = solve_q(mdp, 0.1)
-    path = tmp_path / "report.json"
-    save_report(rep, str(path), per_state={"d": d.d, "q": q.q})
-    assert path.exists()
-    back = np.load(str(path) + ".d.npy")
-    assert np.array_equal(back, d.d)
-    import json
-
-    payload = json.loads(path.read_text())
+    payload = json.loads(compute_difficulty_report(mdp, p, 0.1).to_json())
     assert payload["log_base"] == "nats"
     assert payload["j_learn"] == pytest.approx(5.0)
     # one action: both IC values are undefined

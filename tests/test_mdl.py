@@ -3,6 +3,7 @@ import pytest
 
 from skilldiff.mdl import (Corpus, MissingParamError, abstract_corpus,
                            discover_macroactions, objective)
+from skilldiff.skills import expand_rewriting
 
 
 def random_corpus(rng, n_sols=8, max_len=12, alphabet=3):
@@ -40,8 +41,10 @@ def test_round_trip_on_random_corpora():
         c = random_corpus(rng)
         macros = [tuple(int(x) for x in rng.integers(0, 3, size=L))
                   for L in rng.integers(2, 5, size=rng.integers(0, 3))]
-        ab = abstract_corpus(c, macros, 3)  # raises if round-trip fails
+        ab = abstract_corpus(c, macros, 3)
         assert len(ab.rewritten) == len(c.solutions)
+        for toks, sol in zip(ab.rewritten, c.solutions):
+            assert tuple(expand_rewriting(toks, macros, 3)) == sol
 
 
 def test_objective_identities():

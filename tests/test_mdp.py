@@ -23,9 +23,10 @@ def test_reverse_graph_chain():
     mdp, _ = build_chain(2)
     rg = build_reverse_graph(mdp)
     assert rg.num_edges == 2
-    assert rg.predecessors(0) == [(1, 0)]
-    assert rg.predecessors(1) == [(2, 0)]
-    assert rg.predecessors(2) == []
+    # state t's (predecessor, action) pairs sit at indptr[t]:indptr[t + 1]
+    assert rg.indptr.tolist() == [0, 1, 2, 2]
+    assert rg.preds.tolist() == [1, 2]
+    assert rg.actions.tolist() == [0, 0]
 
 
 def test_reverse_graph_excludes_dead_transitions():
@@ -34,8 +35,9 @@ def test_reverse_graph_excludes_dead_transitions():
     mdp = TabularDsmdp(successor=succ, goal=0, action_labels=["a", "b"])
     rg = build_reverse_graph(mdp)
     assert rg.num_edges == 2  # only state 2's two edges
-    assert rg.predecessors(0) == [(2, 1)]
-    assert rg.predecessors(1) == [(2, 0)]
+    assert rg.indptr.tolist() == [0, 1, 2, 2]
+    assert rg.preds.tolist() == [2, 2]
+    assert rg.actions.tolist() == [1, 0]
 
 
 def test_reverse_graph_edge_count_equals_non_dead_transitions():

@@ -20,9 +20,7 @@ through a numpy ``Generator``.  ``_bfs_random_invertible_mdp`` is
 ``random_invertible_mdp`` as it was before it tested solvability without a
 reverse graph.  ``_grid_ic_sup`` is
 ``incompress._ic_sup`` as it was before one root solve replaced its grid and
-bounded Brent search over ``_ic_at_logit``.  ``_per_state_greedy_reward`` is
-the planner's ``_greedy_reward`` as it was before one argmax over all states
-replaced an argmax per visited state.  ``_cliff_closure`` and
+bounded Brent search over ``_ic_at_logit``.  ``_cliff_closure`` and
 ``_pickup_closure`` are the cliff and pickup builders as they were before
 ``mdp.enumerate_closure`` numbered and tabulated both, and
 ``_two_pass_rewrite`` is ``skills.rewrite_min_length`` as it was before one
@@ -48,11 +46,12 @@ second reads the per-length solution counts up to max d + 2.
 ``_enumerated_weighted_depth`` (with ``_sequence_success_probability``, once
 public in ``metrics.stochastic``) is ``stochastic_weighted_depth`` as it was
 before one length DP over the action-summed kernel replaced its per-state
-enumeration of action sequences; it adds in another order, so depth and
-masses are held to 1e-12, and its truncation and clip flags must be equal.
+enumeration of action sequences, with the empty sequence now counted at the
+goal as the DP counts it; it adds in another order, so depth and masses are
+held to 1e-12, and its truncation and clip flags must be equal.
 They stay here as oracles.  The graph, the lengths, the solvable sets, the
 enumerated solutions, the matching verdicts, the separability and length
-verdicts, the RL records, the planner results, the cliff and pickup MDPs and
+verdicts, the RL records, the cliff and pickup MDPs and
 the rewritings must match bit for bit, and so must the scramble DP when no
 move has a group; with groups it sums the contexts in another order and is
 held to 1e-15.  IC(sup) is held to 1e-12 relative.  The ``test_split_*`` tests hold the passes that
@@ -75,7 +74,7 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from skilldiff import _ranges, rl
+from skilldiff import _ranges
 from skilldiff.envs import ENV_PRESETS, build_env
 from skilldiff.envs import cliff, scramble
 from skilldiff.envs.cube import _index_map, move_tables as cube_move_tables
@@ -107,8 +106,7 @@ from skilldiff.metrics.stochastic import (StochasticTabularMdp,
                                           stochastic_weighted_depth)
 from skilldiff.metrics.tightness import canonical_shortest_solution
 from skilldiff.rl import (Q_LEARNING, REINFORCE, RL_VALUE_ITERATION,
-                          RunRecord, _ground_truth, _successor_values,
-                          adaptive_epsilon_step, planner_value_iteration,
+                          RunRecord, _ground_truth, adaptive_epsilon_step,
                           protocol_preset, run)
 from skilldiff.skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS,
                               AugmentedMdp, Skill, augment,
@@ -1340,56 +1338,6 @@ def test_run_matches_oracle_over_long_budgets(cliff_bundle):
     _assert_same_run(mdp, p, cfg)
 
 
-# -- planner greedy reward ----------------------------------------------------
-
-def _per_state_greedy_reward(mdp, succ, v, p, gamma, horizon):
-    total = 0.0
-    for s0 in p.support:
-        s = int(s0)
-        r = 0.0
-        for step in range(1, horizon + 1):
-            t = succ[s]
-            a = int(np.argmax(_successor_values(t, v, mdp.goal, gamma)))
-            s2 = int(t[a])
-            if s2 == mdp.goal:
-                r = gamma ** (step - 1)
-                break
-            if s2 == mdp.dead:
-                break
-            s = s2
-        total += p.probs[s0] * r
-    return total
-
-
-@pytest.mark.parametrize("preset,picks", [("cliff", (0, 1, 3, 9, 24, 27)),
-                                          ("pickup", (0, 1, 2))])
-def test_planner_greedy_reward_matches_per_state_oracle(preset, picks,
-                                                        monkeypatch):
-    mdp, p, _ = build_env(ENV_PRESETS[preset])
-    variants = variant_grid(preset, 7)
-    reached = 0
-    for i in picks:
-        env = mdp if variants[i].is_base else materialize_variant(
-            mdp, variants[i], GOAL_PASS_SUCCESS).mdp
-        # alpha = 1 at gamma = 1 ties every successor at 1, so the greedy
-        # walk takes the first action and may never reach the goal
-        for kind, alpha, gamma, stop in (("state", 0.1, 1.0, 0.9),
-                                         ("state", 1.0, 1.0, 0.9),
-                                         ("q", 1.0, 0.95, 0.3)):
-            kw = dict(p=p, stop_reward=stop, stop_value_error=0.01,
-                      gamma=gamma, track_first_exact=True, max_sweeps=30)
-            got = planner_value_iteration(env, kind, alpha, **kw)
-            with monkeypatch.context() as mp:
-                mp.setattr(rl, "_greedy_reward", _per_state_greedy_reward)
-                want = planner_value_iteration(env, kind, alpha, **kw)
-            reached += "reward" in got.sweeps_to
-            assert got.sweeps_to == want.sweeps_to
-            assert got.sweeps_run == want.sweeps_run
-            assert np.array_equal(got.first_value_one, want.first_value_one)
-            assert np.array_equal(got.table, want.table)
-    assert reached >= 2 * len(picks)
-
-
 # -- canonical shortest solution ----------------------------------------------
 
 def _greedy_canonical_solution(mdp, d, s):
@@ -1680,8 +1628,11 @@ def _sequence_success_probability(kernel, goal, s, seq):
     kernel dense [S, A, S].
 
     Mass that reaches the goal before the sequence is exhausted does not
-    count: the run is over and the remaining actions are undefined.
+    count: the run is over and the remaining actions are undefined.  The
+    empty sequence solves the goal alone.
     """
+    if not seq:
+        return float(s == goal)
     alive = np.zeros(kernel.shape[0])
     alive[s] = 1.0
     goal_mass = 0.0
@@ -1696,13 +1647,13 @@ def _sequence_success_probability(kernel, goal, s, seq):
 
 def _enumerated_weighted_depth(smdp, s, l_max, mass_tol=1e-9):
     """(depth, cumulative mass, residual mass, truncated, clipped) of s from
-    every action sequence of length 1..l_max in turn."""
+    every action sequence of length 0..l_max in turn."""
     n, m = smdp.num_states, smdp.num_actions
     kernel = smdp.kernel.toarray().reshape(n, m, n)
     depth = 0.0
     cum = 0.0
     clipped = False
-    for l in range(1, l_max + 1):
+    for l in range(l_max + 1):
         for seq in itertools.product(range(m), repeat=l):
             W = _sequence_success_probability(kernel, smdp.goal, s, seq)
             if W <= 0.0:

@@ -4,30 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from skilldiff.envs.synthetic import build_chain, build_sequence_consume
+from skilldiff.envs.synthetic import build_chain
 from skilldiff.mdp import DEAD_SENTINEL_U32, MdpError, TabularDsmdp
 
 from conftest import random_dsmdp
-
-
-def test_json_round_trip(tmp_path):
-    rng = np.random.default_rng(60)
-    mdp = random_dsmdp(rng, 17, 3)
-    path = tmp_path / "m.json"
-    mdp.save_json(path)
-    back = TabularDsmdp.load_json(path)
-    assert np.array_equal(back.successor, mdp.successor)
-    assert back.goal == mdp.goal
-    assert back.action_labels == mdp.action_labels
-    assert back.base_action_count == mdp.base_action_count
-
-
-def test_json_encodes_dead_as_sentinel(tmp_path):
-    mdp, _ = build_sequence_consume(2, 2)
-    d = mdp.to_json_dict()
-    assert DEAD_SENTINEL_U32 in d["successor"]
-    assert max(x for x in d["successor"] if x != DEAD_SENTINEL_U32) \
-        < mdp.num_states
 
 
 def test_binary_round_trip(tmp_path):
@@ -117,13 +97,6 @@ def test_rewritten_label_blob_still_loads(tmp_path):
     path = _with_label_blob(
         tmp_path, json.dumps({"action_labels": labels}).encode())
     assert TabularDsmdp.load_binary(path).action_labels == labels
-
-
-def test_json_with_a_short_successor_list_is_rejected():
-    d = build_chain(3)[0].to_json_dict()
-    d["successor"] = d["successor"][:-1]
-    with pytest.raises(MdpError, match="successor list has 3 entries"):
-        TabularDsmdp.from_json_dict(d)
 
 
 def test_run_record_json_round_trip():

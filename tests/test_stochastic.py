@@ -99,9 +99,8 @@ def test_depth_is_d_on_deterministic_embeddings(bundle, request):
     d = mdp.solution_lengths
     r = stochastic_weighted_depth(StochasticTabularMdp.from_deterministic(mdp),
                                   l_max=int(d.d.max()))
-    solvable = d.solvable.copy()
-    solvable[mdp.goal] = False  # the goal takes no sequence
-    assert np.array_equal(r.depth[d.solvable], d.d[d.solvable])
+    solvable = d.solvable
+    assert np.array_equal(r.depth[solvable], d.d[solvable])
     assert np.all(r.cumulative_mass[solvable] == 1.0)
     assert not r.truncated[solvable].any()
     assert r.k_max_reached[solvable].all()
