@@ -6,16 +6,16 @@ solved".  This is computed exactly by dynamic programming over
 (state, last-move-group) and averaging the K-step marginals, then
 conditioning on not being at the goal.
 
-The DP pulls rather than scatters: every move gathers, for each target,
-the mass of its sources through n-entry int32 tables.  A move that is legal
-on every state and is undone by a move of the set (itself included), as
-every cube turn is, gathers through that inverse move's own successor
-array.  Any other move's legal entries are inverted once into preimage
-tables (one per preimage a target can have, so an injective move has one);
-an entry of n means "no preimage" and gathers the zero kept at index n of
-every mass vector.  A step divides each context's mass by its legal-move
-count, sums the contexts, and lets every move gather the mass that may enter
-it: the total, less its own group's share.
+The DP pulls rather than scatters: every move t with a legal entry gathers
+through the first move s of the set that undoes it, that is, s[t[x]] == x
+on every legal x of t and s has as many legal entries as t.  Then t maps
+its legal entries one to one onto s's, so s with its illegal entries set to
+n is t's only preimage table: s itself if s is legal everywhere (every cube
+turn), else a masked copy (puzzle8 pairs U with D and R with L).  An entry
+of n gathers the zero kept at index n of every mass vector.  A move with a
+legal entry that no move undoes is rejected.  A step divides each context's
+mass by its legal-move count, sums the contexts, and lets every move gather
+the mass that may enter it: the total, less its own group's share.
 
 The walk starts at one state, so its early steps touch few (frontier
 search: Korf, Zhang, Thayer & Hohwald 2005, JACM 52(5)).  A sorted
@@ -111,35 +111,25 @@ def scramble_distribution(
     ctx = [gindex[m.group] if m.group is not None else C - 1 for m in moves]
 
     succs = [_checked_successor(mv, n) for mv in moves]
-    # legal-move counts per (context, state); a group's context excludes it
-    counts = np.zeros((C, 1), dtype=np.min_scalar_type(len(moves)))
-    tables = [[] for _ in range(C)]  # gather tables of the moves per group
     states = np.arange(n, dtype=np.int32)
-    inverses = {}  # id(s) -> t for each t found above with s[t] == states
-    legal, live_entry = np.empty((2, n), dtype=bool)
-    for t, g in zip(succs, ctx):
-        def mask(lo, hi):  # legal = (t != n) & (t != states)
-            np.not_equal(t[lo:hi], n, out=live_entry[lo:hi])
-            np.not_equal(t[lo:hi], states[lo:hi], out=legal[lo:hi])
-            legal[lo:hi] &= live_entry[lo:hi]
-        split(mask, n)
-        everywhere = bool(legal.all())
-        if not everywhere and counts.shape[1] == 1:
-            counts = counts.repeat(n, axis=1)
+    legals = [_legal(t, states) for t in succs]  # None: legal everywhere
+    # legal-move counts per (context, state); a group's context excludes it
+    counts = np.zeros((C, n if any(m is not None for m in legals) else 1),
+                      dtype=np.min_scalar_type(len(moves)))
+    tables = [[] for _ in range(C)]  # gather tables of the moves per group
+    undone_by = {}  # j -> i for each move j undone by a move i found above
+    for i, (legal, g) in enumerate(zip(legals, ctx)):
         for c in range(C):
             if c != g or g == C - 1:
-                counts[c] += 1 if everywhere else legal
-        inverse = inverses.get(id(t))
-        if inverse is None and everywhere:
-            inverse = _inverse_successor(t, succs, states)
-            if inverse is not None:  # t is a bijection, so t inverts it
-                inverses[id(inverse)] = t
-        if inverse is not None:
-            tables[g].append([inverse])
-        elif legal.any():
-            tables[g].append([table[:n] for table
-                              in _preimage_tables(t, legal, n)])
-    del legal, live_entry
+                counts[c] += 1 if legal is None else legal
+        if legal is not None and not legal.any():
+            continue
+        j = undone_by.get(i)
+        if j is None:
+            j = _undoing_move(i, succs, legals, states, moves[i].label)
+            undone_by[j] = i  # t_i undoes t_j too
+        tables[g].append(succs[j] if legals[j] is None
+                         else np.where(legals[j], succs[j], n))
     stuck = [np.flatnonzero(np.broadcast_to(row == 0, (n,)))
              for row in counts]  # mass stays put
     np.maximum(counts, 1, out=counts)
@@ -209,11 +199,8 @@ def _frontier_step(w, counts, stuck, tables, total, acc, front, nxt):
         else:  # a group's own share may not enter it again
             w[g, front] = total[front] - share[g]
             pool = w[g]
-        for first, *extra in tables[g]:
-            entering = pool[first[nxt]]
-            for table in extra:
-                entering += pool[table[nxt]]
-            part += entering
+        for table in tables[g]:
+            part += pool[table[nxt]]
         w[g, nxt] = part
 
 
@@ -246,12 +233,10 @@ def _dense_step(w, counts, stuck, tables, total, entering, spare, live):
             if not tables[g]:  # no move enters this context
                 spare[lo:hi] = 0.0
                 spare[stuck[g][a:b]] = held[g][a:b]
-            for i, (first, *extra) in enumerate(tables[g]):
+            for i, table in enumerate(tables[g]):
                 into = (entering if i else spare)[lo:hi]
                 # under "clip" take is unbuffered
-                np.take(pool, first[lo:hi], out=into, mode="clip")
-                for table in extra:
-                    into += pool[table[lo:hi]]
+                np.take(pool, table[lo:hi], out=into, mode="clip")
                 if i:
                     spare[lo:hi] += into
                 else:  # stuck mass: e1 + s has the bits of s + e1
@@ -281,39 +266,35 @@ def _checked_successor(mv: ScrambleMove, n: int) -> np.ndarray:
     return t
 
 
-def _inverse_successor(t: np.ndarray, succs: list[np.ndarray],
-                       states: np.ndarray) -> np.ndarray | None:
-    """The first successor array s in succs with s[t] == states, or None.
+def _legal(t: np.ndarray, states: np.ndarray) -> np.ndarray | None:
+    """Where t[x] is not x or n, built on state ranges; None if everywhere."""
+    legal = np.empty(len(t), dtype=bool)
 
-    t is legal on every state; such an s makes t a fixed-point-free
-    permutation and is its one preimage table without the pad entry.  One
-    entry is probed before the full check, which runs on state ranges."""
-    for s in succs:
-        if s[t[0]] != 0:
+    def mask(lo, hi):
+        np.not_equal(t[lo:hi], states[lo:hi], out=legal[lo:hi])
+        legal[lo:hi] &= t[lo:hi] != len(t)
+    split(mask, len(t))
+    return None if legal.all() else legal
+
+
+def _undoing_move(i, succs, legals, states, label) -> int:
+    """The index of the first move that undoes move i (module docstring),
+    probed at one legal entry before the full check on state ranges."""
+    t, legal = succs[i], legals[i]
+    x = 0 if legal is None else int(np.argmax(legal))
+    size = [len(t) if m is None else np.count_nonzero(m) for m in legals]
+    for j, s in enumerate(succs):
+        if s[t[x]] != x or size[j] != size[i]:
             continue
         image, same = np.empty_like(s), []
 
         def check(lo, hi):
             np.take(s, t[lo:hi], out=image[lo:hi], mode="clip")
+            if legal is not None:  # an illegal entry of t checks nothing
+                np.copyto(image[lo:hi], states[lo:hi], where=~legal[lo:hi])
             same.append(np.array_equal(image[lo:hi], states[lo:hi]))
         split(check, len(t))
         if all(same):
-            return s
-    return None
-
-
-def _preimage_tables(successor: np.ndarray, legal: np.ndarray,
-                     n: int) -> list[np.ndarray]:
-    """int32 tables whose k-th holds each target's k-th smallest legal
-    preimage, or n; gathering through them in turn adds a target's sources
-    in state order."""
-    src = np.flatnonzero(legal).astype(np.int32)
-    tgt = np.asarray(successor)[src]
-    tables = []
-    while len(src):
-        table = np.full(n + 1, n, dtype=np.int32)
-        np.minimum.at(table, tgt, src)
-        tables.append(table)
-        rest = table[tgt] != src
-        src, tgt = src[rest], tgt[rest]
-    return tables
+            return j
+    raise ValueError(f"scramble move {label!r} has legal entries but no "
+                     "move of the set undoes it")

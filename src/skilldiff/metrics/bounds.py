@@ -16,7 +16,8 @@ A report lists its claims in this order, each checked only under its
 precondition ("separable macro": a separable base and macro skills only;
 "strict": at least one skill):
 
-1. ``learn_ratio_merged_ic``: |A0| > 1.
+1. ``learn_ratio_merged_ic``: |A0| > 1.  A greedy H[P+] only bounds
+   the rhs from below, so a hold needs the rhs at H[p] as well.
 2. ``learn_ratio_unmerged_ic``: |A0| > 1, separable macro.
 3. ``macros_hurt_learning_when_incompressible``: as 2, strict, and
    1 - IC <= ``incompressibility_threshold(|A0|)``.
@@ -193,7 +194,12 @@ def _learn_ratio_merged_ic(case):
     if case.a0 <= 1:
         return case.skip(name, "needs |A0| > 1")
     icm = ic_merged(case.aug, case.p, mode="sup")
-    return case.ratio_check(name, icm, f"H[P+] method={icm.method}")
+    claim = case.ratio_check(name, icm, f"H[P+] method={icm.method}")
+    # a greedy H[P+] is a lower end, so its rhs is too; merging only coarsens
+    # p, so H[p] is an upper end, and IC at H[p] is the unmerged IC
+    if claim.holds and icm.method == "greedy_lower_bound":
+        claim.holds = case.ratio_check(name, case.icu, "").holds or None
+    return claim
 
 
 def _learn_ratio_unmerged_ic(case):

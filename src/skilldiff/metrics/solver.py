@@ -26,7 +26,9 @@ until the sweep residual is at most ``tol``:
   on (I - cP) q = b over those states (Hestenes & Stiefel 1952).  Symmetry
   rules out an edge between S and an unsolvable state, so CG solves
   B q_S = b_S and leaves the unsolvable states at 0.  The iterate is clipped
-  to [0, 1], where q* lies, so no entry moves away from q*.  A few probed
+  to [0, 1] and raised to c^d(s) on S, where q* lies: c^d(s) is the chance
+  of walking one shortest solution.  So no entry moves away from q*, and
+  none is left at a zero that one sweep cannot lift.  A few probed
   rows reject most asymmetric operators before the O(nnz) check builds
   anything.  On puzzle8 (181,440 states) at delta = 1/50 it takes 82 CG
   steps and one sweep, 0.36-0.57 s, against 696 sweeps and 1.05-1.73 s from
@@ -162,10 +164,12 @@ def _cg_start(mdp: TabularDsmdp, coef: float, q: np.ndarray, tol: float,
     b = coef * np.count_nonzero(mdp.successor == mdp.goal, axis=1)
     x, steps = _cg(product, b, tol / 2, max_iter)
     np.clip(x, 0.0, 1.0, out=q)
+    d = mdp.solution_lengths.d
+    np.maximum(q, np.power(coef, d, where=d > 0, out=np.zeros(len(q))), out=q)
     q[mdp.goal] = 1.0
     if rounding is None:
         return math.inf, steps
-    ones = (mdp.solution_lengths.d > 0).astype(np.float64)
+    ones = (d > 0).astype(np.float64)
     t, t_steps = _cg(product, ones, _T_TOL, max_iter)
     miss = ones - (t - product(t))
     return _inverse_norm_bound(t, miss, rounding), steps + t_steps + 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from skilldiff.experiments import (build_star_base, tradeoff_demonstration,
                                    theorem_campaign)
 from skilldiff.mdp import (StateDistribution, TabularDsmdp,
                            shortest_solution_lengths)
-from skilldiff.metrics import (bounds_report, expansion_length_q,
+from skilldiff.metrics import (bounds, bounds_report, expansion_length_q,
                                ic_unmerged, solve_q,
                                tightness_augmentation, DeltaTooSmallError)
+from skilldiff.metrics.incompress import ICValue
 from skilldiff.skills import (GOAL_PASS_DEAD, MACRO_PRESETS, augment,
                               macro_from_labels)
 
@@ -27,6 +30,34 @@ def test_trivial_augmentation_ratio_is_one():
     c = rep.claim("learn_ratio_merged_ic")
     assert c.lhs == pytest.approx(1.0)
     assert c.holds
+
+
+def test_greedy_merged_ic_holds_only_above_the_unmerged_rhs(monkeypatch):
+    # a greedy H[P+] is a lower end of H[P+], so its rhs is a lower end of
+    # claim 1's rhs; H[p], whose IC is the unmerged IC, is an upper end.  The
+    # claim holds above the upper rhs, is violated below the lower one and
+    # is inconclusive in between; lhs, rhs and notes are the greedy ones
+    rng = np.random.default_rng(20)
+    mdp = random_invertible_mdp(rng, 10, 2)
+    p = random_distribution(rng, mdp)
+    aug = augment(mdp, random_macro_skills(rng, mdp), mode=GOAL_PASS_DEAD)
+    ratio = bounds_report(aug, p, 0.1).claim("learn_ratio_merged_ic").lhs
+    a0, aplus = mdp.num_actions, aug.mdp.num_actions
+    penalty = aplus * math.log(a0) / (a0 * math.log(aplus))
+
+    def ic(share, method=None):  # the IC whose rhs is share * ratio
+        return lambda *args, **kw: ICValue(share * ratio / penalty, "sup",
+                                           method=method)
+    for lower, upper, holds in ((0.5, 0.9, True), (0.5, 2.0, None),
+                                (1.5, 2.0, False)):
+        monkeypatch.setattr(bounds, "ic_merged",
+                            ic(lower, "greedy_lower_bound"))
+        monkeypatch.setattr(bounds, "ic_unmerged", ic(upper))
+        claim = bounds_report(aug, p, 0.1).claim("learn_ratio_merged_ic")
+        assert claim.holds is holds
+        assert claim.lhs == ratio
+        assert claim.rhs == pytest.approx(lower * ratio, rel=1e-12)
+        assert claim.notes == "H[P+] method=greedy_lower_bound"
 
 
 def test_bounds_report_runs_one_bfs_per_mdp(monkeypatch):

@@ -116,14 +116,16 @@ def test_perm_rank_roundtrip():
 # -- scramble DP --------------------------------------------------------------
 
 def test_scramble_chain_two_steps():
-    # deterministic walk away from the goal: K uniform on {1,2} puts half the
-    # mass at distance 1 and half at distance 2
-    mdp, _ = build_chain(3)
-    move = np.array([1, 2, 3, 3], dtype=np.int32)  # away from goal, sticky end
-    res = scramble_distribution(4, 0, [ScrambleMove(successor=move)], 2)
+    # a walk on a chain of 4 states: step 1 must go away from the goal;
+    # step 2 goes on or back, 1/2 each, so K uniform on {1,2} gives
+    # [1/4, 1/2, 1/4, 0], and the goal's 1/4 is conditioned away
+    away = np.array([1, 2, 3, 3], dtype=np.int32)  # a no-op at the far end
+    back = np.array([0, 0, 1, 2], dtype=np.int32)  # a no-op at the goal
+    res = scramble_distribution(4, 0, [ScrambleMove(successor=away),
+                                       ScrambleMove(successor=back)], 2)
     assert np.allclose(res.step_marginal_sums, 1.0)
-    assert res.distribution.probs[1] == pytest.approx(0.5)
-    assert res.distribution.probs[2] == pytest.approx(0.5)
+    assert res.goal_mass_removed == pytest.approx(0.25)
+    assert np.allclose(res.distribution.probs, [0.0, 2 / 3, 1 / 3, 0.0])
 
 
 def test_scramble_goal_conditioning():
@@ -135,20 +137,24 @@ def test_scramble_goal_conditioning():
 
 
 def test_scramble_no_consecutive_same_group():
-    m0 = np.array([1, 2, 3, 3], dtype=np.int32)
-    m1 = np.array([2, 3, 3, 3], dtype=np.int32)
-    # different groups: step 1 from the goal takes either move (1/2 each);
-    # step 2 must switch groups, so 1 -> 3 and 2 -> 3 (ignoring the groups
-    # would give [0, .25, .375, .375])
+    # on a chain of 4 states, steps of one (group 0) and of two (group 1),
+    # each with the step back in its group; a step off the chain is a no-op
+    one = [np.array([1, 2, 3, 3], dtype=np.int32),
+           np.array([0, 0, 1, 2], dtype=np.int32)]
+    two = [np.array([2, 3, 2, 3], dtype=np.int32),
+           np.array([0, 1, 0, 1], dtype=np.int32)]
+    # different groups: step 1 from the goal goes to 1 or 2 (1/2 each);
+    # step 2 must switch groups, so 1 -> 3, and 2 -> 3 or 1 (1/4 each):
+    # [0, 3/8, 1/4, 3/8] (ignoring the groups would give [0, .4, .4, .2]
+    # after conditioning)
     res = scramble_distribution(
-        4, 0, [ScrambleMove(successor=m0, group=0),
-               ScrambleMove(successor=m1, group=1)], 2)
+        4, 0, [ScrambleMove(successor=t, group=g)
+               for g, pair in enumerate((one, two)) for t in pair], 2)
     assert np.allclose(res.step_marginal_sums, 1.0)
-    assert np.allclose(res.distribution.probs, [0.0, 0.25, 0.25, 0.5])
+    assert np.allclose(res.distribution.probs, [0.0, 0.375, 0.25, 0.375])
     # same group: no move is legal after step 1, so the mass stays put
     res = scramble_distribution(
-        4, 0, [ScrambleMove(successor=m0, group=0),
-               ScrambleMove(successor=m1, group=0)], 2)
+        4, 0, [ScrambleMove(successor=t, group=0) for t in one + two], 2)
     assert np.allclose(res.step_marginal_sums, 1.0)
     assert np.allclose(res.distribution.probs, [0.0, 0.5, 0.5, 0.0])
 

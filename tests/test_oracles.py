@@ -29,8 +29,9 @@ that re-derived each choice.  ``_greedy_canonical_solution`` is
 ``canonical_shortest_solution`` as it was before it took the first solution
 of ``enumerate_shortest_solutions``.  ``_dense_scramble`` is the scramble DP
 as it was before it ran on a frontier and before a move undone by a move of
-its set gathered through that move's successor array: it builds preimage
-tables for every move.  ``_unroll_macro_column`` and
+its set gathered through that move's successor array: it scatters one
+preimage table for every move (``_scatter_table``), and rejects a
+many-to-one move, which has none.  ``_unroll_macro_column`` and
 ``_unroll_tabular_column`` (with ``_unroll_one``, the former public
 ``skills.unroll``) are the two column builders ``augment`` had before one
 unroll from every state served macros and tabular skills; they match it on
@@ -84,8 +85,7 @@ from skilldiff.envs.pickup import (ACTIONS as PICKUP_ACTIONS,
                                    DEFAULT_PICKUP_CONFIG, PickupWorldConfig,
                                    build_pickup_world, parse_pickup_config)
 from skilldiff.envs.scramble import (FRONTIER_SHARE, ScrambleMove,
-                                     ScrambleResult, _preimage_tables,
-                                     scramble_distribution)
+                                     ScrambleResult, scramble_distribution)
 from skilldiff.envs.synthetic import build_chain, build_sequence_consume
 from skilldiff.experiments import (VariantSpec, materialize_variant,
                                    random_invertible_mdp, random_macro_skills,
@@ -212,6 +212,18 @@ def _bincount_scramble(num_states, goal, moves, k_max):
     )
 
 
+def _scatter_table(successor, legal, n):
+    """The int32 table that holds each target's legal preimage, or n; a
+    move that takes two legal entries to one target has none."""
+    src = np.flatnonzero(legal).astype(np.int32)
+    tgt = np.asarray(successor)[src]
+    if len(np.unique(tgt)) < len(tgt):
+        raise ValueError("a many-to-one move has no single preimage table")
+    table = np.full(n + 1, n, dtype=np.int32)
+    table[tgt] = src
+    return table
+
+
 def _dense_scramble(num_states, goal, moves, k_max):
     n = num_states
     groups = sorted({m.group for m in moves if m.group is not None})
@@ -228,7 +240,7 @@ def _dense_scramble(num_states, goal, moves, k_max):
             if c != g or g == C - 1:
                 counts[c] += legal
         if legal.any():
-            tables[g].append(_preimage_tables(mv.successor, legal, n))
+            tables[g].append(_scatter_table(t, legal, n))
     stuck = [np.flatnonzero(row == 0) for row in counts]
     np.maximum(counts, 1, out=counts)
 
@@ -251,10 +263,8 @@ def _dense_scramble(num_states, goal, moves, k_max):
                 pool = total
             else:
                 pool = np.subtract(total, w[g], out=w[g])
-            for first, *extra in tables[g]:
-                np.take(pool, first, out=entering, mode="clip")
-                for table in extra:
-                    entering += pool[table]
+            for table in tables[g]:
+                np.take(pool, table, out=entering, mode="clip")
                 w_new[g] += entering
         w, w_new = w_new, w
         np.sum(w[:, :n], axis=0, out=marginal)
@@ -553,27 +563,49 @@ def test_matching_augments_along_a_path_through_every_state(perfect):
 
 # -- scramble DP ----------------------------------------------------------------
 
+def _undone_pair(rng, n, perm, keep):
+    """Successor arrays (t, u): t is perm on the states in keep, and u undoes
+    it on their images; every other entry of either is a no-op or dead."""
+    t, u = np.where(rng.random((2, n)) < 0.5, np.arange(n), n)
+    t[keep] = perm[keep]
+    u[perm[keep]] = np.flatnonzero(keep)
+    return t, u
+
+
+def _cut(t, u, x):
+    """Make t a no-op at x, and u at the image t had there, so that u still
+    undoes t; t may be u."""
+    y = t[x]
+    if y != x and y != len(t):
+        t[x], u[y] = x, y
+
+
 def _random_moves(rng, n, grouped):
-    """Moves mixing permutations, many-to-one maps, dead entries and no-ops;
-    with ``grouped`` some moves share a group and some have none.  A state
-    that no legal move leaves is stuck and keeps its mass."""
+    """Pairs of moves that undo each other, and self-inverse moves: a random
+    permutation of the states, or a random pairing of them, on a random part
+    of the states, with no-ops and dead entries elsewhere.  With
+    ``grouped`` some moves share a group and some have none.  A state that
+    no legal move leaves is stuck and keeps its mass."""
     moves = []
-    for j in range(int(rng.integers(1, 7))):
-        kind = rng.integers(3)
-        if kind == 0:
-            t = rng.permutation(n)
-        elif kind == 1:
-            t = rng.integers(0, n, size=n)
+    for j in range(int(rng.integers(1, 4))):
+        keep = rng.random(n) < rng.uniform(0.3, 1.0)
+        if rng.random() < 0.3:  # pair kept states off: one move
+            a = rng.permutation(np.flatnonzero(keep))
+            a = a[:len(a) // 2 * 2].reshape(-1, 2)
+            perm = np.arange(n)
+            perm[a[:, 0]], perm[a[:, 1]] = a[:, 1], a[:, 0]
+            keep[:] = False
+            keep[a.ravel()] = True
+            pair = _undone_pair(rng, n, perm, keep)[:1]
         else:
-            t = rng.integers(0, max(1, n // 4), size=n)  # heavy collisions
-        noop = rng.random(n) < rng.uniform(0.0, 0.5)
-        t[noop] = np.flatnonzero(noop)
-        t[rng.random(n) < rng.uniform(0.0, 0.4)] = n
-        group = None
-        if grouped and rng.random() < 0.7:
-            group = int(rng.integers(3))
-        moves.append(ScrambleMove(successor=t.astype(np.int32), group=group,
-                                  label=f"m{j}"))
+            pair = _undone_pair(rng, n, rng.permutation(n), keep)
+        for k, t in enumerate(pair):
+            group = None
+            if grouped and rng.random() < 0.7:
+                group = int(rng.integers(3))
+            moves.append(ScrambleMove(successor=t.astype(np.int32),
+                                      group=group, label=f"m{j}{'ab'[k]}"))
+    rng.shuffle(moves)
     return moves
 
 
@@ -653,35 +685,43 @@ def test_scramble_rejects_malformed_moves(successor, what):
 
 
 def _local_moves(rng, n, grouped):
-    """Low-degree moves on a line of n states under a random labelling.
+    """Low-degree moves on a line of n states under a random labelling, in
+    pairs that undo each other.
 
-    Each move shifts most states by its own one to six places, forward
-    for even moves and back for odd ones, so a walk from one state covers
-    few states for many steps.  A fifth of the states shift at random
-    instead, so shifts collide (many-to-one) and some are 0 (no-ops); some
-    entries leave the line or are cut (dead).  On a few states every move
-    outside one group, or every move, is a no-op: they are stuck in that
-    group's context, or in all contexts.
+    A pair's first move shifts every place by its own one to six places on,
+    then swaps about a tenth of the neighbouring places; its second move
+    undoes that.  So a walk from one state covers few states for many
+    steps.  A shift off the line, and about a twentieth of the others, is a
+    no-op or dead in the first move, and so is its image in the second.  On
+    a tenth of the states every move outside one group, or every move, is a
+    no-op: they are stuck in that group's context, or in all contexts.
     """
     label = rng.permutation(n)  # the state at each place on the line
-    place = np.argsort(label)
-    moves = []
-    for j in range(int(rng.integers(2, 5))):
-        shift = np.full(n, (-1) ** j * int(rng.integers(1, 7)))
-        odd = rng.random(n) < 0.2
-        shift[odd] = rng.integers(-6, 7, size=int(odd.sum()))
-        to = place + shift
-        t = np.where((to >= 0) & (to < n), label[np.clip(to, 0, n - 1)], n)
-        t[rng.random(n) < 0.05] = n
-        group = int(rng.integers(2)) if grouped and rng.random() < 0.8 else None
-        moves.append(ScrambleMove(successor=t.astype(np.int32), group=group,
-                                  label=f"m{j}"))
-    for s in rng.choice(n, size=n // 20, replace=False):
-        keep = rng.choice([None, 0, 1]) if grouped else None
-        for mv in moves:
-            if keep is None or mv.group != keep:
-                mv.successor[s] = s
-    return moves
+    places = np.arange(n)
+    pairs = []
+    for j in range(int(rng.integers(1, 4))):
+        shift = int(rng.integers(1, 7))
+        swap = places.copy()
+        i = np.flatnonzero(rng.random(n - 1) < 0.1)
+        i = i[np.diff(i, prepend=-2) > 1]  # disjoint neighbour swaps
+        swap[i], swap[i + 1] = i + 1, i
+        perm, keep = np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
+        perm[label] = label[swap[np.minimum(places + shift, n - 1)]]
+        keep[label] = (places + shift < n) & (rng.random(n) >= 0.05)
+        pair = []
+        for k, t in enumerate(_undone_pair(rng, n, perm, keep)):
+            group = None
+            if grouped and rng.random() < 0.8:
+                group = int(rng.integers(2))
+            pair.append(ScrambleMove(successor=t.astype(np.int32), group=group,
+                                     label=f"m{2 * j + k}"))
+        pairs.append(pair)
+    for s in rng.choice(n, size=n // 10, replace=False):
+        spared = rng.choice([None, 0, 1]) if grouped else None
+        for a, b in pairs + [pair[::-1] for pair in pairs]:
+            if spared is None or a.group != spared:
+                _cut(a.successor, b.successor, s)
+    return [mv for pair in pairs for mv in pair]
 
 
 @pytest.mark.parametrize("grouped", [False, True])
@@ -747,39 +787,30 @@ def _closed_moves(rng, n, grouped):
     return moves
 
 
-def _tables_built(monkeypatch):
-    """Record the successor array of every move that builds preimage
-    tables."""
-    built = []
-
-    def spy(successor, legal, n):
-        built.append(successor)
-        return _preimage_tables(successor, legal, n)
-
-    monkeypatch.setattr(scramble, "_preimage_tables", spy)
-    return built
+def _gather_tables(monkeypatch):
+    """Record the per-group gather tables that each scramble step gets."""
+    seen = []
+    for name in ("_frontier_step", "_dense_step"):
+        def spy(w, counts, stuck, tables, *rest, step=getattr(scramble, name)):
+            seen.append(tables)
+            return step(w, counts, stuck, tables, *rest)
+        monkeypatch.setattr(scramble, name, spy)
+    return seen
 
 
-def _assert_matches_fallback_and_oracle(monkeypatch, n, goal, moves, k_max):
+def _assert_matches_dense_oracle(n, goal, moves, k_max):
     """scramble_distribution equals the dense oracle on p, the step marginal
-    sums and the goal mass, and the preimage-table path on all of those and
-    on step_states.  Returns the result."""
+    sums and the goal mass.  Returns the result."""
     res = scramble_distribution(n, goal, moves, k_max)
     res0 = _dense_scramble(n, goal, moves, k_max)
-    with monkeypatch.context() as mp:
-        mp.setattr(scramble, "_inverse_successor", lambda *args: None)
-        res1 = scramble_distribution(n, goal, moves, k_max)
-    for other in (res0, res1):
-        assert np.array_equal(res.distribution.probs,
-                              other.distribution.probs)
-        assert np.array_equal(res.step_marginal_sums, other.step_marginal_sums)
-        assert res.goal_mass_removed == other.goal_mass_removed
-    assert np.array_equal(res.step_states, res1.step_states)
+    assert np.array_equal(res.distribution.probs, res0.distribution.probs)
+    assert np.array_equal(res.step_marginal_sums, res0.step_marginal_sums)
+    assert res.goal_mass_removed == res0.goal_mass_removed
     return res
 
 
 @pytest.mark.parametrize("grouped", [False, True])
-def test_inverse_scramble_matches_dense_oracle(grouped, monkeypatch):
+def test_inverse_scramble_matches_dense_oracle(grouped):
     # every move pulls through its inverse's successor array; small walks
     # stay on the frontier, the others switch to dense steps
     rng = np.random.default_rng(57 + grouped)
@@ -789,8 +820,7 @@ def test_inverse_scramble_matches_dense_oracle(grouped, monkeypatch):
         goal = int(rng.integers(n))
         moves = _closed_moves(rng, n, grouped)
         k_max = int(rng.integers(1, 30))
-        res = _assert_matches_fallback_and_oracle(monkeypatch, n, goal,
-                                                  moves, k_max)
+        res = _assert_matches_dense_oracle(n, goal, moves, k_max)
         if np.any(res.step_states == n):
             switched += 1
         else:
@@ -798,63 +828,60 @@ def test_inverse_scramble_matches_dense_oracle(grouped, monkeypatch):
     assert switched >= 30 and sparse_only >= 30
 
 
-def test_inverse_scramble_builds_no_preimage_tables(monkeypatch):
-    rng = np.random.default_rng(59)
-    built = _tables_built(monkeypatch)
-    for grouped in (False, True):
-        for _ in range(30):
-            n = 12 * int(rng.integers(1, 40))
-            moves = _closed_moves(rng, n, grouped)
-            scramble_distribution(n, int(rng.integers(n)), moves, 6)
-    assert built == []
-
-
 def test_self_inverse_scramble_move_pulls_through_itself(monkeypatch):
+    # a fixed-point-free flip gathers through its own array, and the flip
+    # with one swapped pair cut through a masked copy of itself
     rng = np.random.default_rng(60)
     flip = ScrambleMove(successor=_cycle_power(rng.permutation(10), 2, 1))
-    built = _tables_built(monkeypatch)
-    res = scramble_distribution(10, 3, [flip], 5)
-    assert built == []
-    _assert_matches_fallback_and_oracle(monkeypatch, 10, 3, [flip], 5)
+    cut = ScrambleMove(successor=flip.successor.copy())
+    _cut(cut.successor, cut.successor, 4)
+    tables = _gather_tables(monkeypatch)
+    res = _assert_matches_dense_oracle(10, 3, [flip], 5)
+    assert [len(g) for g in tables[0]] == [1]
+    assert tables[0][0][0] is flip.successor
     # the walk alternates between the goal and its partner
     assert np.count_nonzero(res.distribution.probs) == 1
+    tables.clear()
+    _assert_matches_dense_oracle(10, 3, [cut], 5)
+    legal = cut.successor != np.arange(10)
+    assert np.array_equal(tables[0][0][0],
+                          _scatter_table(cut.successor, legal, 10)[:10])
 
 
 @pytest.mark.parametrize("grouped", [False, True])
-def test_scramble_without_inverse_or_with_fixed_points_falls_back(
-        grouped, monkeypatch):
-    # a fixed-point-free permutation whose inverse is not in the set, and a
-    # permutation with a fixed point whose inverse is, each build preimage
-    # tables; the moves around them still pull through their inverses
+def test_scramble_rejects_a_move_that_no_move_undoes(grouped):
+    # next to moves closed under inversion: a derangement whose inverse is
+    # not in the set, a partial move whose only candidate, its inverse on
+    # every state, has one more legal entry, and a many-to-one move; each is
+    # named, and the dense oracle rejects the many-to-one move too
     rng = np.random.default_rng(61 + grouped)
-    for _ in range(60):
+    for it in range(60):
         n = 12 * int(rng.integers(1, 60))
         moves = _closed_moves(rng, n, grouped)
-        odd = _cycle_power(rng.permutation(n), 3, 1)
-        fixed = rng.permutation(n).astype(np.int32)
-        s = int(rng.integers(n))  # swap s into place: a fixed point
-        j = int(np.flatnonzero(fixed == s)[0])
-        fixed[j], fixed[s] = fixed[s], s
-        inverse = np.argsort(fixed).astype(np.int32)
-        extra = [ScrambleMove(successor=odd, label="odd"),
-                 ScrambleMove(successor=fixed, label="fixed"),
-                 ScrambleMove(successor=inverse, label="inverse")]
+        perm = rng.permutation(n)
+        bad, inverse = _cycle_power(perm, 3, 1), _cycle_power(perm, 3, 2)
+        x = int(rng.integers(n))
+        if it % 3 == 1:
+            bad[x] = x
+        elif it % 3 == 2:  # x and bad[x] both go to bad[bad[x]]
+            bad[x] = bad[bad[x]]
+        extra = [ScrambleMove(successor=bad, label="bad")]
+        if it % 3:
+            extra.append(ScrambleMove(successor=inverse, label="inverse"))
         if grouped:
-            extra[1].group = extra[2].group = 7
-        moves = moves + extra
-        goal = int(rng.integers(n))
-        k_max = int(rng.integers(1, 20))
-        built = _tables_built(monkeypatch)
-        scramble_distribution(n, goal, moves, k_max)
-        assert [id(t) for t in built] == [id(mv.successor) for mv in extra]
-        monkeypatch.undo()
-        _assert_matches_fallback_and_oracle(monkeypatch, n, goal, moves,
-                                            k_max)
+            for mv in extra:
+                mv.group = int(rng.integers(5))
+        with pytest.raises(ValueError, match="'bad' has legal entries but "
+                                             "no move of the set undoes it"):
+            scramble_distribution(n, 0, moves + extra, 3)
+        if it % 3 == 2:
+            with pytest.raises(ValueError, match="many-to-one"):
+                _dense_scramble(n, 0, moves + extra, 3)
 
 
 def _mixed_moves(rng, n, grouped):
-    """Moves legal on every state, from ``_closed_moves`` or a derangement
-    whose inverse is not in the set, followed by the partial moves of
+    """Moves legal on every state, from ``_closed_moves`` and sometimes a
+    ring of all n states with its inverse, followed by the partial moves of
     ``_local_moves``; or the partial moves alone, whose stuck states stay
     stuck in the "none" context."""
     moves = _local_moves(rng, n, grouped)
@@ -862,17 +889,18 @@ def _mixed_moves(rng, n, grouped):
         return moves
     everywhere = _closed_moves(rng, n, grouped)
     if rng.random() < 0.5:
-        cycle = _cycle_power(rng.permutation(n), n, 1)
-        everywhere.append(ScrambleMove(successor=cycle, label="cycle"))
+        label = rng.permutation(n)
+        everywhere += [ScrambleMove(successor=_cycle_power(label, n, k),
+                                    label=f"ring^{k}") for k in (1, n - 1)]
     return everywhere + moves
 
 
 @pytest.mark.parametrize("grouped", [False, True])
 def test_mixed_legality_scramble_matches_dense_oracle_and_fallback(
         grouped, monkeypatch):
-    # the legal-move counts start as one per context and widen to one per
-    # state at the first partial move; rows of contexts that no move enters
-    # and where no state is stuck are skipped once zero
+    # the legal-move counts keep one column per context while every move is
+    # legal everywhere, and one per state otherwise; rows of contexts that
+    # no move enters and where no state is stuck are skipped once zero
     rng = np.random.default_rng(63 + grouped)
     first_dense = []
     dense_step = scramble._dense_step
@@ -897,8 +925,7 @@ def test_mixed_legality_scramble_matches_dense_oracle_and_fallback(
             with pytest.raises(ValueError):
                 scramble_distribution(n, goal, moves, k_max)
             continue
-        _assert_matches_fallback_and_oracle(monkeypatch, n, goal, moves,
-                                            k_max)
+        _assert_matches_dense_oracle(n, goal, moves, k_max)
         if first_dense:
             wide, stuck_none, zero_row = first_dense[0]
             widened += wide == n and moves[0].label != "m0"
@@ -912,11 +939,13 @@ def test_mixed_legality_scramble_matches_dense_oracle_and_fallback(
 def test_scramble_checks_each_inverse_pair_once(monkeypatch):
     # shifts on a ring of 12 states: a move's probe entry matches only its
     # inverse, so every full check finds the inverse, and a pair is checked
-    # once from its first member; the self-inverse shift by 6 once on its own
-    shifts = [1, 2, 3, 6, 9, 10, 11]
+    # once from its first member; the self-inverse shift by 6 once on its
+    # own, and the shifts by 4 and 8, each cut at one state, once together
+    shifts = [1, 2, 3, 4, 6, 8, 9, 10, 11]
     ring = np.arange(12)
     moves = [ScrambleMove(successor=((ring + k) % 12).astype(np.int32),
                           group=k % 3, label=f"+{k}") for k in shifts]
+    _cut(moves[3].successor, moves[5].successor, 5)
     checks = []
     equal = np.array_equal
 
@@ -926,24 +955,49 @@ def test_scramble_checks_each_inverse_pair_once(monkeypatch):
 
     monkeypatch.setattr(np, "array_equal", array_equal)
     scramble_distribution(12, 0, moves, 6)
-    assert len(checks) == 4
+    assert len(checks) == 5
     monkeypatch.undo()
-    _assert_matches_fallback_and_oracle(monkeypatch, 12, 0, moves, 6)
+    _assert_matches_dense_oracle(12, 0, moves, 6)
 
 
-def test_cube_scramble_preimage_tables_are_the_inverse_moves(cube_bundle):
-    n = cube_bundle[0].num_states
+def test_scramble_pairs_the_cube_and_puzzle8_moves(cube_bundle, monkeypatch):
+    # each cube turn is undone by the opposite turn of its face, a half turn
+    # by itself, and gathers through that turn's own array; puzzle8's blank
+    # moves pair up as U, D and R, L and gather through masked copies, equal
+    # to the scattered preimage tables
+    import skilldiff.envs.npuzzle as npuzzle
+
+    def pairs(succs, labels, n):
+        states = np.arange(n, dtype=np.int32)
+        legals = [scramble._legal(t, states) for t in succs]
+        found = [labels[scramble._undoing_move(i, succs, legals, states,
+                                               labels[i])]
+                 for i in range(len(succs))]
+        return dict(zip(labels, found)), legals
+
     maps = {label: _index_map(tab) for label, tab in cube_move_tables().items()}
-    states = np.arange(n, dtype=np.int32)
-    for label, t in maps.items():
-        inverse = maps[label[0] + str(4 - int(label[1]))]
-        legal = t != states
-        assert legal.all()
-        tables = _preimage_tables(t, legal, n)
-        assert len(tables) == 1 and tables[0][n] == n
-        assert np.array_equal(tables[0][:n], inverse)
-        found = scramble._inverse_successor(t, list(maps.values()), states)
-        assert np.array_equal(found, inverse)
+    found, legals = pairs(list(maps.values()), list(maps),
+                          cube_bundle[0].num_states)
+    assert legals == [None] * 9
+    assert found == {label: label[0] + str(4 - int(label[1]))
+                     for label in maps}
+
+    inputs = []
+
+    def capture(*args):
+        inputs.append(args)
+        return scramble_distribution(*args)
+
+    tables = _gather_tables(monkeypatch)
+    monkeypatch.setattr(npuzzle, "scramble_distribution", capture)
+    npuzzle.build_n_puzzle(3)
+    n, _, moves, _ = inputs[0]
+    found, legals = pairs([mv.successor for mv in moves],
+                          [mv.label for mv in moves], n)
+    assert found == {"U": "D", "D": "U", "R": "L", "L": "R"}
+    for mv, legal, table in zip(moves, legals, tables[0][0]):
+        assert np.array_equal(table,
+                              _scatter_table(mv.successor, legal, n)[:n])
 
 
 def test_perm_rank_matches_outer_product_oracle():
@@ -1998,8 +2052,8 @@ def _assert_all_equal(results):
 
 @pytest.mark.parametrize("grouped", [False, True])
 def test_split_scramble_does_not_depend_on_the_ranges(grouped, monkeypatch):
-    # permutations with their inverses, preimage-table moves (many-to-one
-    # ones need several tables) and stuck states, walks that turn dense
+    # moves legal everywhere and partial ones, each with the move that
+    # undoes it, and stuck states; walks that turn dense
     rng = np.random.default_rng(71 + grouped)
     dense = 0
     for _ in range(40):

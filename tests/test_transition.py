@@ -19,11 +19,13 @@ import numpy as np
 import pytest
 
 from skilldiff.envs import ENV_PRESETS, build_env
+from skilldiff.envs.npuzzle import build_n_puzzle
 from skilldiff.envs.synthetic import build_chain
 from skilldiff.experiments import random_invertible_mdp, random_macro_skills
 from skilldiff.mdp import TabularDsmdp, transition_matrix
 from skilldiff.metrics import (NotConvergedError, expansion_length_q,
-                               per_length_counts, solve_q)
+                               p_exploration_difficulty, per_length_counts,
+                               solve_q)
 from skilldiff.metrics import solver
 from skilldiff.metrics.solver import (DIRECT_MAX_STATES, _direct_start,
                                       _symmetric_nongoal_operator)
@@ -333,6 +335,25 @@ def test_cg_start_on_puzzle8_is_within_the_oracles_bounds(puzzle_bundle):
     assert qt.iterations < it0 / 4
     qt = solve_q(mdp, 0.0)
     assert qt.residual <= 1e-12 and qt.error_bound <= 1e-6
+
+
+@pytest.mark.parametrize("delta", [1.0 / 50.0, 0.0])
+def test_cg_start_floor_keeps_solvable_q_positive(delta, monkeypatch):
+    # puzzle8 where a blank move off the board dies: CG clipped at zero
+    # alone left q = 0 on 983 solvable states at delta = 1/50 and on 223 at
+    # delta = 0, so J_explore raised; raised to the floor c^d, every
+    # solvable q is positive and J_explore agrees with the sweep from zero
+    mdp, p, _ = build_n_puzzle(3, vacuous="death")
+    qt = solve_q(mdp, delta)
+    assert np.all(qt.q[mdp.solution_lengths.solvable] > 0.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_cg_start", lambda *args: (math.inf, 0))
+        q0 = solve_q(mdp, delta)
+    assert (p_exploration_difficulty(mdp, p, qt)
+            == pytest.approx(p_exploration_difficulty(mdp, p, q0), rel=1e-6))
+    if delta > 0:
+        gap = float(np.max(np.abs(qt.q - q0.q)))
+        assert gap <= qt.error_bound + q0.error_bound
 
 
 def test_symmetry_probe_rejects_asymmetric_operators_unbuilt(
