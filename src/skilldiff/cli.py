@@ -160,25 +160,15 @@ def cmd_scatter(args) -> int:
     for sub in args.dirs:
         with open(os.path.join(sub, "metrics.json")) as f:
             rows = json.load(f)
-        base = next(r for r in rows if r["variant"] == "base")
-        variants = {r["variant"]: {"j_learn": r["j_learn"],
-                                   "j_explore": r["j_explore"]}
-                    for r in rows if r["variant"] != "base"}
-        base_measures = {"j_learn": base["j_learn"],
-                         "j_explore": base["j_explore"]}
         if os.path.exists(os.path.join(sub, "runs.jsonl")):
-            for variant, ns in _sample_complexities(sub).items():
-                vals = [n for n in ns if n is not None]
-                n_mean = float(np.mean(vals)) if len(vals) == len(ns) else None
-                if variant == "base":
-                    base_measures["sample_complexity"] = n_mean
-                elif variant in variants:
-                    variants[variant]["sample_complexity"] = n_mean
-        env_rows[os.path.basename(sub.rstrip("/"))] = {
-            "ic": base["ic_sup"],
-            "base": base_measures,
-            "variants": variants,
-        }
+            # the mean over seeds, or None if any seed never crossed
+            per_variant = _sample_complexities(sub)
+            for r in rows:
+                ns = per_variant.get(r["variant"])
+                if ns:
+                    r["sample_complexity"] = (None if None in ns
+                                              else float(np.mean(ns)))
+        env_rows[os.path.basename(sub.rstrip("/"))] = rows
     rows = improvement_scatter(env_rows)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "scatter.csv")

@@ -14,10 +14,8 @@ from scipy.optimize import minimize_scalar
 
 from .envs import ENV_PRESETS, build_env
 from .mdp import StateDistribution, TabularDsmdp
-from .metrics import (bounds_report, compute_difficulty_report, solve_q,
-                      incompressibility_threshold, p_exploration_difficulty,
-                      p_learning_difficulty, tightness_augmentation,
-                      ic_unmerged)
+from .metrics import (bounds_report, compute_difficulty_report,
+                      incompressibility_threshold, tightness_augmentation)
 from .rl import protocol_preset, measure_sample_complexity, run
 from .skills import (GOAL_PASS_DEAD, GOAL_PASS_SUCCESS, MACRO_PRESETS,
                      AugmentedMdp, MacroGenSpec, Skill, augment,
@@ -84,22 +82,25 @@ def cell_seed(*parts: int) -> int:
 def metrics_table(env_preset: str, variants: list[VariantSpec],
                   delta: float = 1.0 / 50.0) -> list[dict]:
     mdp, p, _ = build_env(ENV_PRESETS[env_preset])
-    rows = []
-    for v in variants:
-        aug = None if v.is_base else materialize_variant(mdp, v,
-                                                         GOAL_PASS_DEAD)
-        rep = compute_difficulty_report(aug.mdp if aug else mdp, p, delta)
-        row = {"variant": v.name, "macros": "|".join(v.macros)}
-        # the table keeps its columns; the q error bound is in the report and
-        # the table computes no merged IC
-        row.update({k: val for k, val in asdict(rep).items()
-                    if not isinstance(val, dict)
-                    and k not in ("q_error_bound", "ic_merged")})
-        row["goal_pass_mode"] = aug.goal_pass_mode if aug else None
-        row["ic_fixed"] = rep.ic_unmerged_fixed["value"]
-        row["ic_sup"] = rep.ic_unmerged_sup["value"]
-        rows.append(row)
-    return rows
+    return [_metrics_row(mdp, p, v, delta) for v in variants]
+
+
+def _metrics_row(mdp: TabularDsmdp, p: StateDistribution,
+                 v: VariantSpec, delta: float) -> dict:
+    """One row of ``metrics_table``; the variant's augmented MDP is freed on
+    return, before the next variant is built."""
+    aug = None if v.is_base else materialize_variant(mdp, v, GOAL_PASS_DEAD)
+    rep = compute_difficulty_report(aug.mdp if aug else mdp, p, delta)
+    row = {"variant": v.name, "macros": "|".join(v.macros)}
+    # the table keeps its columns; the q error bound is in the report and
+    # the table computes no merged IC
+    row.update({k: val for k, val in asdict(rep).items()
+                if not isinstance(val, dict)
+                and k not in ("q_error_bound", "ic_merged")})
+    row["goal_pass_mode"] = aug.goal_pass_mode if aug else None
+    row["ic_fixed"] = rep.ic_unmerged_fixed["value"]
+    row["ic_sup"] = rep.ic_unmerged_sup["value"]
+    return row
 
 
 def write_csv(rows: list[dict], path: str):
@@ -266,21 +267,23 @@ plot '{csv}' using 2:3:1 with labels point pt 7 offset char 1,0.5 notitle
 """
 
 
-def improvement_scatter(env_rows: dict[str, dict]) -> list[dict]:
-    """env_rows: env -> {"ic": float, "base": {measure: value},
-    "variants": {name: {measure: value}}}.  Emits one row per (env, measure):
-    the best ratio min over strict variants of C+/C0."""
+def improvement_scatter(env_rows: dict[str, list[dict]]) -> list[dict]:
+    """env_rows: env -> its ``metrics_table`` rows, each optionally with a
+    ``sample_complexity``.  Emits one row per (env, measure) that the base
+    row has: the base's ``ic_sup`` and the best ratio C+/C0, the least over
+    the other rows that have the measure."""
     out = []
-    for env, data in sorted(env_rows.items()):
-        for measure, c0 in sorted(data["base"].items()):
+    for env, rows in sorted(env_rows.items()):
+        base = next(r for r in rows if r["variant"] == "base")
+        for measure in ("j_explore", "j_learn", "sample_complexity"):
+            c0 = base.get(measure)
             if c0 is None:
                 continue
-            ratios = [vv[measure] / c0 for vv in data["variants"].values()
-                      if vv.get(measure) is not None]
-            if not ratios:
-                continue
-            out.append({"env": env, "measure": measure, "ic": data["ic"],
-                        "best_ratio": min(ratios)})
+            ratios = [r[measure] / c0 for r in rows
+                      if r is not base and r.get(measure) is not None]
+            if ratios:
+                out.append({"env": env, "measure": measure,
+                            "ic": base["ic_sup"], "best_ratio": min(ratios)})
     return out
 
 
@@ -429,18 +432,15 @@ def tradeoff_demonstration() -> dict:
     augmentation raises learning difficulty while lowering exploration
     difficulty."""
     mdp, p = build_star_base(6)
-    ic = ic_unmerged(mdp, p, mode="sup")
-    cond_rhs = incompressibility_threshold(mdp.num_actions)
     aug, info = tightness_augmentation(mdp, p, TRADEOFF_DELTA, TRADEOFF_K)
-    q0 = solve_q(mdp, TRADEOFF_DELTA)
-    qp = solve_q(aug.mdp, TRADEOFF_DELTA)
-    out = {
-        "condition_met": bool(1.0 - ic.value <= cond_rhs),
-        "ic": ic.value,
-        "j_learn_ratio": p_learning_difficulty(aug.mdp, p)
-        / p_learning_difficulty(mdp, p),
-        "j_explore_ratio": p_exploration_difficulty(aug.mdp, p, qp)
-        / p_exploration_difficulty(mdp, p, q0),
+    base = compute_difficulty_report(mdp, p, TRADEOFF_DELTA)
+    plus = compute_difficulty_report(aug.mdp, p, TRADEOFF_DELTA)
+    ic = base.ic_unmerged_sup["value"]
+    return {
+        "condition_met": bool(
+            1.0 - ic <= incompressibility_threshold(mdp.num_actions)),
+        "ic": ic,
+        "j_learn_ratio": plus.j_learn / base.j_learn,
+        "j_explore_ratio": plus.j_explore / base.j_explore,
         "fallback_self_states": len(info.fallback_states),
     }
-    return out

@@ -340,12 +340,11 @@ def _row_pointers(live: np.ndarray) -> np.ndarray:
 
 
 class ReverseGraph:
-    """Predecessor adjacency (state -> (predecessor, action) pairs) in CSR form."""
+    """Predecessor adjacency (state -> predecessors) in CSR form."""
 
-    def __init__(self, indptr: np.ndarray, preds: np.ndarray, actions: np.ndarray):
+    def __init__(self, indptr: np.ndarray, preds: np.ndarray):
         self.indptr = indptr
         self.preds = preds
-        self.actions = actions
 
     @property
     def num_edges(self) -> int:
@@ -355,19 +354,17 @@ class ReverseGraph:
 def build_reverse_graph(mdp: TabularDsmdp) -> ReverseGraph:
     """Invert the successor table.  Dead transitions and the goal row are skipped.
 
-    The reverse graph is the transpose of the CSR operator with int32
-    action ids as its entries; ``tocsc`` transposes by a counting sort,
-    which keeps each target's predecessors in (state, action) order.
+    The reverse graph is the transpose of the CSR operator with 1-byte
+    entries; ``tocsc`` transposes by a counting sort, which keeps each
+    target's predecessors in (state, action) order.
     """
     succ, n = mdp.successor, mdp.num_states
     live = succ != mdp.dead
-    action_ids = np.arange(mdp.num_actions, dtype=np.int32)
-    actions = np.tile(action_ids, n)[live.ravel()]
-    R = csr_matrix((actions, succ[live], _row_pointers(live)),
-                   shape=(n, n)).tocsc()
+    targets = succ[live]
+    R = csr_matrix((np.ones(len(targets), dtype=np.uint8), targets,
+                    _row_pointers(live)), shape=(n, n)).tocsc()
     return ReverseGraph(R.indptr.astype(np.int64),
-                        R.indices.astype(np.int32, copy=False),
-                        R.data.astype(np.int32, copy=False))
+                        R.indices.astype(np.int32, copy=False))
 
 
 def shortest_solution_lengths(

@@ -152,9 +152,8 @@ def test_c06_incompressibility_ordering_full_scale(cliff_bundle,
                              ("puzzle", puzzle_bundle),
                              ("cube", cube_bundle)):
             mdp, p, _ = bundle
-            d = shortest_solution_lengths(mdp)
-            p.validate(mdp, d.d)
-            values[name] = ic_unmerged(mdp, p, mode="sup", d=d).value
+            p.validate(mdp)
+            values[name] = ic_unmerged(mdp, p, mode="sup").value
         assert values["cliff"] < values["puzzle"] < values["cube"]
         # exercise the full metric pipeline at cube scale: q solve + J's
         mdp, p, _ = cube_bundle

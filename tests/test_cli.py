@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -57,6 +58,16 @@ def test_metrics_run_correlate_pipeline(tmp_path):
     assert -1.0 <= corr["geometric"]["pearson_r"] <= 1.0
 
 
+def _run_line(run_id, crossing):
+    """A runs.jsonl line whose reward crosses 0.95 at env step `crossing`,
+    or never when it is None."""
+    final = (5000, 0.5, 1.0) if crossing is None else (crossing, 1.0, 0.0)
+    return json.dumps({"run_id": run_id, "samples": [(0, 0.0, 1.0), final],
+                       "converged": crossing is not None,
+                       "terminal_env_steps": 5000,
+                       "algorithm": "q_learning", "seed": run_id})
+
+
 def test_scatter_command(tmp_path):
     metdir = tmp_path / "cliffmetrics"
     os.makedirs(metdir)
@@ -65,13 +76,34 @@ def test_scatter_command(tmp_path):
          "ic_sup": 0.0769},
         {"variant": "v1", "j_learn": 26.0, "j_explore": 5.0,
          "ic_sup": 0.1},
+        {"variant": "v2", "j_learn": 60.0, "j_explore": 6.0,
+         "ic_sup": 0.2},
     ]
     (metdir / "metrics.json").write_text(json.dumps(rows))
     out = tmp_path / "scatter"
     assert main(["scatter", str(metdir), "--out", str(out)]) == 0
     text = (out / "scatter.csv").read_text()
     assert "cliffmetrics" in text
+    assert "sample_complexity" not in text
     assert (out / "scatter.gp").exists()
+
+    # base and v1 average their seeds (2000 and 1000); v2 has a seed that
+    # never crossed, and "gone" has no metrics row, so neither counts
+    runs = [("base", 1000), ("base", 3000), ("v1", 500), ("v1", 1500),
+            ("v2", 100), ("v2", None), ("gone", 10)]
+    (metdir / "runs.jsonl").write_text(
+        "".join(_run_line(i, n) + "\n" for i, (_, n) in enumerate(runs)))
+    (metdir / "manifest.json").write_text(json.dumps(
+        [{"run_id": i, "variant": v, "algorithm": "q_learning",
+          "seed_index": i % 2} for i, (v, _) in enumerate(runs)]))
+    (metdir / "spec.json").write_text(json.dumps(
+        {"criterion": {"which": "reward", "threshold": 0.95}}))
+    assert main(["scatter", str(metdir), "--out", str(out)]) == 0
+    with open(out / "scatter.csv", newline="") as f:
+        ratios = {r["measure"]: float(r["best_ratio"])
+                  for r in csv.DictReader(f)}
+    assert ratios == pytest.approx({"j_explore": 5.0 / 5.8, "j_learn": 0.5,
+                                    "sample_complexity": 0.5})
 
 
 def test_bounds_command_exit_code(tmp_path):

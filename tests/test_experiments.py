@@ -148,10 +148,9 @@ def test_campaign_deterministic_across_calls():
 
 def test_improvement_scatter_rows():
     env_rows = {
-        "cliff": {"ic": 0.077,
-                  "base": {"j_learn": 52.0},
-                  "variants": {"v1": {"j_learn": 26.0},
-                               "v2": {"j_learn": 130.0}}},
+        "cliff": [{"variant": "base", "ic_sup": 0.077, "j_learn": 52.0},
+                  {"variant": "v1", "j_learn": 26.0},
+                  {"variant": "v2", "j_learn": 130.0}],
     }
     rows = improvement_scatter(env_rows)
     assert rows == [{"env": "cliff", "measure": "j_learn", "ic": 0.077,
@@ -162,12 +161,12 @@ def test_improvement_scatter_skips_a_base_that_never_converged():
     # the scatter command sets the base's sample complexity to None when a
     # base seed never crossed the threshold; converged variants are skipped
     env_rows = {
-        "cliff": {"ic": 0.077,
-                  "base": {"j_learn": 52.0, "sample_complexity": None},
-                  "variants": {"v1": {"j_learn": 26.0,
-                                      "sample_complexity": 1000.0},
-                               "v2": {"j_learn": 130.0,
-                                      "sample_complexity": None}}},
+        "cliff": [{"variant": "base", "ic_sup": 0.077, "j_learn": 52.0,
+                   "sample_complexity": None},
+                  {"variant": "v1", "j_learn": 26.0,
+                   "sample_complexity": 1000.0},
+                  {"variant": "v2", "j_learn": 130.0,
+                   "sample_complexity": None}],
     }
     rows = improvement_scatter(env_rows)
     assert rows == [{"env": "cliff", "measure": "j_learn", "ic": 0.077,

@@ -23,10 +23,9 @@ def test_reverse_graph_chain():
     mdp, _ = build_chain(2)
     rg = build_reverse_graph(mdp)
     assert rg.num_edges == 2
-    # state t's (predecessor, action) pairs sit at indptr[t]:indptr[t + 1]
+    # state t's predecessors sit at indptr[t]:indptr[t + 1]
     assert rg.indptr.tolist() == [0, 1, 2, 2]
     assert rg.preds.tolist() == [1, 2]
-    assert rg.actions.tolist() == [0, 0]
 
 
 def test_reverse_graph_excludes_dead_transitions():
@@ -37,7 +36,6 @@ def test_reverse_graph_excludes_dead_transitions():
     assert rg.num_edges == 2  # only state 2's two edges
     assert rg.indptr.tolist() == [0, 1, 2, 2]
     assert rg.preds.tolist() == [2, 2]
-    assert rg.actions.tolist() == [1, 0]
 
 
 def test_reverse_graph_edge_count_equals_non_dead_transitions():

@@ -123,11 +123,10 @@ def _argsort_reverse_graph(mdp):
     order = np.argsort(targets, kind="stable")
     sorted_edges = valid[order]
     preds = (sorted_edges // m).astype(np.int32)
-    actions = (sorted_edges % m).astype(np.int32)
     counts = np.bincount(targets, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return ReverseGraph(indptr, preds, actions)
+    return ReverseGraph(indptr, preds)
 
 
 def _unique_bfs(mdp, rev):
@@ -354,7 +353,7 @@ def test_reverse_graph_and_bfs_match_oracles():
     for _ in range(300):
         mdp = _random_table(rng)
         rev, rev0 = build_reverse_graph(mdp), _argsort_reverse_graph(mdp)
-        for name in ("indptr", "preds", "actions"):
+        for name in ("indptr", "preds"):
             _assert_same_arrays(getattr(rev, name), getattr(rev0, name))
         d0 = _unique_bfs(mdp, rev0).d
         _assert_same_arrays(shortest_solution_lengths(mdp, rev).d, d0)
@@ -373,7 +372,7 @@ def test_reverse_graph_of_an_all_dead_table_is_empty():
 def test_reverse_graph_and_bfs_on_puzzle8_match_oracles(puzzle_bundle):
     mdp, _, _ = puzzle_bundle
     rev, rev0 = build_reverse_graph(mdp), _argsort_reverse_graph(mdp)
-    for name in ("indptr", "preds", "actions"):
+    for name in ("indptr", "preds"):
         _assert_same_arrays(getattr(rev, name), getattr(rev0, name))
     _assert_same_arrays(shortest_solution_lengths(mdp, rev).d,
                         _unique_bfs(mdp, rev0).d)
@@ -388,7 +387,6 @@ def test_pull_bfs_does_not_read_rev_below_the_cutoff():
         mdp = _random_table(rng)
         n = mdp.num_states
         empty = ReverseGraph(np.zeros(n + 1, dtype=np.int64),
-                             np.empty(0, dtype=np.int32),
                              np.empty(0, dtype=np.int32))
         want = _unique_bfs(mdp, _argsort_reverse_graph(mdp)).d
         _assert_same_arrays(shortest_solution_lengths(mdp, empty).d, want)
@@ -2101,7 +2099,7 @@ def test_split_bfs_and_reverse_graph_do_not_depend_on_the_ranges(
         def run():
             rev = build_reverse_graph(mdp)
             d = shortest_solution_lengths(mdp, rev).d
-            return rev.indptr, rev.preds, rev.actions, d
+            return rev.indptr, rev.preds, d
         _assert_all_equal(_across_ranges(monkeypatch, run))
 
 
