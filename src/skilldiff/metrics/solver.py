@@ -28,11 +28,11 @@ until the sweep residual is at most ``tol``:
   B q_S = b_S and leaves the unsolvable states at 0.  The iterate is clipped
   to [0, 1] and raised to c^d(s) on S, where q* lies: c^d(s) is the chance
   of walking one shortest solution.  So no entry moves away from q*, and
-  none is left at a zero that one sweep cannot lift.  A few probed
-  rows reject most asymmetric operators before the O(nnz) check builds
-  anything.  On puzzle8 (181,440 states) at delta = 1/50 it takes 82 CG
-  steps and one sweep, 0.36-0.57 s, against 696 sweeps and 1.05-1.73 s from
-  zero (2-vCPU Xeon).
+  none is left at a zero that one sweep cannot lift.  Symmetry is read
+  from the successor table with block-sized temporaries, so an asymmetric
+  operator is never built.  On puzzle8 (181,440 states) at delta = 1/50 it
+  takes 82 CG steps and one sweep, 0.36-0.57 s, against 696 sweeps and
+  1.05-1.73 s from zero (2-vCPU Xeon).
 * zero: every other MDP starts from q = 0 (only the goal at 1).
 
 Above ``_ranges.FLOOR`` states, the sweep's product and residual and CG's
@@ -63,12 +63,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
 
-from .._ranges import split
+from .._ranges import BLOCK, split
 from ..mdp import DIRECT_MAX_STATES, TabularDsmdp, transition_matrix
 
 _EPS = np.finfo(np.float64).eps
-# rows probed for symmetry before the full check
-_PROBE_ROWS = 16
 # CG stops t once ||1 - B t||_inf <= this, so the gain exceeds ||t||_inf by
 # about a millionth
 _T_TOL = 1e-6
@@ -113,12 +111,11 @@ def solve_q(mdp: TabularDsmdp, delta: float, tol: float = 1e-12,
         t_gain, products = _cg_start(mdp, coef, q, tol, max_iter, check)
     gain = (1.0 - delta) / delta if delta > 0 else t_gain
     product = _scaled_product(P, coef)
-    gap = np.empty(n)
     residual = np.inf
     for it in range(products + 1, max_iter + 1):
         new = product(q)
         new[goal] = 1.0
-        residual = _max_gap(new, q, gap)
+        residual = _max_gap(new, q)
         q = new
         if residual <= tol:
             return QTable(q=q, delta=delta, residual=residual, iterations=it,
@@ -179,19 +176,27 @@ def _symmetric_nongoal_operator(mdp: TabularDsmdp):
     """P over the non-goal states (the goal column dropped) as CSR, or None
     when it is not symmetric.
 
-    Each live non-goal successor t of a few probed rows s must reach s as
-    often as s reaches t; the first mismatch returns before anything of
-    size n is built."""
+    Symmetry is decided on the successor table, by blocks of states: each
+    live non-goal successor t of s must reach s as often as s reaches t
+    (the goal row is all dead).  Temporaries are block-sized, the first
+    mismatch returns, and P is built only when every block passes."""
     succ, n, goal = mdp.successor, mdp.num_states, mdp.goal
-    for s in np.linspace(0, n - 1, _PROBE_ROWS, dtype=np.int64).tolist():
-        row = succ[s]
-        for t in row.tolist():
-            if (t != n and t != goal and np.count_nonzero(succ[t] == s)
-                    != np.count_nonzero(row == t)):
+    for lo in range(0, n, BLOCK):
+        rows = succ[lo:lo + BLOCK]
+        ids = np.arange(lo, lo + len(rows), dtype=np.int32)
+        for t in rows.T:
+            live = (t != n) & (t != goal)
+            back = succ.take(np.where(live, t, 0), axis=0)
+            # actions s -> t less actions t -> s, one column at a time
+            excess = np.zeros(len(rows), dtype=np.int16)
+            for a in range(rows.shape[1]):
+                excess += rows[:, a] == t
+                excess -= back[:, a] == ids
+            if np.any(live & (excess != 0)):
                 return None
     M = transition_matrix(np.where(succ == goal, n, succ))
     M.sum_duplicates()
-    return M if (M != M.T).nnz == 0 else None
+    return M
 
 
 def _cg(product, b: np.ndarray, tol: float,
@@ -240,13 +245,13 @@ def _scaled_product(P, coef: float):
     return product
 
 
-def _max_gap(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
-    """max |a - b|, by state ranges written through buf; a max is exact,
-    so the ranges cannot change it, and a NaN anywhere gives NaN."""
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|, by state ranges in block-sized temporaries; a max is
+    exact, so the ranges cannot change it, and a NaN anywhere gives NaN."""
     parts = []
 
     def gap(lo, hi):
-        diff = np.subtract(a[lo:hi], b[lo:hi], out=buf[lo:hi])
+        diff = np.subtract(a[lo:hi], b[lo:hi])
         parts.append(np.abs(diff, out=diff).max())
     split(gap, len(a))
     return float(np.max(parts))

@@ -1,11 +1,14 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from skilldiff import _ranges, experiments
 from skilldiff.envs import ENV_PRESETS, build_env
 from skilldiff.envs.synthetic import build_sequence_consume
-from skilldiff.experiments import (build_star_base, tradeoff_demonstration,
+from skilldiff.experiments import (CampaignSummary, build_star_base,
+                                   tradeoff_demonstration,
                                    random_distribution, random_invertible_mdp,
                                    random_macro_skills, random_tabular_skills,
                                    theorem_campaign)
@@ -151,6 +154,91 @@ def test_campaign_counts_checked_claims_at_seed_7():
     # no random case meets the preconditions of the two "macros hurt" claims
     assert s.checked_by_claim["macros_hurt_learning_when_incompressible"] == 0
     assert s.checked_by_claim["macros_hurt_exploration_near_uniform"] == 0
+
+
+def _serial_campaign(seed=0, n_macro_cases=200, n_skill_cases=200,
+                     n_seqcons_sets=50, delta=0.1, max_states=40):
+    """Oracle: the campaign as one loop that draws and evaluates each case
+    in turn, in one process."""
+    rng = np.random.default_rng(seed)
+    summary = CampaignSummary()
+    for kind, cases, make_skills in (
+            ("macro", n_macro_cases, random_macro_skills),
+            ("skill", n_skill_cases, random_tabular_skills)):
+        for i in range(cases):
+            n = int(rng.integers(5, max_states + 1))
+            m = int(rng.integers(2, 4))
+            mdp = random_invertible_mdp(rng, n, m)
+            p = random_distribution(rng, mdp)
+            aug = augment(mdp, make_skills(rng, mdp), mode=GOAL_PASS_DEAD)
+            summary.absorb(f"{kind}[{i}]", bounds_report(aug, p, delta))
+    seq_mdp, seq_p = build_sequence_consume(2, 3)
+    for i in range(n_seqcons_sets):
+        aug = augment(seq_mdp, random_macro_skills(rng, seq_mdp),
+                      mode=GOAL_PASS_DEAD)
+        summary.absorb(f"seqcons[{i}]", bounds_report(aug, seq_p, 0.0))
+    return summary
+
+
+def _summary_fields(s):
+    return (s.cases, s.holds, s.inconclusive, s.skipped, s.violations,
+            s.held_by_claim, s.checked_by_claim)
+
+
+@pytest.mark.parametrize("seed, sizes", [
+    (2, dict(n_macro_cases=15, n_skill_cases=10, n_seqcons_sets=5,
+             max_states=20)),
+    (7, {})])
+def test_theorem_campaign_does_not_depend_on_the_worker_count(
+        seed, sizes, monkeypatch):
+    oracle = _summary_fields(_serial_campaign(seed, **sizes))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_ranges, "CPUS", workers)
+        assert _summary_fields(theorem_campaign(seed, **sizes)) == oracle
+
+
+def test_theorem_campaign_pool_reports_progress_in_order_and_reraises(
+        monkeypatch):
+    monkeypatch.setattr(_ranges, "CPUS", 2)
+    sizes = dict(n_macro_cases=12, n_skill_cases=9, n_seqcons_sets=4,
+                 max_states=12)
+    order = ([("macro", i) for i in range(12)]
+             + [("skill", i) for i in range(9)]
+             + [("seqcons", i) for i in range(4)])
+    seen = []
+    theorem_campaign(3, **sizes, progress=lambda i, kind: seen.append(
+        (kind, i)))
+    assert seen == order
+    assert multiprocessing.active_children() == []
+
+    # the seqcons cases raise inside a worker; no case from the first of
+    # them on is reported
+    report = experiments.bounds_report
+
+    def failing(aug, p, delta):
+        if delta == 0.0:
+            raise ZeroDivisionError("seqcons case failed")
+        return report(aug, p, delta)
+
+    monkeypatch.setattr(experiments, "bounds_report", failing)
+    seen.clear()
+    with pytest.raises(ZeroDivisionError, match="seqcons case failed"):
+        theorem_campaign(3, **sizes, progress=lambda i, kind: seen.append(
+            (kind, i)))
+    assert seen == order[:len(seen)] and len(seen) < 21
+    assert multiprocessing.active_children() == []
+
+    # a progress that raises in the caller, while workers still run, also
+    # leaves no worker behind
+    monkeypatch.setattr(experiments, "bounds_report", report)
+
+    def stop(i, kind):
+        if (kind, i) == ("macro", 2):
+            raise KeyError("stop")
+
+    with pytest.raises(KeyError, match="stop"):
+        theorem_campaign(3, **sizes, progress=stop)
+    assert multiprocessing.active_children() == []
 
 
 def test_density_exploration_bound_on_tabular_skills():

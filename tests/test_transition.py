@@ -29,7 +29,7 @@ from skilldiff.metrics import (NotConvergedError, expansion_length_q,
 from skilldiff.metrics import solver
 from skilldiff.metrics.solver import (DIRECT_MAX_STATES, _direct_start,
                                       _symmetric_nongoal_operator)
-from skilldiff.skills import GOAL_PASS_DEAD, augment
+from skilldiff.skills import GOAL_PASS_DEAD, Skill, augment
 
 from conftest import exact_q, exact_solve
 
@@ -356,47 +356,107 @@ def test_cg_start_floor_keeps_solvable_q_positive(delta, monkeypatch):
         assert gap <= qt.error_bound + q0.error_bound
 
 
-def test_symmetry_probe_rejects_asymmetric_operators_unbuilt(
+def _symmetric_by_transpose(mdp):
+    """Oracle: the non-goal operator built whole, returned when it equals
+    its transpose, else None."""
+    n = mdp.num_states
+    M = transition_matrix(np.where(mdp.successor == mdp.goal, n,
+                                   mdp.successor))
+    M.sum_duplicates()
+    return M if (M != M.T).nnz == 0 else None
+
+
+def _table(succ):
+    return TabularDsmdp(successor=succ, goal=0,
+                        action_labels=[f"a{i}" for i in range(succ.shape[1])])
+
+
+def _asymmetric_variants(rng, mdp):
+    """Copies of an involution table each turned asymmetric in one place:
+    one edge anywhere, and an edge of a state next to the goal."""
+    succ, n = mdp.successor, mdp.num_states
+    s, t = rng.choice(np.arange(1, n), 2, replace=False)
+    edge = succ.copy()
+    edge[s, 0] = t if edge[s, 0] != t else n
+    near = succ.copy()
+    other = (succ != 0) & (succ != n) & (succ != np.arange(n)[:, None])
+    s, a = np.argwhere(other & (succ == 0).any(axis=1)[:, None])[0]
+    near[s, a] = n
+    return [_table(edge), _table(near)]
+
+
+def _quarter_turns_and_inverse(k):
+    """k 4-cycles, goal 0 in the first, one action turning each cycle and
+    the macro of three turns, its inverse.  Through the goal the macro
+    dies, so the operator is asymmetric only next to the goal, as on the
+    cube with F and FFF."""
+    i = np.arange(4 * k)
+    succ = (4 * (i // 4) + (i + 1) % 4).astype(np.int32)[:, None]
+    succ[0] = 4 * k
+    turns = _table(succ)
+    return augment(turns, [Skill.from_macro((0, 0, 0), label="fff")],
+                   GOAL_PASS_DEAD).mdp
+
+
+def test_symmetry_check_matches_the_transpose_oracle():
+    rng = np.random.default_rng(52)
+    for _ in range(8):
+        n = int(rng.integers(DIRECT_MAX_STATES + 1, DIRECT_MAX_STATES + 120))
+        sym = _involution_table(rng, n, int(rng.integers(2, 5)),
+                                traps=int(rng.integers(0, 20)),
+                                dead_pairs=0.1)
+        # a copy of an action doubles its entries and keeps the symmetry;
+        # a copy on half of the rows breaks it
+        dup = np.column_stack([sym.successor, sym.successor[:, 0]])
+        half = dup.copy()
+        half[::2, -1] = n
+        mdps = [sym, _table(dup), _table(half), _random_table(rng, n, n + 1),
+                _quarter_turns_and_inverse(n // 4 + 1)]
+        mdps += _asymmetric_variants(rng, sym)
+        got = [_symmetric_nongoal_operator(mdp) for mdp in mdps]
+        assert [M is None for M in got] == \
+            [False, False, True, True, True, True, True]
+        for mdp, M in zip(mdps, got):
+            ref = _symmetric_by_transpose(mdp)
+            assert (M is None) == (ref is None)
+            if M is not None:
+                for key in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(M, key), getattr(ref, key))
+
+
+def test_symmetry_check_rejects_asymmetric_operators_unbuilt(
         cube_bundle, monkeypatch):
-    # the cube's quarter turns, a chain and random tables fail on a probed
-    # row, before anything of the MDP's size is built
+    # the cube's quarter turns, pickup (whose moves are mutual inverses
+    # away from the pick cells), a chain, random tables and involution
+    # tables with one asymmetric edge are declined before any operator is
+    # built
     built = []
     monkeypatch.setattr(solver, "transition_matrix",
                         lambda succ: built.append(succ))
     rng = np.random.default_rng(50)
-    mdps = [cube_bundle[0], build_chain(DIRECT_MAX_STATES + 50)[0]]
+    mdps = [cube_bundle[0], build_env(ENV_PRESETS["pickup"])[0],
+            build_chain(DIRECT_MAX_STATES + 50)[0]]
     mdps += [_random_table(rng, DIRECT_MAX_STATES + 1, DIRECT_MAX_STATES + 60)
              for _ in range(10)]
+    mdps += _asymmetric_variants(
+        rng, _involution_table(rng, DIRECT_MAX_STATES + 40, 3))
+    mdps.append(_quarter_turns_and_inverse(DIRECT_MAX_STATES))
     for mdp in mdps:
         assert _symmetric_nongoal_operator(mdp) is None
     assert built == []
 
 
-def test_symmetry_probe_miss_is_caught_by_the_full_check(monkeypatch):
-    # pickup's moves are mutual inverses away from the pick cells, which no
-    # probed row reaches; the full check declines it
-    built, tm = [], solver.transition_matrix
-    monkeypatch.setattr(solver, "transition_matrix",
-                        lambda succ: built.append(succ) or tm(succ))
-    assert _symmetric_nongoal_operator(build_env(ENV_PRESETS["pickup"])[0]) \
-        is None
-    assert len(built) == 1
-    monkeypatch.undo()
-    # one edge turned asymmetric away from the probed rows: the full check
-    # declines, and solve_q is the sweep from zero, bit for bit
+def test_symmetry_check_declines_one_asymmetric_edge():
+    # one edge turned asymmetric anywhere: solve_q is the sweep from zero,
+    # bit for bit
     rng = np.random.default_rng(51)
     n = DIRECT_MAX_STATES + 40
-    probed = set(np.linspace(0, n - 1, solver._PROBE_ROWS,
-                             dtype=np.int64).tolist())
     for _ in range(3):
         mdp = _involution_table(rng, n, 3)
         succ = mdp.successor.copy()
-        free = [s for s in range(1, n) if s not in probed
-                and not probed & set(succ[s].tolist())]
-        s, t = rng.choice(free, 2, replace=False)
+        s, t = rng.choice(np.arange(1, n), 2, replace=False)
         succ[s, 0] = t if succ[s, 0] != t else n
-        mdp = TabularDsmdp(successor=succ, goal=0,
-                           action_labels=mdp.action_labels)
+        mdp = _table(succ)
         assert _symmetric_nongoal_operator(mdp) is None
         for delta in (0.02, 0.1):
             qt = solve_q(mdp, delta)
